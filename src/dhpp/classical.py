@@ -28,7 +28,7 @@ from .model import (
     Rule,
     Term,
 )
-from .parser import CONSTRAINT_PREDICATE, Token, _Parser, tokenize
+from .parser import Token, _Parser, tokenize
 from .strategies import builtin_registry
 
 # classical aggregate name -> probability counterpart
@@ -245,7 +245,8 @@ def _translate_aggregate(agg: ClassicalAggregate) -> AggregateAtom:
 
 
 def translate_dlp(program: ClassicalProgram) -> Program:
-    """Annotate everything with [1,1]; aggregates go to their P-family twin.
+    """Annotate everything with [1,1]; aggregates go to their P-family twin,
+    and constraints stay headless.
 
     An interpretation of the result assigns each atom [1,1] or [0,0], and
     it is an answer set exactly when the [1,1] atoms form a classical
@@ -260,13 +261,7 @@ def translate_dlp(program: ClassicalProgram) -> Program:
                 pos.append((HybridFormula.atomic(item), ONE))
             else:
                 pos.append((_translate_aggregate(item), ONE))
-        if rule.head:
-            head = tuple((a, ONE) for a in rule.head)
-        else:
-            # same desugaring the surface syntax uses for constraints
-            marker = Atom(CONSTRAINT_PREDICATE)
-            head = ((marker, ONE),)
-            neg.append((HybridFormula.atomic(marker), ONE))
+        head = tuple((a, ONE) for a in rule.head)
         rules.append(Rule(head, tuple(pos), tuple(neg)))
     return Program(rules=rules, registry=builtin_registry())
 
@@ -276,9 +271,7 @@ def answer_set_atoms(h) -> frozenset[Atom]:
     out = set()
     for formula, value in h.entries:
         if formula.is_atomic and value == ONE:
-            atom = formula.atoms[0]
-            if atom.predicate != CONSTRAINT_PREDICATE:
-                out.add(atom)
+            out.add(formula.atoms[0])
     return frozenset(out)
 
 

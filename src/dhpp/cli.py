@@ -36,15 +36,14 @@ class RunConfig:
     strategies: str | None = None
     json_output: bool = False
     max_ground: int = 100_000
-    lattice_cap: int = 200_000
     model: str | None = None
     seed: int | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.max_ground <= 0 or self.lattice_cap <= 0:
-            raise ValueError("caps must be positive")
+        if self.max_ground <= 0:
+            raise ValueError("max_ground must be positive")
         if self.limit is not None and self.limit <= 0:
             raise ValueError("limit must be positive")
 

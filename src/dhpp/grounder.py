@@ -21,6 +21,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import UniverseOverflow, UnsupportedConstruct
 from .model import (
@@ -58,6 +60,9 @@ from .strategies import (
 )
 
 Env = dict[str, Term]
+
+# most values the lattice of one ground program may hold
+LATTICE_CAP = 200_000
 
 
 # -- universe ----------------------------------------------------------------
@@ -466,6 +471,22 @@ def _ground_literal(
     raise AssertionError(f"unexpected body item {item!r}")
 
 
+def _ground_builtins(rule: Rule, env: Env) -> list[BodyLiteral] | None:
+    """The rule's builtin comparisons under env, or None when one fails."""
+    out: list[BodyLiteral] = []
+    for item, ann in rule.pos_body:
+        if isinstance(item, BuiltinComparison):
+            left = substitute_term(item.left, env)
+            right = substitute_term(item.right, env)
+            if left is None or right is None:
+                return None
+            comparison = BuiltinComparison(left, item.op, right)
+            if not comparison.holds():
+                return None
+            out.append((comparison, ann))
+    return out
+
+
 def ground_rule(
     rule: Rule,
     index: AtomIndex,
@@ -474,18 +495,8 @@ def ground_rule(
 ) -> list[Rule]:
     out: list[Rule] = []
     for env in rule_bindings(rule, index, universe, budget):
-        builtins_ok = True
-        for item, _ in rule.pos_body:
-            if isinstance(item, BuiltinComparison):
-                left = substitute_term(item.left, env)
-                right = substitute_term(item.right, env)
-                if left is None or right is None:
-                    builtins_ok = False
-                    break
-                if not BuiltinComparison(left, item.op, right).holds():
-                    builtins_ok = False
-                    break
-        if not builtins_ok:
+        builtins = _ground_builtins(rule, env)
+        if builtins is None:
             continue
         head = []
         ok = True
@@ -517,6 +528,10 @@ def ground_rule(
             neg.append(lit)
         if not ok:
             continue
+        if not (head or pos or neg):
+            # a constraint on comparisons alone keeps them, so that it stays
+            # a rule whose body always holds
+            pos = builtins
         out.append(Rule(tuple(head), tuple(pos), tuple(neg)))
     return out
 
@@ -570,13 +585,18 @@ class GroundProgram(Program):
                 out.setdefault(atom, []).append(ann)
         return out
 
-    def value_lattice(self, cap: int = 200_000) -> dict[HybridFormula, tuple[ProbInterval, ...]]:
+    def value_lattice(self) -> Mapping[HybridFormula, tuple[ProbInterval, ...]]:
         """Per formula, every value an answer set could assign it.
 
         Atoms take fold values over sub-multisets of their head-occurrence
         annotations; compound formulae take strategy compositions over
-        component values. Sorted ascending by (lo, hi).
+        component values. Sorted ascending by (lo, hi). Computed once per
+        program and shared read-only between callers.
         """
+        return self._lattice
+
+    @cached_property
+    def _lattice(self) -> Mapping[HybridFormula, tuple[ProbInterval, ...]]:
         occurrences = self.head_annotations()
         lattice: dict[HybridFormula, tuple[ProbInterval, ...]] = {}
         total = 0
@@ -589,11 +609,11 @@ class GroundProgram(Program):
             for ann in occurrences.get(atom, ()):
                 grown = {ann} | {strat.compose(v, ann) for v in acc}
                 acc |= grown
-                if len(acc) > cap:
-                    raise UniverseOverflow(f"value lattice for {atom} exceeded {cap}")
+                if len(acc) > LATTICE_CAP:
+                    raise UniverseOverflow(f"value lattice for {atom} exceeded {LATTICE_CAP}")
             total += len(acc)
-            if total > cap:
-                raise UniverseOverflow(f"value lattice exceeded {cap} entries")
+            if total > LATTICE_CAP:
+                raise UniverseOverflow(f"value lattice exceeded {LATTICE_CAP} entries")
             lattice[formula] = tuple(sorted(acc, key=lambda v: (v.lo, v.hi)))
         for formula in self.relevant_formulae:
             if formula.is_atomic:
@@ -603,16 +623,16 @@ class GroundProgram(Program):
             size = 1
             for c in component:
                 size *= len(c)
-            if size > cap:
-                raise UniverseOverflow(f"value lattice for {formula} exceeded {cap}")
+            if size > LATTICE_CAP:
+                raise UniverseOverflow(f"value lattice for {formula} exceeded {LATTICE_CAP}")
             values = {ZERO}
             for combo in itertools.product(*component):
                 values.add(compose_fold(strat, combo))
             total += len(values)
-            if total > cap:
-                raise UniverseOverflow(f"value lattice exceeded {cap} entries")
+            if total > LATTICE_CAP:
+                raise UniverseOverflow(f"value lattice exceeded {LATTICE_CAP} entries")
             lattice[formula] = tuple(sorted(values, key=lambda v: (v.lo, v.hi)))
-        return lattice
+        return MappingProxyType(lattice)
 
 
 def ground_program(
@@ -633,19 +653,7 @@ def ground_program(
         changed = False
         for rule in program.rules:
             for env in rule_bindings(rule, index, universe, budget):
-                skip = False
-                for item, _ in rule.pos_body:
-                    if isinstance(item, BuiltinComparison):
-                        left = substitute_term(item.left, env)
-                        right = substitute_term(item.right, env)
-                        if (
-                            left is None
-                            or right is None
-                            or not BuiltinComparison(left, item.op, right).holds()
-                        ):
-                            skip = True
-                            break
-                if skip:
+                if _ground_builtins(rule, env) is None:
                     continue
                 for atom, ann in rule.head:
                     ga = substitute_atom(atom, env)

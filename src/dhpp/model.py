@@ -93,22 +93,20 @@ class ProbInterval(ValueInterval):
 ZERO = ProbInterval(0, 0)
 ONE = ProbInterval(1, 1)
 
-AnyInterval = ValueInterval
 
-
-def truth_leq(x: AnyInterval, y: AnyInterval) -> bool:
+def truth_leq(x: ValueInterval, y: ValueInterval) -> bool:
     """Truth order: [a1,b1] <=_t [a2,b2] iff a1 <= a2 and b1 <= b2."""
     return x.lo <= y.lo and x.hi <= y.hi
 
 
-def truth_lt(x: AnyInterval, y: AnyInterval) -> bool:
+def truth_lt(x: ValueInterval, y: ValueInterval) -> bool:
     return truth_leq(x, y) and (x.lo, x.hi) != (y.lo, y.hi)
 
 
 COMPARATORS = ("=", "!=", "<", ">", "<=", ">=")
 
 
-def interval_compare(x: AnyInterval, op: str, t: AnyInterval) -> bool:
+def interval_compare(x: ValueInterval, op: str, t: ValueInterval) -> bool:
     """Componentwise guard comparison; both operands must compare on both ends.
 
     Note this is not a total order: [1,5] < [2,3] is false and so is the
@@ -157,12 +155,7 @@ class Num:
         object.__setattr__(self, "value", as_fraction(self.value))
 
     def __str__(self) -> str:
-        q = self.value
-        if q.denominator == 1:
-            return str(q.numerator)
-        text = format_rational(q)
-        # plain num/den needs no parens inside argument lists, decimals neither
-        return text
+        return format_rational(self.value)
 
 
 @dataclass(frozen=True)
@@ -629,20 +622,18 @@ def _normalize_body(body: Iterable[BodyLiteral]) -> tuple[BodyLiteral, ...]:
 
 @dataclass(frozen=True)
 class Rule:
+    """Disjunctive rule; an empty head makes it a constraint."""
+
     head: tuple[HeadLiteral, ...]
     pos_body: tuple[BodyLiteral, ...] = ()
     neg_body: tuple[BodyLiteral, ...] = ()
 
     def __post_init__(self):
-        if not self.head:
-            raise ValueError("rule head must not be empty")
+        if not (self.head or self.pos_body or self.neg_body):
+            raise ValueError("a rule needs a head or a body")
         object.__setattr__(self, "head", tuple(self.head))
         object.__setattr__(self, "pos_body", _normalize_body(self.pos_body))
         object.__setattr__(self, "neg_body", _normalize_body(self.neg_body))
-
-    @property
-    def is_disjunctive(self) -> bool:
-        return len(self.head) > 1
 
     def is_ground(self) -> bool:
         for atom, ann in self.head:
@@ -657,14 +648,9 @@ class Rule:
             elif isinstance(item, AggregateAtom):
                 if not item.is_ground():
                     return False
-            else:
-                return False  # builtins never survive grounding
+            elif not (term_is_ground(item.left) and term_is_ground(item.right)):
+                return False
         return True
-
-    def body_literals(self) -> list[tuple[BodyItem, AnnotationLike, bool]]:
-        out = [(item, ann, True) for item, ann in self.pos_body]
-        out += [(item, ann, False) for item, ann in self.neg_body]
-        return out
 
     def __str__(self) -> str:
         head = " | ".join(str(a) + annotation_suffix(ann) for a, ann in self.head)
@@ -676,8 +662,10 @@ class Rule:
                 parts.append(str(item) + annotation_suffix(ann))
         for item, ann in self.neg_body:
             parts.append("not " + str(item) + annotation_suffix(ann))
-        if parts:
+        if parts and head:
             return f"{head} :- {', '.join(parts)}."
+        if parts:
+            return f":- {', '.join(parts)}."
         return f"{head}."
 
 
@@ -744,11 +732,6 @@ class PInterpretation:
     def __str__(self) -> str:
         inner = ", ".join(f"{f}:{v}" for f, v in self.entries)
         return "{" + inner + "}"
-
-
-def lookup(h: PInterpretation, formula: HybridFormula) -> ProbInterval:
-    """Total lookup; formulae outside the support sit at [0,0]."""
-    return h.value(formula)
 
 
 def interp_leq(h1: PInterpretation, h2: PInterpretation) -> bool:

@@ -15,8 +15,8 @@
 
 Directives: #tau(pred, strategy). #default_tau(strategy). Comments run from
 % to end of line. An omitted annotation means [1,1] and a single annotation
-item p means [p,p]. A headless rule ":- body." is sugar for the reserved
-constraint atom: "__c :- body, not __c."
+item p means [p,p]. A headless rule ":- body." is a constraint: it derives
+nothing, and no model may satisfy its body.
 """
 
 from __future__ import annotations
@@ -56,8 +56,6 @@ from .model import (
     Var,
 )
 from .strategies import CONJUNCTIVE, DISJUNCTIVE, StrategyRegistry, builtin_registry
-
-CONSTRAINT_PREDICATE = "__c"
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
@@ -198,19 +196,11 @@ class _Parser:
             raise self.error(f"unknown directive #{name.text}", name)
 
     def parse_rule(self) -> Rule:
-        if self.accept(":-"):
-            # constraint sugar via the reserved atom
-            pos, neg = self.parse_body()
-            self.expect(".")
-            guard_atom = HybridFormula.atomic(Atom(CONSTRAINT_PREDICATE))
-            return Rule(
-                head=((Atom(CONSTRAINT_PREDICATE), ONE),),
-                pos_body=tuple(pos),
-                neg_body=tuple(neg) + ((guard_atom, ONE),),
-            )
-        head = [self.parse_head_literal()]
-        while self.accept("|"):
+        head: list[tuple[Atom, AnnotationLike]] = []
+        if not self.at(":-"):
             head.append(self.parse_head_literal())
+            while self.accept("|"):
+                head.append(self.parse_head_literal())
         pos: list[BodyLiteral] = []
         neg: list[BodyLiteral] = []
         if self.accept(":-"):

@@ -2,17 +2,20 @@
 
 Candidates come from a guess-and-close scheme: pick a disjunct for every
 disjunctive rule, guess the final truth of every distinct aggregate literal
-and every distinct negated literal, then run a monotone closure from the
-empty interpretation. When a rule fires, the chosen disjunct contributes its
-annotation, and so does any other disjunct already satisfied by the current
-values; atom values are strategy folds over the contributed annotations,
-compound values are strategy compositions over their components.
+and every distinct negated literal in the rules that have a head, then run
+a monotone closure from the empty interpretation. When a rule fires, the
+chosen disjunct contributes its annotation, and so does any other disjunct
+already satisfied by the current values; atom values are strategy folds
+over the contributed annotations, compound values are strategy compositions
+over their components. Constraints (headless rules) take no part in
+generation.
 
 Every candidate is then checked exactly: it must be a p-model of the
-program and a minimal p-model of its own reduct. Closure-based generation
-is complete for the built-in strategies (their disjunctive compositions
-never shrink below a component); exotic registered strategies keep exact
-checking but may miss models whose values a closure cannot reach.
+program, which no candidate violating a constraint is, and a minimal
+p-model of its own reduct. Closure-based generation is complete for the
+built-in strategies (their disjunctive compositions never shrink below a
+component); exotic registered strategies keep exact checking but may miss
+models whose values a closure cannot reach.
 
 Minimality runs as a DFS over per-formula value domains at or below the
 candidate, with unit propagation on rules whose bodies are decided.
@@ -22,8 +25,10 @@ Compound values are determined by their components throughout.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
+from typing import Iterator, Mapping
 
 from .errors import SearchSpaceOverflow
 from .grounder import GroundProgram
@@ -72,8 +77,14 @@ def _scoped_reduct(gp: GroundProgram, h: PInterpretation) -> GroundProgram:
 
 
 def _guess_keys(gp: GroundProgram) -> list[GuessKey]:
+    # Headless rules add nothing to the closure, so guessing their literals
+    # would only split candidates that close to the same interpretation; the
+    # p-model check still rejects every one that violates a constraint. This
+    # holds whatever the strategies, because it never changes a closure.
     keys: set[GuessKey] = set()
     for rule in gp.rules:
+        if not rule.head:
+            continue
         for item, ann in rule.pos_body:
             if isinstance(item, AggregateAtom):
                 keys.add(("agg", item, ann))
@@ -120,7 +131,7 @@ def _closure(
     for _ in range(total_disjuncts + 2):
         new = set(contributions)
         for i, rule in enumerate(gp.rules):
-            if not _body_fires(rule, values, guesses):
+            if not rule.head or not _body_fires(rule, values, guesses):
                 continue
             chosen = choices.get(i, 0)
             new.add((i, chosen))
@@ -165,7 +176,7 @@ class _MinimalitySearch:
         self,
         red: GroundProgram,
         h: PInterpretation,
-        lattice: dict[HybridFormula, tuple[ProbInterval, ...]],
+        lattice: Mapping[HybridFormula, tuple[ProbInterval, ...]],
         node_cap: int,
     ):
         self.red = red
@@ -317,7 +328,7 @@ class _MinimalitySearch:
 def find_smaller_model(
     red: GroundProgram,
     h: PInterpretation,
-    lattice: dict[HybridFormula, tuple[ProbInterval, ...]],
+    lattice: Mapping[HybridFormula, tuple[ProbInterval, ...]],
     node_cap: int = 500_000,
 ) -> tuple[PInterpretation | None, int]:
     """A p-model of red strictly below h, or None; plus nodes searched."""
@@ -350,6 +361,21 @@ def is_answer_set(
 # -- enumeration ------------------------------------------------------------------
 
 
+def _candidate_order(total: int, seed: int | None) -> Iterator[int]:
+    """Each candidate index below total once: ascending, or under a seed
+    the walk start, start + step, ... mod total, whose step is coprime to
+    total. Either way nothing is held per candidate."""
+    start, step = 0, 1
+    if seed is not None:
+        rng = random.Random(seed)
+        start = rng.randrange(total)
+        step = rng.randrange(1, total + 1)
+        while math.gcd(step, total) != 1:
+            step = rng.randrange(1, total + 1)
+    for k in range(total):
+        yield (start + k * step) % total
+
+
 def enumerate_answer_sets(
     gp: GroundProgram,
     limit: int | None = None,
@@ -359,14 +385,16 @@ def enumerate_answer_sets(
 ) -> AnswerSetResult:
     """All probability answer sets, canonically sorted.
 
-    The seed shuffles candidate order, which can only matter for which
-    models are found before a limit cuts enumeration short.
+    A candidate is an index in mixed radix, most significant digit first:
+    one binary digit per guess key, then one digit per disjunctive rule
+    naming its chosen disjunct. The seed permutes candidate order, which
+    can only matter for which models are found before a limit cuts
+    enumeration short.
     """
     keys = _guess_keys(gp)
     disjunctive = [(i, len(rule.head)) for i, rule in enumerate(gp.rules) if len(rule.head) > 1]
-    total = 2 ** len(keys)
-    for _, n in disjunctive:
-        total *= n
+    radices = [2] * len(keys) + [n for _, n in disjunctive]
+    total = math.prod(radices)
     if total > max_candidates:
         raise SearchSpaceOverflow(
             f"candidate space of {total} exceeds {max_candidates}; "
@@ -374,21 +402,17 @@ def enumerate_answer_sets(
         )
     lattice = gp.value_lattice()
 
-    combos = itertools.product(
-        itertools.product((False, True), repeat=len(keys)),
-        itertools.product(*(range(n) for _, n in disjunctive)),
-    )
-    if seed is not None:
-        materialized = list(combos)
-        random.Random(seed).shuffle(materialized)
-        combos = iter(materialized)
-
     seen: set[PInterpretation] = set()
     found: list[tuple[PInterpretation, Certificate]] = []
     truncated = False
-    for guess_bits, choice_bits in combos:
-        guesses = dict(zip(keys, guess_bits))
-        choices = {i: c for (i, _), c in zip(disjunctive, choice_bits)}
+    for index in _candidate_order(total, seed):
+        digits = []
+        for radix in reversed(radices):
+            index, digit = divmod(index, radix)
+            digits.append(digit)
+        digits.reverse()
+        guesses = {key: bool(d) for key, d in zip(keys, digits)}
+        choices = {i: c for (i, _), c in zip(disjunctive, digits[len(keys):])}
         h = _closure(gp, choices, guesses)
         if h in seen:
             continue

@@ -73,10 +73,6 @@ class StrategyRegistry:
         return name in self._table
 
 
-def register_strategy(registry: StrategyRegistry, name: str, kind: str, compose: Compose) -> StrategyRegistry:
-    return registry.register(name, kind, compose)
-
-
 def _independence_and(x: ProbInterval, y: ProbInterval) -> ProbInterval:
     return ProbInterval(x.lo * y.lo, x.hi * y.hi)
 
@@ -91,9 +87,6 @@ def _positive_and(x: ProbInterval, y: ProbInterval) -> ProbInterval:
 
 def _positive_or(x: ProbInterval, y: ProbInterval) -> ProbInterval:
     return ProbInterval(max(x.lo, y.lo), max(x.hi, y.hi))
-
-
-DEFAULT_DISJUNCTIVE = "pcd"
 
 
 def builtin_registry() -> StrategyRegistry:

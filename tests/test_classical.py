@@ -108,6 +108,11 @@ def test_translation_matches_oracle(text):
     assert translated_sets(text) == sorted(oracle_sets(text), key=sorted)
 
 
+@pytest.mark.parametrize("text", ["__c.  a.  :- a.", "a | __c.  :- a."])
+def test_translation_treats_c_as_an_ordinary_atom(text):
+    assert translated_sets(text) == sorted(oracle_sets(text), key=sorted)
+
+
 def test_translation_assigns_unit_intervals():
     program = translate_dlp(parse_classical("a :- not b."))
     gp = ground_program(program)

@@ -8,6 +8,7 @@ from dhpp import (
     Atom,
     ProbInterval,
     UniverseOverflow,
+    enumerate_answer_sets,
     ground_program,
     parse_program,
 )
@@ -107,7 +108,7 @@ def test_vitamin_a_constraint_grounds_to_twelve_pairs(diet_solved):
 
 def test_pckg_rule_grounds_per_food_and_scenario(diet_solved):
     pckg_rules = [
-        r for r in diet_solved.ground.rules if r.head[0][0].predicate == "pckg"
+        r for r in diet_solved.ground.rules if r.head and r.head[0][0].predicate == "pckg"
     ]
     assert len(pckg_rules) == 6  # 3 foods x 2 scenarios
 
@@ -138,6 +139,14 @@ def test_ground_output_has_no_variables(dice_solved, diet_solved):
     for gp in (dice_solved.ground, diet_solved.ground):
         for rule in gp.rules:
             assert rule.is_ground(), str(rule)
+
+
+def test_constraint_on_comparisons_alone_keeps_them():
+    # a constraint whose comparisons all hold still fires; one that fails goes
+    gp = ground("a.\n:- 1 < 2.\n:- 2 < 1.")
+    assert rule_strings(gp) == {"a.", ":- 1 < 2."}
+    assert all(rule.is_ground() for rule in gp.rules)
+    assert enumerate_answer_sets(gp).interpretations == []
 
 
 def test_grounding_is_monotone_in_facts():
@@ -173,7 +182,7 @@ def test_value_lattice_contains_zero_and_head_folds(dice_solved):
 
 def test_relevant_formulae_include_aggregate_conditions(dice_solved):
     names = {str(f) for f in dice_solved.ground.relevant_formulae}
-    assert {"a(1,1)", "a(2,1)", "a(1,2)", "a(2,2)", "__c"} <= names
+    assert {"a(1,1)", "a(2,1)", "a(1,2)", "a(2,2)"} <= names
 
 
 def test_compound_lattice_composes_components():

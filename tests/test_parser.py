@@ -18,7 +18,6 @@ from dhpp import (
 )
 from dhpp.errors import ConstantOutOfRange, UnknownAggregateFunction, UnknownStrategy
 from dhpp.model import AnnFunc, Annotation, BuiltinComparison, Num, Var
-from dhpp.parser import CONSTRAINT_PREDICATE
 
 
 def iv(lo, hi=None) -> ProbInterval:
@@ -70,11 +69,9 @@ def test_missing_body_is_a_parse_error():
 def test_constraint_desugars_to_fresh_head():
     program = parse_program(":- win, not lose.")
     rule = program.rules[0]
-    assert rule.head == ((Atom(CONSTRAINT_PREDICATE), ONE),)
-    assert rule.pos_body[0][0] == HybridFormula.atomic(Atom("win"))
-    neg_formulae = [item for item, _ in rule.neg_body]
-    assert HybridFormula.atomic(Atom(CONSTRAINT_PREDICATE)) in neg_formulae
-    assert HybridFormula.atomic(Atom("lose")) in neg_formulae
+    assert rule.head == ()
+    assert rule.pos_body == ((HybridFormula.atomic(Atom("win")), ONE),)
+    assert rule.neg_body == ((HybridFormula.atomic(Atom("lose")), ONE),)
 
 
 def test_negated_comparison_complements_the_operator():

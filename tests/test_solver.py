@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -78,6 +79,11 @@ def test_dice_certificates_align(dice_solved):
 def test_naf_supported_atom():
     _, res = solve_text("a : 0.5 :- not b : 1.")
     assert interp_strings(res) == ["{a:[0.5,0.5]}"]
+
+
+def test_user_atom_c_does_not_switch_a_constraint_off():
+    _, res = solve_text("__c.  a.  :- a.")
+    assert res.interpretations == []
 
 
 def test_naf_self_blocking_has_no_answer_set():
@@ -169,6 +175,31 @@ def test_seed_shuffles_search_not_answers(dice_solved):
     for seed in (1, 7, 99):
         res = enumerate_answer_sets(dice_solved.ground, seed=seed)
         assert interp_strings(res) == DICE_ANSWER_SETS
+
+
+def test_seeded_first_model_is_repeatable_in_bounded_memory():
+    text = "".join(f"a(1,{i}) : 0.5 | a(2,{i}) : 0.5.\n" for i in range(1, 19))
+    text += ":- sumP{X : P | a(X,Y) : P} >= 36 : 0.\n"
+    gp = ground_program(parse_program(text))
+    gp.value_lattice()
+    tracemalloc.start()
+    try:
+        first = enumerate_answer_sets(gp, limit=1, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    again = enumerate_answer_sets(gp, limit=1, seed=5)
+    assert first.truncated and len(first.interpretations) == 1
+    assert interp_strings(again) == interp_strings(first)
+    # 2**18 candidates: holding even one byte per candidate would fail this
+    assert peak < 2**18
+
+
+def test_diet_search_covers_only_its_package_plans(diet_solved):
+    # constraints add no guesses: 6 binary package choices, 64 candidates
+    res = enumerate_answer_sets(diet_solved.ground, max_candidates=64)
+    assert len(res.interpretations) == 4
+    assert interp_strings(res) == interp_strings(diet_solved.result)
 
 
 def test_candidate_cap_overflows(dice_solved):
