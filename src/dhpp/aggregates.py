@@ -20,7 +20,6 @@ from fractions import Fraction
 from .model import (
     GroundSet,
     Num,
-    PInterpretation,
     ProbInterval,
     Term,
     ValueInterval,
@@ -65,15 +64,23 @@ AggregateResult = EValue | PValue | _Undefined
 Multiset = list[tuple[Term, ProbInterval]]
 
 
-def build_multiset(gset: GroundSet, h: PInterpretation) -> Multiset:
+def build_multiset(gset: GroundSet, h) -> Multiset | None:
     """Collect (value, prob) from the pairs whose conditions h satisfies.
 
+    None while a condition formula may take more than one value, or h
+    cannot tell (see semantics.satisfies_literal).
     Two distinct pairs that agree on value and probability both contribute,
     so the result is a genuine multiset.
     """
     out: Multiset = []
     for pair in gset.pairs:
-        if all(truth_leq(ann, h.value(f)) for f, ann in pair.condition):
+        holds = True
+        for f, ann in pair.condition:
+            values = h.possible(f)
+            if values is None or len(values) != 1:
+                return None
+            holds = holds and truth_leq(ann, values[0])
+        if holds:
             out.append((pair.value, pair.prob))
     return out
 

@@ -70,6 +70,10 @@ class ClassicalRule:
     pos: tuple[Atom | ClassicalAggregate, ...] = ()
     neg: tuple[Atom, ...] = ()
 
+    def __post_init__(self):
+        if not (self.head or self.pos or self.neg):
+            raise ValueError("a rule needs a head or a body")
+
     def __str__(self) -> str:
         head = " | ".join(str(a) for a in self.head)
         parts = [str(p) for p in self.pos]

@@ -22,8 +22,7 @@ from .errors import DhppError
 from .grounder import GroundProgram, ground_program
 from .model import PInterpretation, ProbInterval, Program
 from .parser import parse_formula, parse_program
-from .solver import enumerate_answer_sets, is_answer_set
-from .semantics import satisfies_program
+from .solver import _judge, enumerate_answer_sets
 
 MODES = ("solve", "ground-only", "check-model", "translate-dlp")
 
@@ -137,10 +136,8 @@ def _run_check(config: RunConfig, gp: GroundProgram, out: TextIO) -> int:
     if not config.model:
         raise DhppError("check-model needs --model FILE")
     h = _load_model(config.model)
-    report = satisfies_program(gp, h)
-    verdict, reason = (False, report.first_failure)
-    if report.satisfied:
-        verdict, reason = is_answer_set(gp, h)
+    report, reason, _ = _judge(gp, h, gp.value_lattice())
+    verdict = reason is None
     if config.json_output:
         payload = {
             "p_model": report.satisfied,

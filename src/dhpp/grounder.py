@@ -19,7 +19,7 @@ its arguments are enumerated over the universe instead of the index.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
@@ -543,6 +543,9 @@ def ground_rule(
 class GroundProgram(Program):
     """A fully ground program; every rule is variable-free."""
 
+    # the formula scope, when given: a reduct keeps its source's
+    scope: tuple[HybridFormula, ...] | None = field(default=None, compare=False, repr=False)
+
     def strategy_for(self, predicate: str) -> PStrategy:
         return self.registry.get_kind(self.tau_name(predicate), DISJUNCTIVE)
 
@@ -556,7 +559,9 @@ class GroundProgram(Program):
     def relevant_formulae(self) -> tuple[HybridFormula, ...]:
         """Every formula whose value an interpretation of this program can
         constrain: head atoms, body formulae and their component atoms, and
-        formulae inside aggregate pair conditions."""
+        formulae inside aggregate pair conditions; or the scope given."""
+        if self.scope is not None:
+            return self.scope
         seen: set[HybridFormula] = set()
 
         def add_formula(f: HybridFormula) -> None:

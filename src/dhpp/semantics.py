@@ -11,6 +11,12 @@ Being a p-model takes more than satisfying every rule: per atom, the fold
 of the satisfied head annotations of fired rules must stay below the
 assigned value, and per compound formula, the strategy composition of the
 component values must stay below the assigned value.
+
+satisfies_literal and satisfies_body are the one literal evaluator of the
+p-model check, the reduct and the minimality search. They read h only
+through h.possible(formula), the values a formula may still take (None
+while h cannot tell), and return None while those values disagree; a
+PInterpretation allows one value per formula, so it gets plain booleans.
 """
 
 from __future__ import annotations
@@ -34,8 +40,11 @@ from .model import (
 from .strategies import compose_fold
 
 
-def _aggregate_satisfied(h: PInterpretation, item: AggregateAtom, ann: ProbInterval) -> bool:
-    result = eval_aggregate(item.func, build_multiset(item.pset, h))
+def _aggregate_satisfied(h, item: AggregateAtom, ann: ProbInterval) -> bool | None:
+    multiset = build_multiset(item.pset, h)
+    if multiset is None:
+        return None
+    result = eval_aggregate(item.func, multiset)
     if result is UNDEFINED:
         return False
     guard = item.guard_interval()
@@ -47,26 +56,36 @@ def _aggregate_satisfied(h: PInterpretation, item: AggregateAtom, ann: ProbInter
     )
 
 
-def satisfies_literal(h: PInterpretation, item, ann: ProbInterval, positive: bool) -> bool:
+def satisfies_literal(h, item, ann: ProbInterval, positive: bool) -> bool | None:
+    """Whether h satisfies item:ann, or its negation unless positive; None
+    while the literal is open."""
     if isinstance(item, HybridFormula):
-        sat = truth_leq(ann, h.value(item))
+        values = h.possible(item)
+        if values is None:
+            return None
+        sat = truth_leq(ann, values[0])
+        if len(values) > 1 and any(truth_leq(ann, v) != sat for v in values[1:]):
+            return None
     elif isinstance(item, AggregateAtom):
         sat = _aggregate_satisfied(h, item, ann)
     elif isinstance(item, BuiltinComparison):
         sat = item.holds()
     else:
         raise AssertionError(f"unexpected body item {item!r}")
-    return sat if positive else not sat
+    return sat if positive or sat is None else not sat
 
 
-def satisfies_body(h: PInterpretation, rule: Rule) -> bool:
-    for item, ann in rule.pos_body:
-        if not satisfies_literal(h, item, ann, positive=True):
-            return False
-    for item, ann in rule.neg_body:
-        if not satisfies_literal(h, item, ann, positive=False):
-            return False
-    return True
+def satisfies_body(h, rule: Rule) -> bool | None:
+    """False when a body literal fails, True when all hold, None otherwise."""
+    decided = True
+    for literals, positive in ((rule.pos_body, True), (rule.neg_body, False)):
+        for item, ann in literals:
+            sat = satisfies_literal(h, item, ann, positive)
+            if sat is False:
+                return False
+            if sat is None:
+                decided = False
+    return True if decided else None
 
 
 def satisfies_head(h: PInterpretation, rule: Rule) -> bool:
@@ -169,11 +188,12 @@ def satisfies_program(gp: GroundProgram, h: PInterpretation) -> SatisfactionRepo
 
 
 def reduct(gp: GroundProgram, h: PInterpretation) -> GroundProgram:
-    """Rules whose whole body h satisfies, kept verbatim."""
+    """Rules whose whole body h satisfies, kept verbatim, in gp's formula scope."""
     rules = [rule for rule in gp.rules if satisfies_body(h, rule)]
     return GroundProgram(
         rules=rules,
         tau=dict(gp.tau),
         default_tau=gp.default_tau,
         registry=gp.registry,
+        scope=gp.relevant_formulae,
     )

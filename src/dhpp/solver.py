@@ -19,7 +19,8 @@ models whose values a closure cannot reach.
 
 Minimality runs as a DFS over per-formula value domains at or below the
 candidate, with unit propagation on rules whose bodies are decided.
-Compound values are determined by their components throughout.
+Compound values are determined by their components throughout. Rule bodies
+there are read by the semantics' evaluator, as in the p-model check.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .model import (
     truth_leq,
     ZERO,
 )
-from .semantics import _aggregate_satisfied, reduct, satisfies_program
+from .semantics import SatisfactionReport, reduct, satisfies_body, satisfies_program
 from .strategies import compose_fold
 
 GuessKey = tuple[str, object, ProbInterval]
@@ -63,14 +64,6 @@ class AnswerSetResult:
     interpretations: list[PInterpretation]
     certificates: list[Certificate]
     truncated: bool
-
-
-def _scoped_reduct(gp: GroundProgram, h: PInterpretation) -> GroundProgram:
-    red = reduct(gp, h)
-    # the reduct shares the source program's formula scope: clause checks and
-    # minimality quantify over every formula the original program mentions
-    red.__dict__["relevant_formulae"] = gp.relevant_formulae
-    return red
 
 
 # -- candidate generation -------------------------------------------------------
@@ -97,6 +90,9 @@ def _guess_keys(gp: GroundProgram) -> list[GuessKey]:
 
 
 def _body_fires(rule: Rule, values: dict[HybridFormula, ProbInterval], guesses) -> bool:
+    # Not semantics.satisfies_body: aggregates and negated literals need not
+    # grow with the closure's values, so here they read their guessed final
+    # truth, not the current values; the p-model check confirms the guesses.
     for item, ann in rule.pos_body:
         if isinstance(item, HybridFormula):
             if not truth_leq(ann, values.get(item, ZERO)):
@@ -166,10 +162,12 @@ class _MinimalitySearch:
     """DFS for a strictly smaller p-model of the reduct.
 
     Domains hold lattice values at or below the candidate; compound values
-    are determined by components, so only atoms branch. Propagation: a rule
-    whose body is decided true in the whole branch must keep a satisfiable
-    head disjunct, and when only one disjunct can serve, its atom's domain
-    shrinks to the satisfying values.
+    are determined by components, so only atoms branch. The search answers
+    possible(formula) for its current branch, so satisfies_body(self, rule)
+    is decided only when every completion of the branch agrees. Propagation:
+    a rule whose body is decided true must keep a satisfiable head disjunct,
+    and when only one disjunct can serve, its atom's domain shrinks to the
+    satisfying values.
     """
 
     def __init__(
@@ -204,75 +202,26 @@ class _MinimalitySearch:
                 f"minimality search exceeded {self.node_cap} nodes"
             )
 
-    # literal status in a branch: True/False when decided for every
-    # completion of the domains, None when still open
-    def _formula_values(self, formula, domains) -> tuple[ProbInterval, ...] | None:
+    def possible(self, formula: HybridFormula) -> tuple[ProbInterval, ...] | None:
+        """An atom's domain; a compound's one value once every component is
+        decided, None before."""
         if formula.is_atomic:
-            return domains[formula]
+            return self.domains[formula]
         component = []
         for a in formula.atoms:
-            dom = domains[self.atomics[a]]
+            dom = self.domains[self.atomics[a]]
             if len(dom) != 1:
                 return None
             component.append(dom[0])
-        strat = self.red.formula_strategy(formula)
-        return (compose_fold(strat, component),)
+        return (compose_fold(self.red.formula_strategy(formula), component),)
 
-    def _plain_status(self, formula, ann, positive, domains) -> bool | None:
-        vals = self._formula_values(formula, domains)
-        if vals is None:
-            return None
-        hits = sum(1 for v in vals if truth_leq(ann, v))
-        if hits == len(vals):
-            return positive
-        if hits == 0:
-            return not positive
-        return None
-
-    def _aggregate_status(self, item, ann, positive, domains) -> bool | None:
-        pairs = []
-        for pair in item.pset.pairs:
-            for formula, _ in pair.condition:
-                vals = self._formula_values(formula, domains)
-                if vals is None or len(vals) != 1:
-                    return None
-                pairs.append((formula, vals[0]))
-        partial = PInterpretation.from_pairs(dict(pairs).items())
-        sat = _aggregate_satisfied(partial, item, ann)
-        return sat if positive else not sat
-
-    def _rule_body_status(self, rule, domains) -> bool | None:
-        decided_true = True
-        for item, ann in rule.pos_body:
-            if isinstance(item, HybridFormula):
-                s = self._plain_status(item, ann, True, domains)
-            elif isinstance(item, AggregateAtom):
-                s = self._aggregate_status(item, ann, True, domains)
-            else:
-                s = item.holds()
-            if s is False:
-                return False
-            if s is None:
-                decided_true = False
-        for item, ann in rule.neg_body:
-            if isinstance(item, HybridFormula):
-                s = self._plain_status(item, ann, False, domains)
-            elif isinstance(item, AggregateAtom):
-                s = self._aggregate_status(item, ann, False, domains)
-            else:
-                s = not item.holds()
-            if s is False:
-                return False
-            if s is None:
-                decided_true = False
-        return True if decided_true else None
-
-    def _propagate(self, domains) -> bool:
+    def _propagate(self) -> bool:
+        domains = self.domains
         changed = True
         while changed:
             changed = False
             for rule in self.red.rules:
-                if self._rule_body_status(rule, domains) is not True:
+                if satisfies_body(self, rule) is not True:
                     continue
                 satisfiable = []
                 for atom, ann in rule.head:
@@ -291,8 +240,9 @@ class _MinimalitySearch:
 
     def _search(self, domains) -> PInterpretation | None:
         self._spend()
-        domains = dict(domains)
-        if not self._propagate(domains):
+        # the branch being evaluated; children below get copies of it
+        self.domains = domains = dict(domains)
+        if not self._propagate():
             return None
         open_formula = None
         for f in self.atom_order:
@@ -300,7 +250,7 @@ class _MinimalitySearch:
                 open_formula = f
                 break
         if open_formula is None:
-            return self._leaf(domains)
+            return self._leaf()
         for v in domains[open_formula]:
             branch = dict(domains)
             branch[open_formula] = (v,)
@@ -309,11 +259,10 @@ class _MinimalitySearch:
                 return witness
         return None
 
-    def _leaf(self, domains) -> PInterpretation | None:
-        pairs = [(f, domains[f][0]) for f in self.atom_order]
+    def _leaf(self) -> PInterpretation | None:
+        pairs = [(f, self.domains[f][0]) for f in self.atom_order]
         for formula in self.compounds:
-            vals = self._formula_values(formula, domains)
-            value = vals[0]
+            value = self.possible(formula)[0]
             if not truth_leq(value, self.h.value(formula)):
                 return None
             pairs.append((formula, value))
@@ -337,25 +286,37 @@ def find_smaller_model(
     return witness, search.nodes
 
 
+def _judge(
+    gp: GroundProgram,
+    h: PInterpretation,
+    lattice: Mapping[HybridFormula, tuple[ProbInterval, ...]],
+    node_cap: int = 500_000,
+) -> tuple[SatisfactionReport, str | None, Certificate | None]:
+    """The p-model report of h, then why h is no answer set of gp, or the
+    certificate that it is. In order: the p-model check, a formula the
+    program never mentions (the lattice has an entry for every formula it
+    does), minimality against the reduct."""
+    report = satisfies_program(gp, h)
+    if not report.satisfied:
+        return report, report.first_failure, None
+    for formula, value in h.entries:
+        if formula not in lattice:
+            return report, f"assigns {value} to {formula}, which the program never mentions", None
+    red = reduct(gp, h)
+    witness, nodes = find_smaller_model(red, h, lattice, node_cap)
+    if witness is not None:
+        return report, f"not minimal: the reduct has a smaller p-model {witness}", None
+    return report, None, Certificate(len(red.rules), nodes)
+
+
 def is_answer_set(
     gp: GroundProgram,
     h: PInterpretation,
     node_cap: int = 500_000,
 ) -> tuple[bool, str | None]:
     """Exact check with a human-readable reason on rejection."""
-    report = satisfies_program(gp, h)
-    if not report.satisfied:
-        return False, report.first_failure
-    relevant = set(gp.relevant_formulae)
-    for formula, value in h.entries:
-        if formula not in relevant:
-            return False, f"assigns {value} to {formula}, which the program never mentions"
-    red = _scoped_reduct(gp, h)
-    lattice = gp.value_lattice()
-    witness, _ = find_smaller_model(red, h, lattice)
-    if witness is not None:
-        return False, f"not minimal: the reduct has a smaller p-model {witness}"
-    return True, None
+    _, reason, _ = _judge(gp, h, gp.value_lattice(), node_cap)
+    return reason is None, reason
 
 
 # -- enumeration ------------------------------------------------------------------
@@ -417,13 +378,10 @@ def enumerate_answer_sets(
         if h in seen:
             continue
         seen.add(h)
-        if not satisfies_program(gp, h).satisfied:
+        certificate = _judge(gp, h, lattice, node_cap)[2]
+        if certificate is None:
             continue
-        red = _scoped_reduct(gp, h)
-        witness, nodes = find_smaller_model(red, h, lattice, node_cap)
-        if witness is not None:
-            continue
-        found.append((h, Certificate(len(red.rules), nodes)))
+        found.append((h, certificate))
         if limit is not None and len(found) >= limit:
             truncated = True
             break

@@ -25,11 +25,12 @@ from dhpp import (
     builtin_registry,
     ground_program,
     interp_lt,
+    parse_program,
+    reduct,
     satisfies_program,
     truth_leq,
 )
 from dhpp.grounder import GroundProgram
-from dhpp.solver import _scoped_reduct
 
 ANNOTATIONS = [Fraction(3, 10), Fraction(1, 2), Fraction(7, 10), Fraction(1)]
 GRID = [Fraction(0), Fraction(3, 10), Fraction(1, 2), Fraction(7, 10), Fraction(1)]
@@ -88,6 +89,44 @@ def random_probability_program(
     return ground_program(program)
 
 
+NUMERALS = ["0.3", "0.5", "0.7", "1"]
+
+
+def random_aggregate_program(rng: random.Random, max_rules: int = 3) -> GroundProgram:
+    """Rules over a, b, c whose bodies mix atoms, `x and[pcc] y`,
+    `x or[ind] y`, sumP and countE literals, each negated or not; one rule
+    with a body in five has no head."""
+
+    def formula() -> str:
+        x, y = rng.sample("abc", 2)
+        return rng.choice([x, f"{x} and[pcc] {y}", f"{x} or[ind] {y}"])
+
+    def aggregate() -> str:
+        pairs = ", ".join(
+            f"<{rng.randint(1, 2)} : {rng.choice(NUMERALS)} | {formula()} : {rng.choice(NUMERALS)}>"
+            for _ in range(rng.randint(1, 2))
+        )
+        func = rng.choice(["sumP", "countE"])
+        literal = f"{func}{{{pairs}}} {rng.choice(['>=', '<'])} {rng.randint(1, 2)}"
+        return literal + (f" : {rng.choice(NUMERALS)}" if func == "sumP" else "")
+
+    lines = []
+    for _ in range(rng.randint(1, max_rules)):
+        body = [
+            ("not " if rng.random() < 0.4 else "")
+            + (aggregate() if rng.random() < 0.4 else f"{formula()} : {rng.choice(NUMERALS)}")
+            for _ in range(rng.randint(0, 2))
+        ]
+        if body and rng.random() < 0.2:
+            head = ""
+        else:
+            head = " | ".join(
+                f"{a} : {rng.choice(NUMERALS)}" for a in rng.sample("abc", rng.randint(1, 2))
+            )
+        lines.append(f"{head} :- {', '.join(body)}." if body else f"{head}.")
+    return ground_program(parse_program("\n".join(lines)))
+
+
 def brute_force_answer_sets(
     gp: GroundProgram, cap: int = 30_000
 ) -> list[PInterpretation] | None:
@@ -107,7 +146,7 @@ def brute_force_answer_sets(
 
     answer_sets = []
     for h in models:
-        red = _scoped_reduct(gp, h)
+        red = reduct(gp, h)
         below = [
             [v for v in dom if truth_leq(v, h.value(f))]
             for f, dom in zip(formulae, domains)

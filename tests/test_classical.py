@@ -184,3 +184,8 @@ def test_parse_classical_rejects_bad_comparator():
 def test_classical_rule_validates_aggregate_func():
     with pytest.raises(ValueError):
         ClassicalAggregate(func="median", members=(), cmp=">=", bound=Fraction(1))
+
+
+def test_classical_rule_needs_a_head_or_a_body():
+    with pytest.raises(ValueError, match="a rule needs a head or a body"):
+        ClassicalRule()

@@ -3,7 +3,7 @@ from io import StringIO
 
 import pytest
 
-from dhpp import enumerate_answer_sets, ground_program, parse_program
+from dhpp import ONE, PInterpretation, enumerate_answer_sets, ground_program, parse_formula, parse_program
 from dhpp.cli import MODES, RunConfig, main, run
 
 
@@ -177,6 +177,33 @@ def test_check_model_json_payload(tmp_path, dice_path):
     assert payload["answer_set"] is True
     assert payload["failure"] is None
     assert payload["rules_satisfied"] == payload["rules_total"]
+
+
+def test_check_model_computes_the_p_model_report_once(tmp_path, dice_path, monkeypatch):
+    import dhpp.cli
+    import dhpp.solver
+
+    checked = []
+    original = dhpp.solver.satisfies_program
+
+    def counting(gp, h):
+        checked.append(h)
+        return original(gp, h)
+
+    for module in (dhpp.cli, dhpp.solver):
+        monkeypatch.setattr(module, "satisfies_program", counting, raising=False)
+    model = write_model(
+        tmp_path,
+        [
+            {"text": "a(1,1)", "lo": "1", "hi": "1"},
+            {"text": "a(1,2)", "lo": "1", "hi": "1"},
+        ],
+    )
+    code, _, _ = invoke(inputs=[str(dice_path)], mode="check-model", model=model)
+    assert code == 1
+    # the minimality search also checks smaller interpretations
+    h = PInterpretation.from_pairs((parse_formula(t), ONE) for t in ("a(1,1)", "a(1,2)"))
+    assert checked.count(h) == 1
 
 
 def test_check_model_requires_model_flag(dice_path):

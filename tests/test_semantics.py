@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,7 +17,10 @@ from dhpp import (
 )
 from dhpp.model import Num
 from dhpp.semantics import satisfies_body, satisfies_literal, satisfies_rule
+from dhpp.solver import _MinimalitySearch
+from dhpp.strategies import compose_fold
 from generators import (
+    random_aggregate_program,
     random_interval,
     random_leq_interpretations,
     random_probability_program,
@@ -209,3 +213,75 @@ def test_positive_literals_monotone_naf_antimonotone():
             assert satisfies_literal(h2, target, ann, positive=True)
         if satisfies_literal(h2, target, ann, positive=False):
             assert satisfies_literal(h1, target, ann, positive=False)
+
+
+def test_reduct_keeps_the_formula_scope_of_its_source():
+    gp = ground("a : 0.5.  b : 0.5.  c :- not a : 0.5, a and[inc] b : 0.2.")
+    assert "a and[inc] b" in {str(f) for f in gp.relevant_formulae}
+    h = PInterpretation.from_pairs((HybridFormula.atomic(Atom(n)), iv("0.5")) for n in "ab")
+    red = reduct(gp, h)
+    assert [str(r) for r in red.rules] == ["a:0.5.", "b:0.5."]
+    assert red.relevant_formulae == gp.relevant_formulae
+
+
+# ---------------------------------------------------------------------------
+# The evaluator on branches of the minimality search
+
+
+def body_atoms(rule) -> set[Atom]:
+    out: set[Atom] = set()
+    for item, _ in rule.pos_body + rule.neg_body:
+        if isinstance(item, HybridFormula):
+            out.update(item.atoms)
+        elif isinstance(item, AggregateAtom):
+            for pair in item.pset.pairs:
+                for formula, _ in pair.condition:
+                    out.update(formula.atoms)
+    return out
+
+
+def completions(gp, domains, atoms):
+    """Every interpretation that picks, for each given atom, a value of its
+    domain; other atoms take their first value, compounds their composition."""
+    atoms = sorted(atoms, key=str)
+    for values in itertools.product(*(domains[HybridFormula.atomic(a)] for a in atoms)):
+        chosen = {f: d[0] for f, d in domains.items()}
+        chosen.update((HybridFormula.atomic(a), v) for a, v in zip(atoms, values))
+        for f in gp.relevant_formulae:
+            if not f.is_atomic:
+                component = [chosen[HybridFormula.atomic(a)] for a in f.atoms]
+                chosen[f] = compose_fold(gp.formula_strategy(f), component)
+        yield PInterpretation.from_pairs(chosen.items())
+
+
+def branch_programs(paths):
+    for path in paths:
+        yield ground(path.read_text(encoding="utf-8"))
+    rng = random.Random(31)
+    for _ in range(60):
+        yield random_aggregate_program(rng)
+
+
+def test_decided_bodies_agree_with_every_completion_of_a_branch(dice_path, diet_path):
+    rng = random.Random(7)
+    verdicts = []
+    for gp in branch_programs([dice_path, diet_path]):
+        lattice = gp.value_lattice()
+        for _ in range(8):
+            top = PInterpretation.from_pairs(
+                (f, lattice[f][-1] if rng.random() < 0.7 else rng.choice(lattice[f]))
+                for f in gp.relevant_formulae
+                if f.is_atomic
+            )
+            search = _MinimalitySearch(gp, top, lattice, node_cap=1)
+            for f, d in search.domains.items():
+                keep = rng.sample(d, rng.randint(1, len(d)))
+                search.domains[f] = tuple(v for v in d if v in keep)
+            for rule in gp.rules:
+                decided = satisfies_body(search, rule)
+                verdicts.append(decided)
+                if decided is None:
+                    continue
+                for h in completions(gp, search.domains, body_atoms(rule)):
+                    assert satisfies_body(h, rule) is decided, (str(rule), str(h))
+    assert {True, False, None} <= set(verdicts)

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -19,6 +20,7 @@ from dhpp.solver import find_smaller_model, pairwise_incomparable
 from generators import (
     brute_force_answer_sets,
     definite_fixpoint,
+    random_aggregate_program,
     random_definite_program,
     random_probability_program,
 )
@@ -207,6 +209,12 @@ def test_candidate_cap_overflows(dice_solved):
         enumerate_answer_sets(dice_solved.ground, max_candidates=1)
 
 
+def test_node_cap_bounds_the_check_of_one_answer_set(dice_solved):
+    h = dice_solved.result.interpretations[0]
+    with pytest.raises(SearchSpaceOverflow):
+        is_answer_set(dice_solved.ground, h, node_cap=0)
+
+
 # -- incomparability ---------------------------------------------------------------
 
 
@@ -249,3 +257,54 @@ def test_matches_brute_force_on_random_programs():
         assert [str(h) for h in got.interpretations] == [str(h) for h in expected]
         assert pairwise_incomparable(got.interpretations)
         checked += 1
+
+
+def test_matches_brute_force_on_aggregate_programs():
+    rng = random.Random(2011)
+    checked = 0
+    while checked < 100:
+        gp = random_aggregate_program(rng)
+        expected = brute_force_answer_sets(gp, cap=500)
+        if expected is None:
+            continue
+        got = enumerate_answer_sets(gp)
+        assert [str(h) for h in got.interpretations] == [str(h) for h in expected], str(gp)
+        checked += 1
+
+
+# -- metamorphic checks ------------------------------------------------------------
+
+RENAMING = dict(zip("abcde", "edcba"))
+
+
+def rename(text: str) -> str:
+    return re.sub(r"\b[a-e]\b", lambda m: RENAMING[m.group()], text)
+
+
+def answer_set_entries(gp, renamed=False) -> set[frozenset]:
+    return {
+        frozenset((rename(str(f)) if renamed else str(f), v) for f, v in h.entries)
+        for h in enumerate_answer_sets(gp).interpretations
+    }
+
+
+def metamorphic_corpus():
+    rng = random.Random(77)
+    for _ in range(25):
+        yield random_probability_program(rng)
+        yield random_aggregate_program(rng)
+
+
+def test_rule_order_does_not_change_answer_sets():
+    rng = random.Random(5)
+    for gp in metamorphic_corpus():
+        directives, *rules = str(gp).splitlines()
+        rng.shuffle(rules)
+        shuffled = ground_program(parse_program("\n".join([directives, *rules])))
+        assert answer_set_entries(shuffled) == answer_set_entries(gp), str(gp)
+
+
+def test_renaming_predicates_renames_answer_sets():
+    for gp in metamorphic_corpus():
+        renamed = ground_program(parse_program(rename(str(gp))))
+        assert answer_set_entries(renamed) == answer_set_entries(gp, renamed=True), str(gp)
