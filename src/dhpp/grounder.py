@@ -6,6 +6,14 @@ everything any interpretation of interest can support. Variables that remain
 free after matching (guard-only or comparison-only occurrences) are
 enumerated over the universe of ground terms seen in the program.
 
+The index grows in passes. Each pass binds every rule against the index,
+keeps the bindings whose builtin comparisons hold and whose head atoms all
+ground, and indexes each such head whole: a head with an atom that does not
+ground (p(X+1) under X = a) adds none of its atoms. The pass that adds
+nothing has bound every rule against the final index, so its instances are
+the ones instantiated: ground_rule grounds their bodies, with no second
+binding pass.
+
 Annotation variables bind positionally: matching a literal annotated [P1,P2]
 against an indexed entry with value [l,u] binds P1 to l and P2 to u; the
 single-variable form :P tries both endpoints. Annotation variables that only
@@ -37,7 +45,9 @@ from .model import (
     FuncTerm,
     GroundPair,
     GroundSet,
+    HeadLiteral,
     HybridFormula,
+    item_variables,
     Num,
     ProbabilitySet,
     ProbInterval,
@@ -46,7 +56,6 @@ from .model import (
     substitute_term,
     Term,
     term_is_ground,
-    term_variables,
     Var,
     ZERO,
 )
@@ -245,9 +254,9 @@ class _Budget:
             raise UniverseOverflow(f"{self.what} exceeded {self.limit}")
 
 
-def _enumerate_atom(atom: Atom, env: Env, universe: tuple[Term, ...], budget: _Budget):
-    """Bind an atom's arguments over the whole universe (vacuous literals)."""
-    free = sorted(atom.variables() - set(env))
+def _enumerate(names: set[str], env: Env, universe: tuple[Term, ...], budget: _Budget):
+    """env extended by every binding of its free names over the universe."""
+    free = sorted(names - env.keys())
     if not free:
         yield env
         return
@@ -256,6 +265,25 @@ def _enumerate_atom(atom: Atom, env: Env, universe: tuple[Term, ...], budget: _B
         out = dict(env)
         out.update(zip(free, combo))
         yield out
+
+
+def _join(conjuncts, env: Env, match) -> list[Env]:
+    """Envs extending env that match every conjunct in turn, where
+    match(conjunct, env) yields the extensions matching one conjunct."""
+    envs = [env]
+    for conjunct in conjuncts:
+        envs = [out for e in envs for out in match(conjunct, e)]
+        if not envs:
+            break
+    return envs
+
+
+def _match_atom(atom: Atom, env: Env, index: AtomIndex, budget: _Budget):
+    for fact in index.candidates(atom.predicate, len(atom.args)):
+        budget.spend()
+        nxt = unify_atom(atom, fact, env)
+        if nxt is not None:
+            yield nxt
 
 
 def match_conjunct(
@@ -270,13 +298,13 @@ def match_conjunct(
 
     Atomic conjuncts also bind annotation variables from the indexed values.
     Compound conjuncts bind object variables per component atom; their
-    annotation variables have nothing to bind against.
+    annotation variables have nothing to bind against. A vacuous conjunct
+    binds its atoms' arguments over the whole universe instead.
     """
     if _is_vacuous(ann):
-        envs = [env]
-        for atom in formula.atoms:
-            envs = [e2 for e in envs for e2 in _enumerate_atom(atom, e, universe, budget)]
-        yield from envs
+        yield from _join(
+            formula.atoms, env, lambda a, e: _enumerate(a.variables(), e, universe, budget)
+        )
         return
     if formula.is_atomic:
         atom = formula.atoms[0]
@@ -288,17 +316,7 @@ def match_conjunct(
                 budget.spend()
                 yield from annotation_bindings(ann, value, nxt)
         return
-    envs = [env]
-    for atom in formula.atoms:
-        new: list[Env] = []
-        for e in envs:
-            for fact in index.candidates(atom.predicate, len(atom.args)):
-                budget.spend()
-                nxt = unify_atom(atom, fact, e)
-                if nxt is not None:
-                    new.append(nxt)
-        envs = new
-    yield from envs
+    yield from _join(formula.atoms, env, lambda a, e: _match_atom(a, e, index, budget))
 
 
 def _rule_object_vars(rule: Rule) -> set[str]:
@@ -308,12 +326,7 @@ def _rule_object_vars(rule: Rule) -> set[str]:
     for atom, ann in rule.head:
         out |= atom.variables()
     for item, ann in rule.pos_body + rule.neg_body:
-        if isinstance(item, HybridFormula):
-            out |= item.variables()
-        elif isinstance(item, BuiltinComparison):
-            out |= term_variables(item.left) | term_variables(item.right)
-        elif isinstance(item, AggregateAtom):
-            out |= term_variables(item.guard_lo) | term_variables(item.guard_hi)
+        out |= item_variables(item)
     return out
 
 
@@ -335,35 +348,25 @@ def _plain_literals(rule: Rule) -> list[BodyLiteral]:
     return sorted(plain, key=has_arith)
 
 
+def _literal_matcher(index: AtomIndex, universe: tuple[Term, ...], budget: _Budget):
+    return lambda lit, env: match_conjunct(lit[0], lit[1], env, index, universe, budget)
+
+
 def rule_bindings(
     rule: Rule,
     index: AtomIndex,
     universe: tuple[Term, ...],
     budget: _Budget,
 ) -> list[Env]:
-    """Ground substitutions for a rule's object and annotation variables."""
-    envs: list[Env] = [{}]
-    for formula, ann in _plain_literals(rule):
-        new: list[Env] = []
-        for env in envs:
-            new.extend(match_conjunct(formula, ann, env, index, universe, budget))
-        envs = new
-        if not envs:
-            return []
-    # residual enumeration for guard-only or comparison-only variables
+    """Ground substitutions for a rule's object and annotation variables:
+    its plain positive literals joined against the index, then guard-only
+    or comparison-only variables bound over the universe."""
     needed = _rule_object_vars(rule)
-    out: list[Env] = []
-    for env in envs:
-        free = sorted(needed - set(env))
-        if not free:
-            out.append(env)
-            continue
-        for combo in itertools.product(universe, repeat=len(free)):
-            budget.spend()
-            e2 = dict(env)
-            e2.update(zip(free, combo))
-            out.append(e2)
-    return out
+    return [
+        out
+        for env in _join(_plain_literals(rule), {}, _literal_matcher(index, universe, budget))
+        for out in _enumerate(needed, env, universe, budget)
+    ]
 
 
 # -- applying a substitution ----------------------------------------------------
@@ -402,17 +405,9 @@ def ground_symbolic_set(
     budget: _Budget,
 ) -> GroundSet:
     """Instantiate a symbolic set's local variables against the index."""
-    envs: list[Env] = [env]
-    for formula, ann in pset.condition:
-        new: list[Env] = []
-        for e in envs:
-            new.extend(match_conjunct(formula, ann, e, index, universe, budget))
-        envs = new
-        if not envs:
-            break
     pairs: list[GroundPair] = []
     seen: set[GroundPair] = set()
-    for e in envs:
+    for e in _join(pset.condition, env, _literal_matcher(index, universe, budget)):
         value = substitute_term(pset.value, e)
         if value is None or not term_is_ground(value):
             continue
@@ -487,52 +482,62 @@ def _ground_builtins(rule: Rule, env: Env) -> list[BodyLiteral] | None:
     return out
 
 
+def _ground_head(rule: Rule, env: Env) -> tuple[HeadLiteral, ...] | None:
+    """The rule's head under env, or None when a builtin comparison fails or
+    a head atom does not ground: a head is derived whole or not at all."""
+    if _ground_builtins(rule, env) is None:
+        return None
+    head = []
+    for atom, ann in rule.head:
+        ga = substitute_atom(atom, env)
+        if ga is None:
+            return None
+        head.append((ga, evaluate_annotation(ann, env)))
+    return tuple(head)
+
+
+def _ground_body(
+    body: tuple[BodyLiteral, ...],
+    env: Env,
+    index: AtomIndex,
+    universe: tuple[Term, ...],
+    budget: _Budget,
+) -> tuple[BodyLiteral, ...] | None:
+    """The body's literals under env, less its builtin comparisons, or None
+    when one does not ground."""
+    out = []
+    for item, ann in body:
+        if isinstance(item, BuiltinComparison):
+            continue
+        lit = _ground_literal(item, ann, env, index, universe, budget)
+        if lit is None:
+            return None
+        out.append(lit)
+    return tuple(out)
+
+
 def ground_rule(
     rule: Rule,
+    instances: list[tuple[Env, tuple[HeadLiteral, ...]]],
     index: AtomIndex,
     universe: tuple[Term, ...],
     budget: _Budget,
 ) -> list[Rule]:
+    """Ground the bodies of the rule's instances, each a binding and the
+    head it grounds."""
     out: list[Rule] = []
-    for env in rule_bindings(rule, index, universe, budget):
-        builtins = _ground_builtins(rule, env)
-        if builtins is None:
+    for env, head in instances:
+        pos = _ground_body(rule.pos_body, env, index, universe, budget)
+        if pos is None:
             continue
-        head = []
-        ok = True
-        for atom, ann in rule.head:
-            ga = substitute_atom(atom, env)
-            if ga is None:
-                ok = False
-                break
-            head.append((ga, evaluate_annotation(ann, env)))
-        if not ok:
-            continue
-        pos = []
-        for item, ann in rule.pos_body:
-            if isinstance(item, BuiltinComparison):
-                continue
-            lit = _ground_literal(item, ann, env, index, universe, budget)
-            if lit is None:
-                ok = False
-                break
-            pos.append(lit)
-        if not ok:
-            continue
-        neg = []
-        for item, ann in rule.neg_body:
-            lit = _ground_literal(item, ann, env, index, universe, budget)
-            if lit is None:
-                ok = False
-                break
-            neg.append(lit)
-        if not ok:
+        neg = _ground_body(rule.neg_body, env, index, universe, budget)
+        if neg is None:
             continue
         if not (head or pos or neg):
             # a constraint on comparisons alone keeps them, so that it stays
             # a rule whose body always holds
-            pos = builtins
-        out.append(Rule(tuple(head), tuple(pos), tuple(neg)))
+            pos = _ground_builtins(rule, env)
+        out.append(Rule(head, pos, neg))
     return out
 
 
@@ -656,21 +661,24 @@ def ground_program(
     changed = True
     while changed:
         changed = False
+        instances = []
         for rule in program.rules:
+            made = []
             for env in rule_bindings(rule, index, universe, budget):
-                if _ground_builtins(rule, env) is None:
+                head = _ground_head(rule, env)
+                if head is None:
                     continue
-                for atom, ann in rule.head:
-                    ga = substitute_atom(atom, env)
-                    if ga is None:
-                        continue
-                    value = evaluate_annotation(ann, env)
-                    changed |= index.add(ga, value)
+                made.append((env, head))
+                for atom, value in head:
+                    changed |= index.add(atom, value)
+            instances.append(made)
 
+    # the last pass added nothing, so it bound every rule against the final
+    # index: its instances are the ground program
     rules: list[Rule] = []
     seen: set[Rule] = set()
-    for rule in program.rules:
-        for ground in ground_rule(rule, index, universe, budget):
+    for rule, made in zip(program.rules, instances):
+        for ground in ground_rule(rule, made, index, universe, budget):
             if ground in seen:
                 continue
             seen.add(ground)

@@ -549,10 +549,6 @@ class AggregateAtom:
     def is_e_family(self) -> bool:
         return self.func in E_FUNCS
 
-    @property
-    def is_p_family(self) -> bool:
-        return self.func in P_FUNCS
-
     def guard_interval(self) -> ValueInterval:
         if not (isinstance(self.guard_lo, Num) and isinstance(self.guard_hi, Num)):
             raise ValueError(f"guard of {self} is not ground")
@@ -605,6 +601,15 @@ class BuiltinComparison:
 BodyItem = Union[HybridFormula, AggregateAtom, BuiltinComparison]
 BodyLiteral = tuple[BodyItem, AnnotationLike]
 HeadLiteral = tuple[Atom, AnnotationLike]
+
+
+def item_variables(item: BodyItem) -> set[str]:
+    """The body item's variables outside any symbolic set."""
+    if isinstance(item, HybridFormula):
+        return item.variables()
+    if isinstance(item, BuiltinComparison):
+        return term_variables(item.left) | term_variables(item.right)
+    return term_variables(item.guard_lo) | term_variables(item.guard_hi)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ nothing, and no model may satisfy its body.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ParseError, UnknownAggregateFunction, UnsafeVariable
 from .model import (
@@ -45,6 +45,7 @@ from .model import (
     GroundPair,
     GroundSet,
     HybridFormula,
+    item_variables,
     Num,
     ONE,
     ProbabilitySet,
@@ -113,14 +114,6 @@ def tokenize(text: str, filename: str) -> list[Token]:
     return tokens
 
 
-@dataclass
-class SourceProgram(Program):
-    """Parsed program plus enough provenance for diagnostics."""
-
-    filename: str = "<string>"
-    spans: list[tuple[int, int]] = field(default_factory=list, compare=False, repr=False)
-
-
 class _Parser:
     def __init__(self, tokens: list[Token], filename: str, registry: StrategyRegistry):
         self.tokens = tokens
@@ -161,8 +154,8 @@ class _Parser:
 
     # -- entry points -------------------------------------------------------
 
-    def parse_program(self) -> SourceProgram:
-        program = SourceProgram(rules=[], registry=self.registry, filename=self.filename)
+    def parse_program(self) -> Program:
+        program = Program(rules=[], registry=self.registry)
         while not self.at("eof"):
             if self.accept("#"):
                 self.parse_directive(program)
@@ -171,10 +164,9 @@ class _Parser:
             rule = self.parse_rule()
             self.check_safety(rule, start)
             program.rules.append(rule)
-            program.spans.append((start.line, start.col))
         return program
 
-    def parse_directive(self, program: SourceProgram) -> None:
+    def parse_directive(self, program: Program) -> None:
         name = self.expect("ident", "a directive name")
         if name.text == "tau":
             self.expect("(")
@@ -465,29 +457,18 @@ class _Parser:
         pos_vars: set[str] = set()
         sets: list[ProbabilitySet] = []
         for item, ann in rule.pos_body:
-            pos_vars |= annotation_variables(ann)
-            if isinstance(item, HybridFormula):
-                pos_vars |= item.variables()
-            elif isinstance(item, BuiltinComparison):
-                pos_vars |= term_variables(item.left) | term_variables(item.right)
-            elif isinstance(item, AggregateAtom):
-                pos_vars |= term_variables(item.guard_lo) | term_variables(item.guard_hi)
-                if isinstance(item.pset, ProbabilitySet):
-                    pos_vars |= _set_variables(item.pset)
-                    sets.append(item.pset)
-        for item, ann in rule.neg_body:
+            pos_vars |= annotation_variables(ann) | item_variables(item)
             if isinstance(item, AggregateAtom) and isinstance(item.pset, ProbabilitySet):
+                pos_vars |= _set_variables(item.pset)
                 sets.append(item.pset)
 
         demanded: set[str] = set()
         for atom, ann in rule.head:
             demanded |= atom.variables() | annotation_variables(ann)
         for item, ann in rule.neg_body:
-            demanded |= annotation_variables(ann)
-            if isinstance(item, HybridFormula):
-                demanded |= item.variables()
-            elif isinstance(item, AggregateAtom):
-                demanded |= term_variables(item.guard_lo) | term_variables(item.guard_hi)
+            demanded |= annotation_variables(ann) | item_variables(item)
+            if isinstance(item, AggregateAtom) and isinstance(item.pset, ProbabilitySet):
+                sets.append(item.pset)
 
         unsafe = demanded - pos_vars
         if unsafe:
@@ -531,13 +512,7 @@ def _rule_variables_outside_sets(rule: Rule) -> set[str]:
     for atom, ann in rule.head:
         out |= atom.variables() | annotation_variables(ann)
     for item, ann in rule.pos_body + rule.neg_body:
-        out |= annotation_variables(ann)
-        if isinstance(item, HybridFormula):
-            out |= item.variables()
-        elif isinstance(item, BuiltinComparison):
-            out |= term_variables(item.left) | term_variables(item.right)
-        elif isinstance(item, AggregateAtom):
-            out |= term_variables(item.guard_lo) | term_variables(item.guard_hi)
+        out |= annotation_variables(ann) | item_variables(item)
     return out
 
 
@@ -545,7 +520,7 @@ def parse_program(
     text: str,
     registry: StrategyRegistry | None = None,
     filename: str = "<string>",
-) -> SourceProgram:
+) -> Program:
     """Parse program text into rules plus strategy directives."""
     registry = registry if registry is not None else builtin_registry()
     parser = _Parser(tokenize(text, filename), filename, registry)

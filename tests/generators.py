@@ -213,6 +213,84 @@ def random_definite_program(rng: random.Random, max_atoms: int = 5) -> GroundPro
 
 
 # ---------------------------------------------------------------------------
+# Non-ground programs and a naive grounder
+#
+# A rule is (head, pos, neg, comparisons): tuples of atoms (predicate, args)
+# and of `left != right` pairs, where an argument starting with a capital is
+# a variable and any other a constant.
+
+
+def random_nonground_program(rng: random.Random) -> list[tuple]:
+    """Facts and safe rules over p, q, r, s of arity 1-2 and one to three
+    constants, with disjunctive heads, constraints, `not` literals and
+    `X != Y` (W occurs in comparisons only); no aggregates or arithmetic."""
+    constants = ["a", "b", "c"][: rng.randint(1, 3)]
+    arity = {pred: rng.randint(1, 2) for pred in "pqrs"}
+
+    def atom(args: list[str]) -> tuple:
+        pred = rng.choice("pqrs")
+        return pred, tuple(rng.choice(args) for _ in range(arity[pred]))
+
+    rules = [((atom(constants),), (), (), ()) for _ in range(rng.randint(1, 4))]
+    for _ in range(rng.randint(1, 4)):
+        pos = tuple(atom(["X", "Y", "Z", constants[0]]) for _ in range(rng.randint(1, 2)))
+        bound = sorted({t for _, args in pos for t in args if t[0].isupper()}) + constants
+        head = tuple(atom(bound) for _ in range(rng.choice([0, 1, 1, 2])))
+        neg = tuple(atom(bound) for _ in range(rng.randint(0, 1)))
+        comparisons = tuple(
+            (rng.choice(bound), rng.choice(bound + ["W"])) for _ in range(rng.randint(0, 1))
+        )
+        rules.append((head, pos, neg, comparisons))
+    return rules
+
+
+def _rule_terms(rule: tuple) -> set[str]:
+    head, pos, neg, comparisons = rule
+    return {t for _, args in head + pos + neg for t in args} | {t for pair in comparisons for t in pair}
+
+
+def _atom_text(atom: tuple, env: dict[str, str]) -> str:
+    pred, args = atom
+    return f"{pred}({','.join(env.get(t, t) for t in args)})"
+
+
+def rule_text(rule: tuple, env: dict[str, str] | None = None, comparisons: bool = True) -> str:
+    """The rule as the parser reads it and a ground program prints it."""
+    env = env or {}
+    head, pos, neg, pairs = rule
+    body = [_atom_text(a, env) for a in pos]
+    if comparisons:
+        body += [f"{env.get(x, x)} != {env.get(y, y)}" for x, y in pairs]
+    body += ["not " + _atom_text(a, env) for a in neg]
+    heads = " | ".join(_atom_text(a, env) for a in head)
+    if not body:
+        return f"{heads}."
+    return f"{heads} :- {', '.join(body)}." if heads else f":- {', '.join(body)}."
+
+
+def naive_ground(rules: list[tuple]) -> set[str]:
+    """Every rule under every substitution of the program's constants for its
+    variables, kept when its comparisons hold and its positive atoms are in
+    the least fixpoint of derivable head atoms; printed without comparisons."""
+    constants = sorted({t for rule in rules for t in _rule_terms(rule) if not t[0].isupper()})
+    instances = []
+    for rule in rules:
+        names = sorted(t for t in _rule_terms(rule) if t[0].isupper())
+        for combo in itertools.product(constants, repeat=len(names)):
+            env = dict(zip(names, combo))
+            if all(env.get(x, x) != env.get(y, y) for x, y in rule[3]):
+                head = {_atom_text(a, env) for a in rule[0]}
+                pos = {_atom_text(a, env) for a in rule[1]}
+                instances.append((head, pos, rule_text(rule, env, comparisons=False)))
+    derivable: set[str] = set()
+    while True:
+        grown = derivable | {a for head, pos, _ in instances if pos <= derivable for a in head}
+        if grown == derivable:
+            return {text for _, pos, text in instances if pos <= derivable}
+        derivable = grown
+
+
+# ---------------------------------------------------------------------------
 # Classical programs
 
 

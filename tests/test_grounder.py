@@ -13,7 +13,7 @@ from dhpp import (
     parse_program,
 )
 from dhpp.model import ZERO, HybridFormula, Num
-from generators import random_probability_program
+from generators import naive_ground, random_nonground_program, random_probability_program, rule_text
 
 
 def ground(text: str, **kwargs):
@@ -147,6 +147,30 @@ def test_constraint_on_comparisons_alone_keeps_them():
     assert rule_strings(gp) == {"a.", ":- 1 < 2."}
     assert all(rule.is_ground() for rule in gp.rules)
     assert enumerate_answer_sets(gp).interpretations == []
+
+
+def test_head_is_indexed_whole_or_not_at_all():
+    # under X = a the head atom p(a+1) does not ground, so that instance
+    # derives neither disjunct and nothing derives q(a)
+    text = "r(a). r(1). p(X+1) | q(X) :- r(X). s :- q(a)."
+    gp = ground(text)
+    assert rule_strings(gp) == {"r(a).", "r(1).", "p(2) | q(1) :- r(1)."}
+    assert sorted(str(h) for h in enumerate_answer_sets(gp).interpretations) == [
+        "{p(2):[1,1], r(1):[1,1], r(a):[1,1]}",
+        "{q(1):[1,1], r(1):[1,1], r(a):[1,1]}",
+    ]
+
+
+def test_matches_naive_grounder_in_any_rule_order():
+    # each pass binds the rules in program order, so shuffling them changes
+    # which pass derives what; the ground program must not change
+    rng = random.Random(11)
+    for _ in range(300):
+        rules = random_nonground_program(rng)
+        expected = naive_ground(rules)
+        lines = [rule_text(rule) for rule in rules]
+        for order in (lines, rng.sample(lines, len(lines))):
+            assert rule_strings(ground("\n".join(order))) == expected, order
 
 
 def test_grounding_is_monotone_in_facts():

@@ -29,6 +29,13 @@ def test_tracer_hooks_every_layer_of_a_solve_and_a_check(dice_path, monkeypatch)
         tracer.uninstall()
     assert tracer.absent == []
     seen = {span.name for span in tracer.spans}
-    for name in ("satisfies_program", "reduct", "find_smaller_model", "build_multiset", "eval_aggregate"):
+    for name in (
+        "ground_rule",
+        "satisfies_program",
+        "reduct",
+        "find_smaller_model",
+        "build_multiset",
+        "eval_aggregate",
+    ):
         assert name in seen, name
     assert tracer.counts["strategies.fold_calls"] > 0
