@@ -9,6 +9,7 @@ classical disjunctive programs with every annotation pinned to [1,1].
 from .errors import (
     DhppError,
     InvalidInterval,
+    NonExpansiveStrategy,
     ParseError,
     SearchSpaceOverflow,
     TooLarge,
@@ -73,6 +74,7 @@ __all__ = [
     "GroundSet",
     "HybridFormula",
     "InvalidInterval",
+    "NonExpansiveStrategy",
     "ONE",
     "PInterpretation",
     "PStrategy",

@@ -67,6 +67,11 @@ class SearchSpaceOverflow(DhppError):
     """Solver search exceeded the configured candidate or node cap."""
 
 
+class NonExpansiveStrategy(DhppError):
+    """A disjunctive strategy lowers a fold of an atom's head annotations, so
+    the solver cannot enumerate the program's answer sets completely."""
+
+
 class TooLarge(DhppError):
     """Input exceeds the size the brute-force oracle is willing to handle."""
 

@@ -135,11 +135,16 @@ def collect_universe(program: Program) -> tuple[Term, ...]:
 
 
 class AtomIndex:
-    """Ground atoms with the annotation values they can be derived at."""
+    """Ground atoms with the annotation values they can be derived at.
+
+    Atoms are listed in insertion order per predicate, and again per
+    argument position and ground term, so a join looks up a bound argument
+    instead of scanning the predicate."""
 
     def __init__(self, max_entries: int):
         self.values: dict[Atom, set[ProbInterval]] = {}
         self.by_pred: dict[tuple[str, int], list[Atom]] = {}
+        self.by_arg: dict[tuple[str, int, int, Term], list[Atom]] = {}
         self.max_entries = max_entries
         self.size = 0
 
@@ -148,7 +153,10 @@ class AtomIndex:
         if known is None:
             known = set()
             self.values[atom] = known
-            self.by_pred.setdefault((atom.predicate, len(atom.args)), []).append(atom)
+            arity = len(atom.args)
+            self.by_pred.setdefault((atom.predicate, arity), []).append(atom)
+            for i, term in enumerate(atom.args):
+                self.by_arg.setdefault((atom.predicate, arity, i, term), []).append(atom)
         if value in known:
             return False
         known.add(value)
@@ -159,8 +167,22 @@ class AtomIndex:
             )
         return True
 
-    def candidates(self, predicate: str, arity: int) -> list[Atom]:
-        return self.by_pred.get((predicate, arity), [])
+    def lookup(self, atom: Atom, env: Env) -> list[Atom]:
+        """Every indexed atom that can unify with atom under env, and maybe
+        others, in insertion order: the smallest list among its arguments
+        that env makes ground, else its predicate's list."""
+        arity = len(atom.args)
+        best = self.by_pred.get((atom.predicate, arity), [])
+        for i, arg in enumerate(atom.args):
+            if len(best) <= 1:
+                break
+            term = env.get(arg.name) if isinstance(arg, Var) else substitute_term(arg, env)
+            if term is None or not term_is_ground(term):
+                continue
+            bucket = self.by_arg.get((atom.predicate, arity, i, term), [])
+            if len(bucket) < len(best):
+                best = bucket
+        return best
 
 
 # -- unification and literal matching ------------------------------------------
@@ -279,7 +301,7 @@ def _join(conjuncts, env: Env, match) -> list[Env]:
 
 
 def _match_atom(atom: Atom, env: Env, index: AtomIndex, budget: _Budget):
-    for fact in index.candidates(atom.predicate, len(atom.args)):
+    for fact in index.lookup(atom, env):
         budget.spend()
         nxt = unify_atom(atom, fact, env)
         if nxt is not None:
@@ -308,7 +330,7 @@ def match_conjunct(
         return
     if formula.is_atomic:
         atom = formula.atoms[0]
-        for fact in index.candidates(atom.predicate, len(atom.args)):
+        for fact in index.lookup(atom, env):
             nxt = unify_atom(atom, fact, env)
             if nxt is None:
                 continue

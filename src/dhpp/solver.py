@@ -10,12 +10,17 @@ over the contributed annotations, compound values are strategy compositions
 over their components. Constraints (headless rules) take no part in
 generation.
 
-Every candidate is then checked exactly: it must be a p-model of the
-program, which no candidate violating a constraint is, and a minimal
-p-model of its own reduct. Closure-based generation is complete for the
-built-in strategies (their disjunctive compositions never shrink below a
-component); exotic registered strategies keep exact checking but may miss
-models whose values a closure cannot reach.
+Every value the closure can reach is an entry of the program's value
+lattice, so each enumeration first compiles the program into integer
+tables over lattice ranks (_Compiled) and closes candidates over tuples of
+ranks; an interpretation is built only for a closure not seen before.
+Before searching it checks that every disjunctive strategy in use never
+folds an atom's head annotations below one of them (_check_expansive): the
+closure is complete then, and otherwise NonExpansiveStrategy says so.
+
+Every candidate that agrees with its own `not` guesses is then checked
+exactly: it must be a p-model of the program, which no candidate violating
+a constraint is, and a minimal p-model of its own reduct.
 
 Minimality runs as a DFS over per-formula value domains at or below the
 candidate, with unit propagation on rules whose bodies are decided.
@@ -31,22 +36,19 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .errors import SearchSpaceOverflow
+from .errors import NonExpansiveStrategy, SearchSpaceOverflow
 from .grounder import GroundProgram
 from .model import (
     AggregateAtom,
-    Atom,
-    BuiltinComparison,
     HybridFormula,
     interp_leq,
     PInterpretation,
     ProbInterval,
-    Rule,
     truth_leq,
     ZERO,
 )
 from .semantics import SatisfactionReport, reduct, satisfies_body, satisfies_program
-from .strategies import compose_fold
+from .strategies import compose_fold, PStrategy
 
 GuessKey = tuple[str, object, ProbInterval]
 
@@ -89,70 +91,220 @@ def _guess_keys(gp: GroundProgram) -> list[GuessKey]:
     return sorted(keys, key=lambda k: (k[0], str(k[1]), str(k[2])))
 
 
-def _body_fires(rule: Rule, values: dict[HybridFormula, ProbInterval], guesses) -> bool:
-    # Not semantics.satisfies_body: aggregates and negated literals need not
-    # grow with the closure's values, so here they read their guessed final
-    # truth, not the current values; the p-model check confirms the guesses.
-    for item, ann in rule.pos_body:
-        if isinstance(item, HybridFormula):
-            if not truth_leq(ann, values.get(item, ZERO)):
-                return False
-        elif isinstance(item, AggregateAtom):
-            if not guesses[("agg", item, ann)]:
-                return False
-        elif isinstance(item, BuiltinComparison):
-            if not item.holds():
-                return False
-    for item, ann in rule.neg_body:
-        if isinstance(item, HybridFormula):
-            if guesses[("naf", item, ann)]:
-                return False
-        elif isinstance(item, AggregateAtom):
-            if guesses[("agg", item, ann)]:
-                return False
-    return True
+class _Compiled:
+    """The ground program as integer tables over its value lattice.
 
+    Formula i is gp.relevant_formulae[i], already sorted as PInterpretation
+    sorts its entries; its value is a rank in values[i], its lattice tuple,
+    where ZERO is rank 0. A literal's table maps each rank to whether the
+    literal holds there. A candidate index is bits * choice_total + choice:
+    guess key k is bit len(keys) - 1 - k of bits, and the disjunct choices
+    are the mixed-radix digits of choice, the first disjunctive rule's most
+    significant.
 
-def _closure(
-    gp: GroundProgram,
-    choices: dict[int, int],
-    guesses: dict[GuessKey, bool],
-) -> PInterpretation:
-    atomics = {f.atoms[0]: f for f in gp.relevant_formulae if f.is_atomic}
-    compounds = [f for f in gp.relevant_formulae if not f.is_atomic]
-    values: dict[HybridFormula, ProbInterval] = {f: ZERO for f in gp.relevant_formulae}
-    contributions: set[tuple[int, int]] = set()
-    total_disjuncts = sum(len(rule.head) for rule in gp.rules)
+    rules holds each rule with a head that can fire, as (need, want, pos,
+    head, place, radix): it is live when bits & need == want; it fires once
+    every (formula, table) in pos holds; it chooses the disjunct
+    head[choice // place % radix], each disjunct being (atom, annotation
+    rank, table), where a rule of one disjunct needs no table. Folds and
+    compositions are memoised on ranks. Compiling raises NonExpansiveStrategy
+    when the closure could miss answer sets (_check_expansive).
+    """
 
-    for _ in range(total_disjuncts + 2):
-        new = set(contributions)
-        for i, rule in enumerate(gp.rules):
-            if not rule.head or not _body_fires(rule, values, guesses):
+    def __init__(
+        self,
+        gp: GroundProgram,
+        lattice: Mapping[HybridFormula, tuple[ProbInterval, ...]],
+        keys: list[GuessKey],
+    ):
+        self.gp = gp
+        self.formulae = gp.relevant_formulae
+        self.values = [lattice[f] for f in self.formulae]
+        position = {f: i for i, f in enumerate(self.formulae)}
+        bits = {key: len(keys) - 1 - k for k, key in enumerate(keys)}
+        # rules share equal tables, literals and disjuncts
+        shared: dict[tuple, tuple] = {}
+
+        def share(t: tuple) -> tuple:
+            return shared.setdefault(t, t)
+
+        def table(i: int, ann: ProbInterval) -> tuple[bool, ...]:
+            return share(tuple(ann.lo <= v.lo and ann.hi <= v.hi for v in self.values[i]))
+
+        # (bit, formula, table) of every `not` literal guessed
+        self.naf = [
+            (bits[key], position[key[1]], table(position[key[1]], key[2]))
+            for key in keys
+            if key[0] == "naf"
+        ]
+        occurrences: dict[int, list[ProbInterval]] = {}
+        self.choice_total = 1
+        self.rules = []
+        for rule in reversed(gp.rules):
+            if not rule.head:
                 continue
-            chosen = choices.get(i, 0)
-            new.add((i, chosen))
-            for j, (atom, ann) in enumerate(rule.head):
-                if j == chosen:
-                    continue
-                if truth_leq(ann, values[atomics[atom]]):
-                    new.add((i, j))
-        if new == contributions:
-            break
-        contributions = new
-        per_atom: dict[Atom, list[ProbInterval]] = {}
-        for i, j in contributions:
-            atom, ann = gp.rules[i].head[j]
-            per_atom.setdefault(atom, []).append(ann)
-        for atom, formula in atomics.items():
-            anns = per_atom.get(atom)
-            if anns:
-                values[formula] = compose_fold(gp.strategy_for(atom.predicate), anns)
+            radix, place = len(rule.head), self.choice_total
+            self.choice_total *= radix
+            head = []
+            for atom, ann in rule.head:
+                i = position[HybridFormula.atomic(atom)]
+                occurrences.setdefault(i, []).append(ann)
+                head.append(
+                    share((i, self.values[i].index(ann), table(i, ann) if radix > 1 else None))
+                )
+            need_true = need_false = 0
+            pos = []
+            holds = True
+            for item, ann in rule.pos_body:
+                if isinstance(item, HybridFormula):
+                    pos.append(share((position[item], table(position[item], ann))))
+                elif isinstance(item, AggregateAtom):
+                    need_true |= 1 << bits[("agg", item, ann)]
+                else:
+                    holds = holds and item.holds()
+            for item, ann in rule.neg_body:
+                if isinstance(item, AggregateAtom):
+                    need_false |= 1 << bits[("agg", item, ann)]
+                elif isinstance(item, HybridFormula):
+                    need_false |= 1 << bits[("naf", item, ann)]
+            if holds and not need_true & need_false:
+                need = need_true | need_false
+                self.rules.append((need, need_true, tuple(pos), share(tuple(head)), place, radix))
+        self.rules.reverse()
+        self.components: dict[int, tuple[int, ...]] = {}
+        self.compounds_of: dict[int, list[int]] = {}
+        for c, f in enumerate(self.formulae):
+            if not f.is_atomic:
+                self.components[c] = tuple(position[HybridFormula.atomic(a)] for a in f.atoms)
+                for i in self.components[c]:
+                    self.compounds_of.setdefault(i, []).append(c)
+        self._folds: dict[tuple[int, int, int], int] = {}
+        self._compositions: dict[tuple[int, tuple[int, ...]], int] = {}
+        _check_expansive(self, occurrences)
+
+    def strategy(self, i: int) -> PStrategy:
+        """Formula i's strategy: its predicate's for an atom, its own for a compound."""
+        f = self.formulae[i]
+        if f.is_atomic:
+            return self.gp.strategy_for(f.atoms[0].predicate)
+        return self.gp.formula_strategy(f)
+
+    def fold(self, i: int, rank: int, ann: int) -> int:
+        """The rank of atom i's strategy composing its ranks rank and ann."""
+        key = (i, rank, ann)
+        out = self._folds.get(key)
+        if out is None:
+            values = self.values[i]
+            out = values.index(self.strategy(i).compose(values[rank], values[ann]))
+            self._folds[key] = out
+        return out
+
+    def compose(self, c: int, ranks: tuple[int, ...]) -> int:
+        """The rank of compound c's strategy composing its components' ranks."""
+        key = (c, ranks)
+        out = self._compositions.get(key)
+        if out is None:
+            component = [self.values[i][r] for i, r in zip(self.components[c], ranks)]
+            value = compose_fold(self.strategy(c), component)
+            out = self._compositions[key] = self.values[c].index(value)
+        return out
+
+    def contradicts(self, index: int, ranks: tuple[int, ...]) -> bool:
+        """Whether a `not` guess of the candidate disagrees with its closure."""
+        bits = index // self.choice_total
+        return any((bits >> bit & 1) != t[ranks[i]] for bit, i, t in self.naf)
+
+    def interpretation(self, ranks: tuple[int, ...]) -> PInterpretation:
+        return PInterpretation(
+            tuple((f, v[r]) for f, v, r in zip(self.formulae, self.values, ranks) if r)
+        )
+
+
+def _closure(cp: _Compiled, index: int) -> tuple[int, ...]:
+    """The ranks a candidate closes to, from the empty interpretation.
+
+    Rules whose guessed literals the candidate's bits deny never fire. The
+    others fire once their positive formula literals hold. This is not
+    semantics.satisfies_body: aggregates and negated literals need not grow
+    with the closure's values, so they read their guessed final truth,
+    which the p-model check confirms. When a rule fires, its chosen
+    disjunct contributes its annotation, and so does any other disjunct
+    already satisfied by the current values. Each round reads the values
+    at its start. An atom's value is the fold of its contributions, a
+    compound's the composition of its components.
+
+    Why a candidate that contradicts its own closure (cp.contradicts) can
+    be skipped unchecked: the closure is complete when every disjunctive
+    strategy in use is expansive on the program (_check_expansive), so each
+    answer set h is the closure of the candidate whose guesses are h's own
+    truth values and whose choices are disjuncts h satisfies, and that
+    candidate agrees with its own closure. Skipping the ones that disagree
+    loses no answer set. It can change which answer set a seeded limit
+    query meets first, never what a full enumeration returns.
+    """
+    bits, choice = divmod(index, cp.choice_total)
+    ranks = [0] * len(cp.formulae)
+    started = bytearray(len(ranks))
+    waiting = [rule for rule in cp.rules if bits & rule[0] == rule[1]]
+    watching: list = []  # unchosen disjuncts of fired rules, not yet contributed
+    while True:
+        adds = [d for d in watching if d[2][ranks[d[0]]]]
+        if adds:
+            watching = [d for d in watching if not d[2][ranks[d[0]]]]
+        still = []
+        for rule in waiting:
+            for i, t in rule[2]:
+                if not t[ranks[i]]:
+                    still.append(rule)
+                    break
             else:
-                values[formula] = ZERO
-        for formula in compounds:
-            component = [values[atomics[a]] for a in formula.atoms]
-            values[formula] = compose_fold(gp.formula_strategy(formula), component)
-    return PInterpretation.from_pairs(values.items())
+                _, _, _, head, place, radix = rule
+                c = choice // place % radix
+                adds.append(head[c])
+                for d in head[:c] + head[c + 1:]:
+                    (adds if d[2][ranks[d[0]]] else watching).append(d)
+        if not adds:
+            return tuple(ranks)
+        waiting = still
+        for i, ann, _ in adds:
+            ranks[i] = cp.fold(i, ranks[i], ann) if started[i] else ann
+            started[i] = 1
+        if cp.components:
+            for c in {c for i, _, _ in adds for c in cp.compounds_of.get(i, ())}:
+                ranks[c] = cp.compose(c, tuple(ranks[i] for i in cp.components[c]))
+
+
+def _check_expansive(cp: _Compiled, occurrences: dict[int, list[ProbInterval]]) -> None:
+    """Raise NonExpansiveStrategy unless, for every atom, composing any fold
+    of a non-empty sub-multiset of its head annotations (occurrences[i] for
+    atom i) with any of them lies at or above both: then the closure's
+    values only grow, towards every answer set. An atom with one head
+    occurrence is never folded, so it has nothing to check. A composition
+    checked once is not checked again for another atom."""
+    checked: dict[tuple[str, ProbInterval, ProbInterval], ProbInterval] = {}
+
+    def compose(i: int, strategy: PStrategy, v: ProbInterval, ann: ProbInterval) -> ProbInterval:
+        key = (strategy.name, v, ann)
+        out = checked.get(key)
+        if out is None:
+            out = checked[key] = strategy.compose(v, ann)
+            if not (truth_leq(v, out) and truth_leq(ann, out)):
+                raise NonExpansiveStrategy(
+                    f"strategy {strategy.name} is not expansive on {cp.formulae[i]}: "
+                    f"it composes {v} and {ann} to {out}, so the solver could miss answer sets"
+                )
+        return out
+
+    for i, anns in occurrences.items():
+        if len(anns) < 2:
+            continue
+        strategy = cp.strategy(i)
+        folds: set[ProbInterval] = set()
+        for ann in anns:
+            folds |= {ann} | {compose(i, strategy, v, ann) for v in folds}
+        for v in folds:
+            for ann in set(anns):
+                compose(i, strategy, v, ann)
 
 
 # -- minimality ---------------------------------------------------------------
@@ -353,31 +505,24 @@ def enumerate_answer_sets(
     enumeration short.
     """
     keys = _guess_keys(gp)
-    disjunctive = [(i, len(rule.head)) for i, rule in enumerate(gp.rules) if len(rule.head) > 1]
-    radices = [2] * len(keys) + [n for _, n in disjunctive]
-    total = math.prod(radices)
+    total = 2 ** len(keys) * math.prod(len(rule.head) for rule in gp.rules if rule.head)
     if total > max_candidates:
         raise SearchSpaceOverflow(
             f"candidate space of {total} exceeds {max_candidates}; "
             "the program has too many independent guesses"
         )
     lattice = gp.value_lattice()
+    cp = _Compiled(gp, lattice, keys)
 
-    seen: set[PInterpretation] = set()
+    seen: set[tuple[int, ...]] = set()
     found: list[tuple[PInterpretation, Certificate]] = []
     truncated = False
     for index in _candidate_order(total, seed):
-        digits = []
-        for radix in reversed(radices):
-            index, digit = divmod(index, radix)
-            digits.append(digit)
-        digits.reverse()
-        guesses = {key: bool(d) for key, d in zip(keys, digits)}
-        choices = {i: c for (i, _), c in zip(disjunctive, digits[len(keys):])}
-        h = _closure(gp, choices, guesses)
-        if h in seen:
+        ranks = _closure(cp, index)
+        if ranks in seen or cp.contradicts(index, ranks):
             continue
-        seen.add(h)
+        seen.add(ranks)
+        h = cp.interpretation(ranks)
         certificate = _judge(gp, h, lattice, node_cap)[2]
         if certificate is None:
             continue

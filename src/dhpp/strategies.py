@@ -102,7 +102,3 @@ def builtin_registry() -> StrategyRegistry:
     registry.register("pcd", DISJUNCTIVE, _positive_or)
     return registry
 
-
-# Folding a bigger multiset never lowers the result for these strategies;
-# the solver's candidate generation relies on that to stay complete.
-EXPANSIVE_DISJUNCTIVE = frozenset({"ind", "pcd"})

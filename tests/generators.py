@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import prod
 
 from dhpp import (
+    AggregateAtom,
     Atom,
     ClassicalProgram,
     ClassicalRule,
@@ -22,7 +23,9 @@ from dhpp import (
     ProbInterval,
     Program,
     Rule,
+    ZERO,
     builtin_registry,
+    compose_fold,
     ground_program,
     interp_lt,
     parse_program,
@@ -31,6 +34,7 @@ from dhpp import (
     truth_leq,
 )
 from dhpp.grounder import GroundProgram
+from dhpp.model import BuiltinComparison
 
 ANNOTATIONS = [Fraction(3, 10), Fraction(1, 2), Fraction(7, 10), Fraction(1)]
 GRID = [Fraction(0), Fraction(3, 10), Fraction(1, 2), Fraction(7, 10), Fraction(1)]
@@ -161,6 +165,81 @@ def brute_force_answer_sets(
             answer_sets.append(h)
     answer_sets.sort(key=str)
     return answer_sets
+
+
+def reference_candidate(keys: list, gp: GroundProgram, index: int) -> tuple[dict, dict]:
+    """The guesses and disjunct choices of a candidate index: in mixed
+    radix, most significant digit first, one binary digit per guess key,
+    then one digit per disjunctive rule naming its chosen disjunct."""
+    disjunctive = [(i, len(rule.head)) for i, rule in enumerate(gp.rules) if len(rule.head) > 1]
+    radices = [2] * len(keys) + [n for _, n in disjunctive]
+    digits = []
+    for radix in reversed(radices):
+        index, digit = divmod(index, radix)
+        digits.append(digit)
+    digits.reverse()
+    guesses = {key: bool(d) for key, d in zip(keys, digits)}
+    choices = {i: c for (i, _), c in zip(disjunctive, digits[len(keys):])}
+    return guesses, choices
+
+
+def _reference_body_fires(rule, values, guesses) -> bool:
+    # aggregates and negated literals read their guessed final truth
+    for item, ann in rule.pos_body:
+        if isinstance(item, HybridFormula):
+            if not truth_leq(ann, values.get(item, ZERO)):
+                return False
+        elif isinstance(item, AggregateAtom):
+            if not guesses[("agg", item, ann)]:
+                return False
+        elif isinstance(item, BuiltinComparison):
+            if not item.holds():
+                return False
+    for item, ann in rule.neg_body:
+        if isinstance(item, HybridFormula):
+            if guesses[("naf", item, ann)]:
+                return False
+        elif isinstance(item, AggregateAtom):
+            if guesses[("agg", item, ann)]:
+                return False
+    return True
+
+
+def reference_closure(gp: GroundProgram, guesses: dict, choices: dict) -> PInterpretation:
+    """The closure of a candidate over interpretations, round by round: every
+    rule with a head whose body fires contributes its chosen disjunct, and
+    any other disjunct the current values satisfy; atoms fold their
+    contributions, compounds compose their components."""
+    atomics = {f.atoms[0]: f for f in gp.relevant_formulae if f.is_atomic}
+    compounds = [f for f in gp.relevant_formulae if not f.is_atomic]
+    values = {f: ZERO for f in gp.relevant_formulae}
+    contributions: set[tuple[int, int]] = set()
+    total_disjuncts = sum(len(rule.head) for rule in gp.rules)
+
+    for _ in range(total_disjuncts + 2):
+        new = set(contributions)
+        for i, rule in enumerate(gp.rules):
+            if not rule.head or not _reference_body_fires(rule, values, guesses):
+                continue
+            chosen = choices.get(i, 0)
+            new.add((i, chosen))
+            for j, (atom, ann) in enumerate(rule.head):
+                if j != chosen and truth_leq(ann, values[atomics[atom]]):
+                    new.add((i, j))
+        if new == contributions:
+            break
+        contributions = new
+        per_atom: dict[Atom, list[ProbInterval]] = {}
+        for i, j in contributions:
+            atom, ann = gp.rules[i].head[j]
+            per_atom.setdefault(atom, []).append(ann)
+        for atom, formula in atomics.items():
+            anns = per_atom.get(atom)
+            values[formula] = compose_fold(gp.strategy_for(atom.predicate), anns) if anns else ZERO
+        for formula in compounds:
+            component = [values[atomics[a]] for a in formula.atoms]
+            values[formula] = compose_fold(gp.formula_strategy(formula), component)
+    return PInterpretation.from_pairs(values.items())
 
 
 def definite_fixpoint(gp: GroundProgram) -> PInterpretation:

@@ -1,5 +1,6 @@
 import json
 from io import StringIO
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +99,30 @@ def test_ground_only_round_trips(dice_path):
         "{a(1,1):[0.5,0.5], a(2,2):[0.3,0.3]}",
         "{a(2,1):[0.5,0.5], a(2,2):[0.3,0.3]}",
     ]
+
+
+# a three-layer DAG with the two path rules of the benchmark's reach workload;
+# edges below 0.5 do not fire the recursive rule
+PATH_PROGRAM = (
+    "edge(a1,b1) : 0.5. edge(a1,b2) : 0.3. edge(a2,b2) : 0.7. edge(a2,b3) : 0.5.\n"
+    "edge(a3,b3). edge(b1,c1) : 0.5. edge(b2,c1) : 0.5. edge(b2,c3) : 0.4.\n"
+    "edge(b3,c2) : 0.9. edge(b3,c3) : 0.5.\n"
+    "path(X,Y) :- edge(X,Y) : 0.5.\n"
+    "path(X,Z) :- path(X,Y), edge(Y,Z) : 0.5.\n"
+)
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("name", ["dice", "diet", "path"])
+def test_ground_only_output_is_pinned(name, tmp_path, capsys):
+    # rule order decides candidate order, so the bytes are pinned, not the set
+    if name == "path":
+        source = tmp_path / "path.dhpp"
+        source.write_text(PATH_PROGRAM)
+    else:
+        source = Path(__file__).resolve().parent.parent / "programs" / f"{name}.dhpp"
+    assert main([str(source), "--mode", "ground-only"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.ground").read_text()
 
 
 def test_ground_only_keeps_constraints_headless(tmp_path):

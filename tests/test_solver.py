@@ -4,25 +4,33 @@ import tracemalloc
 
 import pytest
 
+import dhpp.solver
 from dhpp import (
     Atom,
     HybridFormula,
+    NonExpansiveStrategy,
     PInterpretation,
     ProbInterval,
     SearchSpaceOverflow,
+    builtin_registry,
     enumerate_answer_sets,
     ground_program,
     interp_leq,
     is_answer_set,
     parse_program,
+    translate_dlp,
 )
-from dhpp.solver import find_smaller_model, pairwise_incomparable
+from dhpp.solver import _closure, _Compiled, _guess_keys, find_smaller_model, pairwise_incomparable
+from dhpp.strategies import DISJUNCTIVE
 from generators import (
     brute_force_answer_sets,
     definite_fixpoint,
     random_aggregate_program,
+    random_classical_program,
     random_definite_program,
     random_probability_program,
+    reference_candidate,
+    reference_closure,
 )
 
 
@@ -150,6 +158,88 @@ def test_find_smaller_model_none_at_bottom():
     exact = PInterpretation.from_pairs([(a, ProbInterval("0.5", "0.5"))])
     witness, _ = find_smaller_model(gp, exact, gp.value_lattice())
     assert witness is None
+
+
+# -- the compiled closure ----------------------------------------------------------
+
+
+def closure_corpus(dice_solved, diet_solved):
+    rng = random.Random(31)
+    yield dice_solved.ground
+    yield diet_solved.ground
+    for _ in range(100):
+        yield random_aggregate_program(rng)
+    for _ in range(100):
+        yield random_probability_program(rng)
+    for _ in range(50):
+        yield ground_program(translate_dlp(random_classical_program(rng)))
+
+
+def test_compiled_closure_matches_the_reference(dice_solved, diet_solved):
+    closed = 0
+    for gp in closure_corpus(dice_solved, diet_solved):
+        keys = _guess_keys(gp)
+        compiled = _Compiled(gp, gp.value_lattice(), keys)
+        total = 2 ** len(keys) * compiled.choice_total
+        if total > 256:
+            continue
+        for index in range(total):
+            guesses, choices = reference_candidate(keys, gp, index)
+            got = compiled.interpretation(_closure(compiled, index))
+            assert got == reference_closure(gp, guesses, choices), (str(gp), index)
+            closed += 1
+    assert closed > 2000
+
+
+def test_candidates_contradicting_their_closure_skip_the_p_model_check(monkeypatch):
+    # 16 candidates guess `not a`, `not b`, `not c` and `not d`; only the four
+    # whose guesses agree with their closure are checked, and all four are
+    # answer sets (checking every distinct closure makes 21 calls)
+    checked = []
+    original = dhpp.solver.satisfies_program
+
+    def counting(gp, h):
+        checked.append(h)
+        return original(gp, h)
+
+    monkeypatch.setattr(dhpp.solver, "satisfies_program", counting)
+    _, res = solve_text("a :- not b. b :- not a. c :- not d. d :- not c. e :- a, not c.")
+    assert interp_strings(res) == [
+        "{a:[1,1], c:[1,1]}",
+        "{a:[1,1], d:[1,1], e:[1,1]}",
+        "{b:[1,1], c:[1,1]}",
+        "{b:[1,1], d:[1,1]}",
+    ]
+    assert len(checked) == 4
+
+
+def min_registry():
+    registry = builtin_registry()
+    registry.register(
+        "mn", DISJUNCTIVE, lambda x, y: ProbInterval(min(x.lo, y.lo), min(x.hi, y.hi))
+    )
+    return registry
+
+
+def test_non_expansive_strategy_is_reported():
+    # the answer set is {a:[1,1]}, but the closure folds a down to 0.5
+    gp = ground_program(parse_program("#default_tau(mn). a. a : 0.5.", registry=min_registry()))
+    with pytest.raises(NonExpansiveStrategy, match=r"strategy mn .* on a: .*\[0.5,0.5\]"):
+        enumerate_answer_sets(gp)
+    top = PInterpretation.from_pairs([(HybridFormula.atomic(Atom("a")), ProbInterval(1, 1))])
+    assert is_answer_set(gp, top) == (True, None)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("#default_tau(mn). a.", ["{a:[1,1]}"]),
+        ("#default_tau(mn). a : 0.5. b :- a : 0.5.", ["{a:[0.5,0.5], b:[1,1]}"]),
+    ],
+)
+def test_lone_occurrences_under_a_non_expansive_strategy_solve(text, expected):
+    gp = ground_program(parse_program(text, registry=min_registry()))
+    assert interp_strings(enumerate_answer_sets(gp)) == expected
 
 
 # -- enumeration controls ----------------------------------------------------------
