@@ -128,8 +128,27 @@ class _Compiled:
         def share(t: tuple) -> tuple:
             return shared.setdefault(t, t)
 
+        # gp holds every annotation object while this runs, so an id names
+        # one: literals sharing an annotation object share a table without
+        # hashing or comparing its fractions again
+        tables: dict[tuple[int, int], tuple[bool, ...]] = {}
+        disjuncts: dict[tuple[int, int, bool], tuple] = {}
+
         def table(i: int, ann: ProbInterval) -> tuple[bool, ...]:
-            return share(tuple(ann.lo <= v.lo and ann.hi <= v.hi for v in self.values[i]))
+            key = (i, id(ann))
+            t = tables.get(key)
+            if t is None:
+                values = self.values[i]
+                t = tables[key] = share(tuple(ann.lo <= v.lo and ann.hi <= v.hi for v in values))
+            return t
+
+        def disjunct(i: int, ann: ProbInterval, read: bool) -> tuple:
+            key = (i, id(ann), read)
+            d = disjuncts.get(key)
+            if d is None:
+                rank = self.values[i].index(ann)
+                d = disjuncts[key] = share((i, rank, table(i, ann) if read else None))
+            return d
 
         # (bit, formula, table) of every `not` literal guessed
         self.naf = [
@@ -149,9 +168,7 @@ class _Compiled:
             for atom, ann in rule.head:
                 i = position[HybridFormula.atomic(atom)]
                 occurrences.setdefault(i, []).append(ann)
-                head.append(
-                    share((i, self.values[i].index(ann), table(i, ann) if radix > 1 else None))
-                )
+                head.append(disjunct(i, ann, radix > 1))
             need_true = need_false = 0
             pos = []
             holds = True
@@ -295,10 +312,18 @@ def _check_expansive(cp: _Compiled, occurrences: dict[int, list[ProbInterval]]) 
                 )
         return out
 
+    # gp holds every annotation object while this runs, so atoms whose
+    # occurrences are the same objects under one strategy pass or fail
+    # together, and only the first of them is checked
+    signatures: set[tuple] = set()
     for i, anns in occurrences.items():
         if len(anns) < 2:
             continue
         strategy = cp.strategy(i)
+        signature = (strategy.name, *sorted(map(id, anns)))
+        if signature in signatures:
+            continue
+        signatures.add(signature)
         folds: set[ProbInterval] = set()
         for ann in anns:
             folds |= {ann} | {compose(i, strategy, v, ann) for v in folds}
