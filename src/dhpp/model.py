@@ -2,16 +2,20 @@
 
 Probabilities are closed rational intervals inside [0, 1] ordered by the
 truth order (componentwise <=). Every structure is a frozen dataclass so
-values can be shared freely and used as dictionary keys. All arithmetic is
-exact via fractions.Fraction; floats are rejected to keep golden values
-bit-for-bit reproducible.
+values can be shared freely and used as dictionary keys. Intervals,
+constants, numbers, function terms, atoms and hybrid formulae, the keys of
+the solver's maps, are slotted and hash each value once: the first hash()
+is kept in a slot, so a lookup does not walk the value's tree down to its
+Fractions. All arithmetic is exact via fractions.Fraction; floats are
+rejected to keep golden values bit-for-bit reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Mapping, Union
 
 from .errors import (
@@ -58,8 +62,38 @@ def format_rational(q: Fraction) -> str:
     return f"{sign}{digits[:-exp]}.{digits[-exp:]}"
 
 
-@dataclass(frozen=True)
-class ValueInterval:
+class _HashOnce:
+    """Base of the value classes made by _value_class.
+
+    The _hash slot holds the hash of the compared fields from the first
+    hash() on. It is no dataclass field, so pickling leaves it behind: a
+    value loaded under another PYTHONHASHSEED hashes afresh.
+    """
+
+    __slots__ = ("_hash",)
+
+
+def _value_class(cls):
+    """A frozen slotted dataclass whose hash is computed once, lazily:
+    many values the grounder builds are never hashed at all."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    key = attrgetter(*(f.name for f in fields(cls)))
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(key(self))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    # set after the decorator, which would otherwise generate a hash of its own
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_value_class
+class ValueInterval(_HashOnce):
     """Closed rational interval [lo, hi], not restricted to [0, 1]."""
 
     lo: Fraction
@@ -80,12 +114,16 @@ class ValueInterval:
         return f"[{format_rational(self.lo)},{format_rational(self.hi)}]"
 
 
-@dataclass(frozen=True)
 class ProbInterval(ValueInterval):
-    """Probability interval, endpoints within [0, 1]."""
+    """Probability interval, endpoints within [0, 1].
+
+    No dataclass of its own: that would replace the inherited hash.
+    """
+
+    __slots__ = ()
 
     def __post_init__(self):
-        super().__post_init__()
+        ValueInterval.__post_init__(self)
         if self.lo < 0 or self.hi > 1:
             raise InvalidInterval(f"probability interval outside [0,1]: [{self.lo}, {self.hi}]")
 
@@ -139,16 +177,16 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True)
-class Const:
+@_value_class
+class Const(_HashOnce):
     name: str
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Num:
+@_value_class
+class Num(_HashOnce):
     value: Fraction
 
     def __post_init__(self):
@@ -158,8 +196,8 @@ class Num:
         return format_rational(self.value)
 
 
-@dataclass(frozen=True)
-class FuncTerm:
+@_value_class
+class FuncTerm(_HashOnce):
     name: str
     args: "tuple[Term, ...]"
 
@@ -256,8 +294,8 @@ def substitute_term(t: Term, env: Mapping[str, Term]) -> Term | None:
 # Atoms and hybrid formulae
 
 
-@dataclass(frozen=True)
-class Atom:
+@_value_class
+class Atom(_HashOnce):
     predicate: str
     args: tuple[Term, ...] = ()
 
@@ -277,8 +315,8 @@ class Atom:
         return out
 
 
-@dataclass(frozen=True)
-class HybridFormula:
+@_value_class
+class HybridFormula(_HashOnce):
     """Single atom, or two or more distinct atoms under one p-strategy."""
 
     atoms: tuple[Atom, ...]

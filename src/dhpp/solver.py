@@ -358,9 +358,7 @@ class _MinimalitySearch:
         self.h = h
         self.node_cap = node_cap
         self.nodes = 0
-        scope = red.relevant_formulae
-        self.atom_order = [f for f in scope if f.is_atomic]
-        self.compounds = [f for f in scope if not f.is_atomic]
+        self.atom_order = [f for f in red.relevant_formulae if f.is_atomic]
         self.atomics = {f.atoms[0]: f for f in self.atom_order}
         self.domains: dict[HybridFormula, tuple[ProbInterval, ...]] = {}
         for f in self.atom_order:
@@ -437,13 +435,15 @@ class _MinimalitySearch:
         return None
 
     def _leaf(self) -> PInterpretation | None:
-        pairs = [(f, self.domains[f][0]) for f in self.atom_order]
-        for formula in self.compounds:
+        # the scope is sorted as PInterpretation sorts its entries
+        entries = []
+        for formula in self.red.relevant_formulae:
             value = self.possible(formula)[0]
-            if not truth_leq(value, self.h.value(formula)):
+            if not formula.is_atomic and not truth_leq(value, self.h.value(formula)):
                 return None
-            pairs.append((formula, value))
-        candidate = PInterpretation.from_pairs(pairs)
+            if value != ZERO:
+                entries.append((formula, value))
+        candidate = PInterpretation(tuple(entries))
         if candidate == self.h:
             return None
         if satisfies_program(self.red, candidate).satisfied:

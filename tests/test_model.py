@@ -1,9 +1,15 @@
+import fractions
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dhpp
 from dhpp import (
     ONE,
     ZERO,
@@ -28,6 +34,8 @@ from dhpp.model import (
     AnnFunc,
     AnnVar,
     Annotation,
+    Const,
+    FuncTerm,
     Num,
     as_fraction,
     interval_compare,
@@ -220,3 +228,81 @@ def test_annotation_evaluation():
     pcomp = Annotation(AnnFunc("pcomp", (AnnVar("P2"),)), AnnConst("0.5"))
     assert pcomp.evaluate(env) == iv("0.3", "0.5")
     assert Annotation(AnnVar("P1"), AnnVar("P2")).is_ground() is False
+
+
+# ---------------------------------------------------------------------------
+# Hashing: each value hashes once, and the cached hash stays in its process
+
+# each call builds a new value, equal to the one the last call built
+HASHED_VALUES = {
+    "ValueInterval": lambda: ValueInterval(Fraction(-3, 2), Fraction(7)),
+    "ProbInterval": lambda: iv("0.2", "1/3"),
+    "Const": lambda: Const("x"),
+    "Num": lambda: Num("2/3"),
+    "FuncTerm": lambda: FuncTerm("f", (Const("x"), Num("0.5"))),
+    "Atom": lambda: Atom("p", (Const("x"), FuncTerm("f", (Num("3"),)))),
+    "HybridFormula": lambda: HybridFormula((Atom("a"), Atom("b", (Num("1"),))), "or", "ncd"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HASHED_VALUES))
+def test_equal_values_hash_equal_and_find_each_other(name):
+    build = HASHED_VALUES[name]
+    x, y = build(), build()
+    assert x is not y and x == y
+    assert hash(x) == hash(y) == hash(x)
+    assert {x: name}[y] == name
+    assert y in {x}
+    assert not hasattr(x, "__dict__")
+
+
+def test_interval_hashes_its_fractions_once(monkeypatch):
+    calls = []
+    fraction_hash = fractions.Fraction.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(fractions.Fraction, "__hash__", counted)
+    x = iv("0.2", "1/3")
+    first = hash(x)
+    assert hash(x) == first
+    assert len(calls) == 2  # lo and hi, on the first hash only
+
+
+PICKLED = """
+import pickle, sys
+from fractions import Fraction
+from dhpp.model import Atom, Const, HybridFormula, ProbInterval
+values = [
+    Atom("p", (Const("x"),)),
+    HybridFormula((Atom("a"), Atom("b", (Const("y"),))), "and", "inc"),
+    ProbInterval(Fraction(1, 3), Fraction(1, 2)),
+]
+for v in values:
+    hash(v)
+"""
+
+
+def run_under_seed(seed: str, code: str, stdin: bytes = b"") -> bytes:
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(dhpp.__file__).resolve().parent.parent), env.get("PYTHONPATH", "")]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], input=stdin, env=env, capture_output=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stdout
+
+
+def test_pickled_values_hash_afresh_under_another_hash_seed():
+    dumped = run_under_seed("1", PICKLED + "sys.stdout.buffer.write(pickle.dumps(values))")
+    found = run_under_seed(
+        "2",
+        PICKLED + "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+        "print([v == w and v in set(values) for v, w in zip(loaded, values)])",
+        dumped,
+    )
+    assert found.decode().strip() == "[True, True, True]"
