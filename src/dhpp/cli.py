@@ -76,7 +76,7 @@ def _load_program(config: RunConfig) -> Program:
 
 def _ground(config: RunConfig) -> GroundProgram:
     program = _load_program(config)
-    return ground_program(program, max_rules=config.max_ground, max_index=config.max_ground)
+    return ground_program(program, max_rules=config.max_ground)
 
 
 def _interval_json(formula, value: ProbInterval) -> dict:
@@ -137,6 +137,7 @@ def _run_check(config: RunConfig, gp: GroundProgram, out: TextIO) -> int:
         raise DhppError("check-model needs --model FILE")
     h = _load_model(config.model)
     report, reason, _ = _judge(gp, h, gp.value_lattice())
+    reason = reason or report.first_failure
     verdict = reason is None
     if config.json_output:
         payload = {
@@ -152,7 +153,7 @@ def _run_check(config: RunConfig, gp: GroundProgram, out: TextIO) -> int:
     rules_ok = sum(report.rule_verdicts)
     out.write(f"rules satisfied: {rules_ok}/{len(report.rule_verdicts)}\n")
     if not report.satisfied:
-        out.write(f"not a p-model: {report.first_failure}\n")
+        out.write(f"not a p-model: {reason}\n")
         return 1
     out.write("p-model: yes\n")
     if verdict:

@@ -63,7 +63,6 @@ from .strategies import (
     CONJUNCTIVE,
     DISJUNCTIVE,
     PStrategy,
-    StrategyRegistry,
     builtin_registry,
     compose_fold,
 )
@@ -637,12 +636,13 @@ class GroundProgram(Program):
                 continue
             atom = formula.atoms[0]
             strat = self.strategy_for(atom.predicate)
-            acc: set[ProbInterval] = {ZERO}
+            # folds of the non-empty sub-multisets, then ZERO for the empty one
+            acc: set[ProbInterval] = set()
             for ann in occurrences.get(atom, ()):
-                grown = {ann} | {strat.compose(v, ann) for v in acc}
-                acc |= grown
-                if len(acc) > LATTICE_CAP:
+                acc |= {ann} | {strat.compose(v, ann) for v in acc}
+                if len(acc) + (ZERO not in acc) > LATTICE_CAP:
                     raise UniverseOverflow(f"value lattice for {atom} exceeded {LATTICE_CAP}")
+            acc.add(ZERO)
             total += len(acc)
             if total > LATTICE_CAP:
                 raise UniverseOverflow(f"value lattice exceeded {LATTICE_CAP} entries")
@@ -667,17 +667,11 @@ class GroundProgram(Program):
         return MappingProxyType(lattice)
 
 
-def ground_program(
-    program: Program,
-    registry: StrategyRegistry | None = None,
-    max_rules: int = 100_000,
-    max_index: int = 100_000,
-) -> GroundProgram:
-    """Ground every rule, or raise UniverseOverflow past the caps."""
-    if registry is None:
-        registry = program.registry if program.registry is not None else builtin_registry()
+def ground_program(program: Program, max_rules: int = 100_000) -> GroundProgram:
+    """Ground every rule, or raise UniverseOverflow past max_rules ground
+    rules or derivable-atom index entries."""
     universe = collect_universe(program)
-    index = AtomIndex(max_index)
+    index = AtomIndex(max_rules)
     budget = _Budget(max(max_rules * 50, 1_000_000), "grounding work")
 
     changed = True
@@ -711,5 +705,5 @@ def ground_program(
         rules=rules,
         tau=dict(program.tau),
         default_tau=program.default_tau,
-        registry=registry,
+        registry=program.registry if program.registry is not None else builtin_registry(),
     )

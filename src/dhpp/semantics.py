@@ -10,7 +10,10 @@ literal's annotation. Negation is the exact complement.
 Being a p-model takes more than satisfying every rule: per atom, the fold
 of the satisfied head annotations of fired rules must stay below the
 assigned value, and per compound formula, the strategy composition of the
-component values must stay below the assigned value.
+component values must stay below the assigned value. satisfies_program
+checks all three in one pass over the rules, reading atom values from one
+map, and keeps every rule's verdict and the first failed check as data;
+its text is rendered only when asked for (first_failure).
 
 satisfies_literal and satisfies_body are the one literal evaluator of the
 p-model check, the reduct and the minimality search. They read h only
@@ -36,6 +39,7 @@ from .model import (
     Rule,
     truth_leq,
     ValueInterval,
+    ZERO,
 )
 from .strategies import compose_fold
 
@@ -88,103 +92,83 @@ def satisfies_body(h, rule: Rule) -> bool | None:
     return True if decided else None
 
 
-def satisfies_head(h: PInterpretation, rule: Rule) -> bool:
-    return any(
+def satisfies_rule(h: PInterpretation, rule: Rule) -> bool:
+    return not satisfies_body(h, rule) or any(
         truth_leq(ann, h.value(HybridFormula.atomic(atom))) for atom, ann in rule.head
     )
 
 
-def satisfies_rule(h: PInterpretation, rule: Rule) -> bool:
-    return satisfies_head(h, rule) if satisfies_body(h, rule) else True
-
-
-@dataclass(frozen=True)
-class AtomCheck:
-    atom: Atom
-    folded: ProbInterval
-    assigned: ProbInterval
-    ok: bool
-
-
-@dataclass(frozen=True)
-class FormulaCheck:
-    formula: HybridFormula
-    composed: ProbInterval
-    assigned: ProbInterval
-    ok: bool
-
-
 @dataclass(frozen=True)
 class SatisfactionReport:
-    rules: tuple[Rule, ...]
+    """Every rule's verdict, and the first failed check as data: (rule,),
+    (atom, folded, assigned) or (formula, composed, assigned); None for a
+    p-model."""
+
     rule_verdicts: tuple[bool, ...]
-    atom_checks: tuple[AtomCheck, ...]
-    formula_checks: tuple[FormulaCheck, ...]
+    failure: tuple | None
 
     @property
     def satisfied(self) -> bool:
-        return (
-            all(self.rule_verdicts)
-            and all(c.ok for c in self.atom_checks)
-            and all(c.ok for c in self.formula_checks)
-        )
+        return self.failure is None
 
     @property
     def first_failure(self) -> str | None:
-        for rule, ok in zip(self.rules, self.rule_verdicts):
-            if not ok:
-                return f"rule not satisfied: {rule}"
-        for check in self.atom_checks:
-            if not check.ok:
-                return (
-                    f"fold {check.folded} of derived annotations for {check.atom} "
-                    f"exceeds assigned {check.assigned}"
-                )
-        for check in self.formula_checks:
-            if not check.ok:
-                return (
-                    f"composition {check.composed} for {check.formula} "
-                    f"exceeds assigned {check.assigned}"
-                )
-        return None
+        if self.failure is None:
+            return None
+        if len(self.failure) == 1:
+            return f"rule not satisfied: {self.failure[0]}"
+        subject, value, assigned = self.failure
+        if isinstance(subject, Atom):
+            return (
+                f"fold {value} of derived annotations for {subject} "
+                f"exceeds assigned {assigned}"
+            )
+        return f"composition {value} for {subject} exceeds assigned {assigned}"
 
 
 def satisfies_program(gp: GroundProgram, h: PInterpretation) -> SatisfactionReport:
-    """Full p-model check: rules, per-atom folds, per-formula compositions."""
-    fired = [satisfies_body(h, rule) for rule in gp.rules]
-    rule_verdicts = tuple(
-        satisfies_head(h, rule) if fired[i] else True for i, rule in enumerate(gp.rules)
-    )
+    """Full p-model check in one pass over the rules.
 
+    A rule whose body holds needs a satisfied head disjunct, and each one it
+    has contributes its annotation to its atom. Once every rule holds, each
+    atom's fold of contributions must lie below its value (the first failing
+    atom by printed text is reported); once every fold holds, so must each
+    compound's composition of its components, in scope order."""
+    values = {f.atoms[0]: v for f, v in h.entries if f.is_atomic}
+    verdicts = []
+    failure = None
     contributions: dict[Atom, list[ProbInterval]] = {}
-    for i, rule in enumerate(gp.rules):
-        if not fired[i]:
-            continue
-        for atom, ann in rule.head:
-            if truth_leq(ann, h.value(HybridFormula.atomic(atom))):
-                contributions.setdefault(atom, []).append(ann)
-    atom_checks = []
-    for atom in sorted(contributions, key=str):
-        anns = contributions[atom]
-        folded = compose_fold(gp.strategy_for(atom.predicate), anns)
-        assigned = h.value(HybridFormula.atomic(atom))
-        atom_checks.append(AtomCheck(atom, folded, assigned, truth_leq(folded, assigned)))
-
-    formula_checks = []
-    for formula in gp.relevant_formulae:
-        if formula.is_atomic:
-            continue
-        composed = compose_fold(
-            gp.formula_strategy(formula),
-            [h.value(HybridFormula.atomic(a)) for a in formula.atoms],
-        )
-        assigned = h.value(formula)
-        formula_checks.append(
-            FormulaCheck(formula, composed, assigned, truth_leq(composed, assigned))
-        )
-    return SatisfactionReport(
-        tuple(gp.rules), rule_verdicts, tuple(atom_checks), tuple(formula_checks)
-    )
+    for rule in gp.rules:
+        ok = True
+        if satisfies_body(h, rule):
+            ok = False
+            for atom, ann in rule.head:
+                if truth_leq(ann, values.get(atom, ZERO)):
+                    ok = True
+                    contributions.setdefault(atom, []).append(ann)
+        verdicts.append(ok)
+        if not ok and failure is None:
+            failure = (rule,)
+    if failure is None:
+        for atom, anns in contributions.items():
+            folded = compose_fold(gp.strategy_for(atom.predicate), anns)
+            assigned = values.get(atom, ZERO)
+            if not truth_leq(folded, assigned) and (
+                failure is None or str(atom) < str(failure[0])
+            ):
+                failure = (atom, folded, assigned)
+    if failure is None:
+        for formula in gp.relevant_formulae:
+            if formula.is_atomic:
+                continue
+            composed = compose_fold(
+                gp.formula_strategy(formula), [values.get(a, ZERO) for a in formula.atoms]
+            )
+            assigned = h.value(formula)
+            if not truth_leq(composed, assigned):
+                failure = (formula, composed, assigned)
+                break
+    return SatisfactionReport(tuple(verdicts), failure)
 
 
 def reduct(gp: GroundProgram, h: PInterpretation) -> GroundProgram:

@@ -363,9 +363,10 @@ class _MinimalitySearch:
         self.domains: dict[HybridFormula, tuple[ProbInterval, ...]] = {}
         for f in self.atom_order:
             assigned = h.value(f)
-            vals = {v for v in lattice.get(f, (ZERO,)) if truth_leq(v, assigned)}
-            vals.add(assigned)
-            self.domains[f] = tuple(sorted(vals, key=lambda v: (v.lo, v.hi)))
+            # the lattice tuple is sorted by (lo, hi), and a value at or
+            # below assigned sorts before it, so assigned goes last
+            vals = tuple(v for v in lattice.get(f, (ZERO,)) if truth_leq(v, assigned))
+            self.domains[f] = vals if vals[-1:] == (assigned,) else vals + (assigned,)
 
     def run(self) -> PInterpretation | None:
         return self._search(self.domains)
@@ -470,12 +471,13 @@ def _judge(
     node_cap: int = 500_000,
 ) -> tuple[SatisfactionReport, str | None, Certificate | None]:
     """The p-model report of h, then why h is no answer set of gp, or the
-    certificate that it is. In order: the p-model check, a formula the
+    certificate that it is. In order: the p-model check, whose failure is
+    left in the report (report.first_failure renders it), a formula the
     program never mentions (the lattice has an entry for every formula it
     does), minimality against the reduct."""
     report = satisfies_program(gp, h)
     if not report.satisfied:
-        return report, report.first_failure, None
+        return report, None, None
     for formula, value in h.entries:
         if formula not in lattice:
             return report, f"assigns {value} to {formula}, which the program never mentions", None
@@ -492,7 +494,8 @@ def is_answer_set(
     node_cap: int = 500_000,
 ) -> tuple[bool, str | None]:
     """Exact check with a human-readable reason on rejection."""
-    _, reason, _ = _judge(gp, h, gp.value_lattice(), node_cap)
+    report, reason, _ = _judge(gp, h, gp.value_lattice(), node_cap)
+    reason = reason or report.first_failure
     return reason is None, reason
 
 

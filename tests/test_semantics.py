@@ -127,12 +127,65 @@ def test_empty_program_satisfied_by_anything():
 
 
 def test_report_decomposition(dice_solved):
-    report = satisfies_program(dice_solved.ground, H1)
-    assert report.satisfied == (
-        all(report.rule_verdicts)
-        and all(c.ok for c in report.atom_checks)
-        and all(c.ok for c in report.formula_checks)
+    gp = dice_solved.ground
+    report = satisfies_program(gp, H1)
+    assert report.satisfied and report.failure is None and report.first_failure is None
+    assert len(report.rule_verdicts) == len(gp.rules) and all(report.rule_verdicts)
+    bad = satisfies_program(gp, NOT_P_MODEL)
+    # the first failed check is kept as data: here the first unsatisfied rule
+    (rule,) = bad.failure
+    assert not bad.satisfied
+    assert rule is gp.rules[bad.rule_verdicts.index(False)]
+    assert bad.first_failure == f"rule not satisfied: {rule}"
+
+
+def _report(text: str, *values):
+    gp = ground(text)
+    h = PInterpretation.from_pairs(
+        (HybridFormula.atomic(Atom(name)), iv(v)) for name, v in values
     )
+    return satisfies_program(gp, h).first_failure
+
+
+def test_first_failure_order():
+    # a is over-folded here; a failing rule is reported before it, though
+    # the rule comes last
+    over = "#default_tau(ind).\na : 0.5.\na : 0.5 :- t.\nt.\n"
+    assert _report(over, ("a", "0.5"), ("t", "1")) == (
+        "fold [0.75,0.75] of derived annotations for a exceeds assigned [0.5,0.5]"
+    )
+    assert _report(over + ":- t.", ("a", "0.5"), ("t", "1")) == "rule not satisfied: :- t."
+    # over-folded atoms are reported by printed text, not program order
+    both = "#default_tau(ind).\nb : 0.5.\nb : 0.5 :- t.\na : 0.5.\na : 0.5 :- t.\nt."
+    assert _report(both, ("a", "0.5"), ("b", "0.5"), ("t", "1")) == (
+        "fold [0.75,0.75] of derived annotations for a exceeds assigned [0.5,0.5]"
+    )
+    # an over-folded atom beats a compound below its composition
+    compound = over + "c :- a and[inc] t : 0.2."
+    assert _report(compound, ("a", "0.5"), ("t", "1"), ("c", "1")) == (
+        "fold [0.75,0.75] of derived annotations for a exceeds assigned [0.5,0.5]"
+    )
+    assert _report(compound, ("a", "0.75"), ("t", "1"), ("c", "1")) == (
+        "composition [0.75,0.75] for a and[inc] t exceeds assigned [0,0]"
+    )
+
+
+def test_p_model_check_builds_no_formula_per_lookup(dice_solved, monkeypatch):
+    gp = dice_solved.ground
+    gp.relevant_formulae  # the cached scope builds its own formulae once
+    calls = []
+    original = HybridFormula.atomic.__func__
+
+    def counting(cls, atom):
+        calls.append(atom)
+        return original(cls, atom)
+
+    monkeypatch.setattr(HybridFormula, "atomic", classmethod(counting))
+    for h in (H1, NOT_P_MODEL, PInterpretation()):
+        satisfies_program(gp, h)
+    # the counting patch is in effect: this call is the only one it saw
+    assert HybridFormula.atomic(Atom("x")) == original(HybridFormula, Atom("x"))
+    assert calls == [Atom("x")]
 
 
 def test_compound_composition_checked():

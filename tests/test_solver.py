@@ -11,6 +11,7 @@ from dhpp import (
     NonExpansiveStrategy,
     PInterpretation,
     ProbInterval,
+    Rule,
     SearchSpaceOverflow,
     builtin_registry,
     enumerate_answer_sets,
@@ -19,8 +20,17 @@ from dhpp import (
     is_answer_set,
     parse_program,
     translate_dlp,
+    truth_leq,
+    ZERO,
 )
-from dhpp.solver import _closure, _Compiled, _guess_keys, find_smaller_model, pairwise_incomparable
+from dhpp.solver import (
+    _closure,
+    _Compiled,
+    _guess_keys,
+    _MinimalitySearch,
+    find_smaller_model,
+    pairwise_incomparable,
+)
 from dhpp.strategies import DISJUNCTIVE
 from generators import (
     brute_force_answer_sets,
@@ -28,6 +38,7 @@ from generators import (
     random_aggregate_program,
     random_classical_program,
     random_definite_program,
+    random_interval,
     random_probability_program,
     reference_candidate,
     reference_closure,
@@ -292,6 +303,49 @@ def test_diet_search_covers_only_its_package_plans(diet_solved):
     res = enumerate_answer_sets(diet_solved.ground, max_candidates=64)
     assert len(res.interpretations) == 4
     assert interp_strings(res) == interp_strings(diet_solved.result)
+
+
+def test_enumeration_renders_no_rule_text(diet_solved, monkeypatch):
+    # enumeration drops the reason a candidate is rejected, so it never
+    # prints the rule that a rejected candidate fails
+    rendered = []
+    original = Rule.__str__
+
+    def counting(rule):
+        rendered.append(rule)
+        return original(rule)
+
+    monkeypatch.setattr(Rule, "__str__", counting)
+    res = enumerate_answer_sets(diet_solved.ground)
+    assert len(res.interpretations) == 4
+    assert rendered == []
+
+
+def test_minimality_domains_are_the_values_at_or_below_the_candidate():
+    # a domain is every lattice value at or below the candidate's value,
+    # plus that value itself, sorted by (lo, hi); some values lie outside
+    # the lattice and some formulae have no lattice entry
+    rng = random.Random(17)
+    checked = outside = 0
+    for n in range(80):
+        gp = (random_aggregate_program if n % 2 else random_probability_program)(rng)
+        full = gp.value_lattice()
+        for _ in range(4):
+            lattice = {f: v for f, v in full.items() if rng.random() < 0.8}
+            h = PInterpretation.from_pairs(
+                (f, rng.choice(full[f]) if rng.random() < 0.6 else random_interval(rng))
+                for f in gp.relevant_formulae
+            )
+            search = _MinimalitySearch(gp, h, lattice, node_cap=1)
+            assert list(search.domains) == search.atom_order
+            for f, domain in search.domains.items():
+                assigned = h.value(f)
+                values = {v for v in lattice.get(f, (ZERO,)) if truth_leq(v, assigned)}
+                outside += assigned not in values
+                values.add(assigned)
+                assert domain == tuple(sorted(values, key=lambda v: (v.lo, v.hi)))
+                checked += 1
+    assert checked > 600 and outside > 200
 
 
 def test_candidate_cap_overflows(dice_solved):
