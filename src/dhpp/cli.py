@@ -22,7 +22,7 @@ from .errors import DhppError
 from .grounder import GroundProgram, ground_program
 from .model import PInterpretation, ProbInterval, Program
 from .parser import parse_formula, parse_program
-from .solver import _judge, enumerate_answer_sets
+from .solver import _judge, _reason, enumerate_answer_sets
 
 MODES = ("solve", "ground-only", "check-model", "translate-dlp")
 
@@ -136,8 +136,8 @@ def _run_check(config: RunConfig, gp: GroundProgram, out: TextIO) -> int:
     if not config.model:
         raise DhppError("check-model needs --model FILE")
     h = _load_model(config.model)
-    report, reason, _ = _judge(gp, h, gp.value_lattice())
-    reason = reason or report.first_failure
+    report, rejection, _ = _judge(gp, h, gp.value_lattice())
+    reason = _reason(report, rejection)
     verdict = reason is None
     if config.json_output:
         payload = {

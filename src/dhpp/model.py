@@ -7,7 +7,10 @@ constants, numbers, function terms, atoms and hybrid formulae, the keys of
 the solver's maps, are slotted and hash each value once: the first hash()
 is kept in a slot, so a lookup does not walk the value's tree down to its
 Fractions. All arithmetic is exact via fractions.Fraction; floats are
-rejected to keep golden values bit-for-bit reproducible.
+rejected to keep golden values bit-for-bit reproducible. The truth order
+reads each interval's endpoints rounded to floats, kept in a slot like the
+hash, but only to settle comparisons those floats decide exactly (see
+truth_leq).
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
+from math import inf
 from operator import attrgetter
 from typing import Iterable, Mapping, Union
 
@@ -92,8 +96,33 @@ def _value_class(cls):
     return cls
 
 
+def _endpoint_float(q: Fraction) -> float:
+    """q correctly rounded to a float, or -inf/inf beyond the float range."""
+    try:
+        return q.numerator / q.denominator
+    except OverflowError:
+        return inf if q > 0 else -inf
+
+
+class _Interval(_HashOnce):
+    """Base of the interval classes.
+
+    The _floats slot holds (lo, hi) rounded to floats from the first
+    truth_leq on. Like _hash it is no dataclass field, so equality, repr
+    and pickling ignore it, and a loaded value rounds afresh.
+    """
+
+    __slots__ = ("_floats",)
+
+
+def _endpoint_floats(x: "ValueInterval") -> tuple[float, float]:
+    floats = (_endpoint_float(x.lo), _endpoint_float(x.hi))
+    object.__setattr__(x, "_floats", floats)
+    return floats
+
+
 @_value_class
-class ValueInterval(_HashOnce):
+class ValueInterval(_Interval):
     """Closed rational interval [lo, hi], not restricted to [0, 1]."""
 
     lo: Fraction
@@ -133,8 +162,27 @@ ONE = ProbInterval(1, 1)
 
 
 def truth_leq(x: ValueInterval, y: ValueInterval) -> bool:
-    """Truth order: [a1,b1] <=_t [a2,b2] iff a1 <= a2 and b1 <= b2."""
-    return x.lo <= y.lo and x.hi <= y.hi
+    """Truth order: [a1,b1] <=_t [a2,b2] iff a1 <= a2 and b1 <= b2.
+
+    Exact, though decided mostly on floats. An endpoint's float is its
+    Fraction correctly rounded (integer true division), or -inf/inf beyond
+    the float range, and rounding is monotone: p <= q implies fl(p) <=
+    fl(q). So fl(p) > fl(q) proves p > q, and fl(p) < fl(q) proves p < q;
+    only endpoints whose floats are equal are compared as Fractions.
+    """
+    if x is y:
+        return True
+    try:
+        xlo, xhi = x._floats
+    except AttributeError:
+        xlo, xhi = _endpoint_floats(x)
+    try:
+        ylo, yhi = y._floats
+    except AttributeError:
+        ylo, yhi = _endpoint_floats(y)
+    if xlo > ylo or xhi > yhi:
+        return False
+    return (xlo < ylo or x.lo <= y.lo) and (xhi < yhi or x.hi <= y.hi)
 
 
 def truth_lt(x: ValueInterval, y: ValueInterval) -> bool:

@@ -139,7 +139,7 @@ class _Compiled:
             t = tables.get(key)
             if t is None:
                 values = self.values[i]
-                t = tables[key] = share(tuple(ann.lo <= v.lo and ann.hi <= v.hi for v in values))
+                t = tables[key] = share(tuple(truth_leq(ann, v) for v in values))
             return t
 
         def disjunct(i: int, ann: ProbInterval, read: bool) -> tuple:
@@ -363,10 +363,18 @@ class _MinimalitySearch:
         self.domains: dict[HybridFormula, tuple[ProbInterval, ...]] = {}
         for f in self.atom_order:
             assigned = h.value(f)
-            # the lattice tuple is sorted by (lo, hi), and a value at or
-            # below assigned sorts before it, so assigned goes last
-            vals = tuple(v for v in lattice.get(f, (ZERO,)) if truth_leq(v, assigned))
-            self.domains[f] = vals if vals[-1:] == (assigned,) else vals + (assigned,)
+            # the lattice tuple is sorted by (lo, hi): a value at or below
+            # assigned sorts before it, so assigned goes last, and no value
+            # after one whose lo exceeds assigned's can be at or below it
+            vals = []
+            for v in lattice.get(f, (ZERO,)):
+                if truth_leq(v, assigned):
+                    vals.append(v)
+                elif v.lo > assigned.lo:
+                    break
+            if vals[-1:] != [assigned]:
+                vals.append(assigned)
+            self.domains[f] = tuple(vals)
 
     def run(self) -> PInterpretation | None:
         return self._search(self.domains)
@@ -469,23 +477,35 @@ def _judge(
     h: PInterpretation,
     lattice: Mapping[HybridFormula, tuple[ProbInterval, ...]],
     node_cap: int = 500_000,
-) -> tuple[SatisfactionReport, str | None, Certificate | None]:
-    """The p-model report of h, then why h is no answer set of gp, or the
-    certificate that it is. In order: the p-model check, whose failure is
-    left in the report (report.first_failure renders it), a formula the
-    program never mentions (the lattice has an entry for every formula it
-    does), minimality against the reduct."""
+) -> tuple[SatisfactionReport, tuple | None, Certificate | None]:
+    """The p-model report of h, then why h is no answer set of gp, as data,
+    or the certificate that it is. In order: the p-model check, whose
+    failure is left in the report, a formula the program never mentions
+    (the lattice has an entry for every formula it does), as (formula,
+    value), and minimality against the reduct, as (witness,), a smaller
+    p-model of the reduct. _reason renders them."""
     report = satisfies_program(gp, h)
     if not report.satisfied:
         return report, None, None
     for formula, value in h.entries:
         if formula not in lattice:
-            return report, f"assigns {value} to {formula}, which the program never mentions", None
+            return report, (formula, value), None
     red = reduct(gp, h)
     witness, nodes = find_smaller_model(red, h, lattice, node_cap)
     if witness is not None:
-        return report, f"not minimal: the reduct has a smaller p-model {witness}", None
+        return report, (witness,), None
     return report, None, Certificate(len(red.rules), nodes)
+
+
+def _reason(report: SatisfactionReport, rejection: tuple | None) -> str | None:
+    """The one-line text of why _judge rejected an interpretation, or None
+    when it accepted it."""
+    if rejection is None:
+        return report.first_failure
+    if len(rejection) == 1:
+        return f"not minimal: the reduct has a smaller p-model {rejection[0]}"
+    formula, value = rejection
+    return f"assigns {value} to {formula}, which the program never mentions"
 
 
 def is_answer_set(
@@ -494,8 +514,8 @@ def is_answer_set(
     node_cap: int = 500_000,
 ) -> tuple[bool, str | None]:
     """Exact check with a human-readable reason on rejection."""
-    report, reason, _ = _judge(gp, h, gp.value_lattice(), node_cap)
-    reason = reason or report.first_failure
+    report, rejection, _ = _judge(gp, h, gp.value_lattice(), node_cap)
+    reason = _reason(report, rejection)
     return reason is None, reason
 
 

@@ -1,5 +1,6 @@
 import fractions
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -107,6 +108,82 @@ def test_truth_leq_is_a_partial_order(x, y, z):
         assert x == y
     if truth_leq(x, y) and truth_leq(y, z):
         assert truth_leq(x, z)
+
+
+# ---------------------------------------------------------------------------
+# The truth order decides on cached endpoint floats, exactly
+
+TINY = Fraction(1, 2**80)
+HUGE = Fraction(10**400)  # beyond the float range
+
+
+def fraction_leq(x, y) -> bool:
+    """The truth order's definition, on the exact endpoints."""
+    return x.lo <= y.lo and x.hi <= y.hi
+
+
+def interval(lo, hi):
+    """A ProbInterval when the endpoints allow one, else a ValueInterval."""
+    lo, hi = sorted((lo, hi))
+    return ProbInterval(lo, hi) if 0 <= lo and hi <= 1 else ValueInterval(lo, hi)
+
+
+endpoints = st.one_of(
+    st.fractions(min_value=-2, max_value=2, max_denominator=10**6),
+    st.fractions(min_value=0, max_value=1, max_denominator=20),
+    st.floats(-1e300, 1e300).map(Fraction),
+    st.integers(-2, 2).map(lambda k: k * HUGE),
+)
+nudges = st.integers(-2, 2).map(lambda k: k * TINY)
+
+
+@st.composite
+def interval_pairs(draw):
+    x = interval(draw(endpoints), draw(endpoints))
+    kind = draw(st.sampled_from(["apart", "near", "equal", "same"]))
+    if kind == "apart":
+        return x, interval(draw(endpoints), draw(endpoints))
+    if kind == "near":  # floats usually equal, Fractions not
+        return x, interval(x.lo + draw(nudges), x.hi + draw(nudges))
+    if kind == "equal":  # built apart from new Fractions
+        return x, interval(
+            Fraction(x.lo.numerator, x.lo.denominator),
+            Fraction(x.hi.numerator, x.hi.denominator),
+        )
+    return x, x
+
+
+@given(interval_pairs())
+def test_truth_leq_agrees_with_the_fraction_definition(pair):
+    x, y = pair
+    for _ in range(2):  # floats computed, then read back from the slot
+        assert truth_leq(x, y) == fraction_leq(x, y)
+        assert truth_leq(y, x) == fraction_leq(y, x)
+
+
+def tie_pairs() -> list:
+    """Pairs whose endpoints differ by less than their floats can show."""
+    p = Fraction(1, 3)
+    pairs = [(interval(p, p), interval(p + TINY, p + TINY))]
+    pairs.append((interval(p, 1 - TINY), interval(p - TINY, 1 - 2 * TINY)))
+    pairs.append((ValueInterval(-p - TINY, -p), ValueInterval(-p, -p)))
+    pairs.append((ValueInterval(-HUGE - 1, HUGE), ValueInterval(-HUGE, HUGE + TINY)))
+    pairs.append((ValueInterval(HUGE, 2 * HUGE), ValueInterval(HUGE, HUGE + 1)))
+    pairs.append((interval(p, Fraction(1, 2)), interval(Fraction(1, 3), Fraction(2, 4))))
+    same = ValueInterval(-HUGE, p)
+    pairs.append((same, same))
+    return pairs
+
+
+def test_float_ties_are_decided_on_fractions():
+    for x, y in tie_pairs():
+        for p, q in ((x.lo, y.lo), (x.hi, y.hi)):
+            beyond = abs(p) > 10**308 and abs(q) > 10**308 and p * q > 0
+            assert beyond or float(p) == float(q)
+        for a, b in ((x, y), (y, x)):
+            assert truth_leq(a, b) == fraction_leq(a, b)
+    assert not all(fraction_leq(x, y) for x, y in tie_pairs())
+    assert not all(fraction_leq(y, x) for x, y in tie_pairs())
 
 
 def test_interval_compare_examples():
@@ -306,3 +383,21 @@ def test_pickled_values_hash_afresh_under_another_hash_seed():
         dumped,
     )
     assert found.decode().strip() == "[True, True, True]"
+
+
+def test_unpickled_intervals_order_as_their_fractions_under_another_hash_seed():
+    pairs = tie_pairs()
+    for x, y in pairs:
+        truth_leq(x, y)  # fills the float slots, which pickling leaves behind
+    found = run_under_seed(
+        "2",
+        "import pickle, sys\n"
+        "from dhpp.model import truth_leq\n"
+        "pairs = pickle.loads(sys.stdin.buffer.read())\n"
+        "print(any(hasattr(v, '_floats') for pair in pairs for v in pair))\n"
+        "print([(truth_leq(x, y), truth_leq(y, x)) for x, y in pairs])",
+        pickle.dumps(pairs),
+    )
+    cached, orders = found.decode().splitlines()
+    assert cached == "False"
+    assert orders == str([(fraction_leq(x, y), fraction_leq(y, x)) for x, y in pairs])

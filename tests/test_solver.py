@@ -18,6 +18,7 @@ from dhpp import (
     ground_program,
     interp_leq,
     is_answer_set,
+    parse_classical,
     parse_program,
     translate_dlp,
     truth_leq,
@@ -321,6 +322,32 @@ def test_enumeration_renders_no_rule_text(diet_solved, monkeypatch):
     assert rendered == []
 
 
+def test_enumeration_renders_no_minimality_witness(monkeypatch):
+    # {a, b} is a p-model of `a | b. b :- a.` but not minimal: its reduct
+    # has the smaller p-model {b}. Enumeration drops that witness, so the
+    # only interpretations it renders are the answer sets it returns.
+    gp = ground_program(translate_dlp(parse_classical("a | b. b :- a.")))
+    rendered = []
+    original = PInterpretation.__str__
+
+    def recording(h):
+        rendered.append(h)
+        return original(h)
+
+    monkeypatch.setattr(PInterpretation, "__str__", recording)
+    res = enumerate_answer_sets(gp)
+    assert [original(h) for h in res.interpretations] == ["{b:[1,1]}"]
+    assert all(any(h is g for g in res.interpretations) for h in rendered)
+    # a check that asks why still gets the witness, in the same words
+    a, b = (HybridFormula.atomic(Atom(name)) for name in "ab")
+    one = ProbInterval(1, 1)
+    both = PInterpretation.from_pairs([(a, one), (b, one)])
+    assert is_answer_set(gp, both) == (
+        False,
+        "not minimal: the reduct has a smaller p-model {b:[1,1]}",
+    )
+
+
 def test_minimality_domains_are_the_values_at_or_below_the_candidate():
     # a domain is every lattice value at or below the candidate's value,
     # plus that value itself, sorted by (lo, hi); some values lie outside
@@ -364,6 +391,26 @@ def test_node_cap_bounds_the_check_of_one_answer_set(dice_solved):
 
 def test_answer_sets_pairwise_incomparable(dice_solved):
     assert pairwise_incomparable(dice_solved.result.interpretations)
+
+
+@pytest.mark.parametrize(
+    "generator, seed",
+    [(random_probability_program, 3), (random_aggregate_program, 4)],
+    ids=["probability", "aggregate"],
+)
+def test_random_answer_sets_are_accepted_again_and_incomparable(generator, seed):
+    # answer sets are minimal p-models, so each passes the exact check
+    # again and no two of one program are related by the truth order
+    rng = random.Random(seed)
+    several = 0
+    for _ in range(400):
+        gp = generator(rng)
+        found = enumerate_answer_sets(gp).interpretations
+        for h in found:
+            assert is_answer_set(gp, h) == (True, None), f"{h}\n{gp}"
+        assert pairwise_incomparable(found), str(gp)
+        several += len(found) > 1
+    assert several >= 40
 
 
 def test_pairwise_incomparable_detects_order():
