@@ -52,25 +52,16 @@ def _read(path: str) -> str:
 
 
 def _load_program(config: RunConfig) -> Program:
-    merged: Program | None = None
+    # one program, as if the files were concatenated: a later file, or the
+    # strategies file, changes a strategy only with a directive stating it
+    merged = Program(rules=[])
     for path in config.inputs:
-        part = parse_program(_read(path), filename=path)
-        if merged is None:
-            merged = part
-        else:
-            merged.rules.extend(part.rules)
-            merged.tau.update(part.tau)
-            merged.default_tau = part.default_tau
-    if merged is None:
-        raise DhppError("no input files")
+        parse_program(_read(path), filename=path, into=merged)
     if config.strategies:
-        text = _read(config.strategies)
-        overrides = parse_program(text, filename=config.strategies)
-        if overrides.rules:
+        count = len(merged.rules)
+        parse_program(_read(config.strategies), filename=config.strategies, into=merged)
+        if len(merged.rules) > count:
             raise DhppError(f"{config.strategies}: strategy files take directives only")
-        merged.tau.update(overrides.tau)
-        if "default_tau" in text:
-            merged.default_tau = overrides.default_tau
     return merged
 
 

@@ -40,6 +40,7 @@ from .model import (
     Atom,
     BuiltinComparison,
     BodyLiteral,
+    COMPARATORS,
     Const,
     FuncTerm,
     GroundPair,
@@ -154,8 +155,7 @@ class _Parser:
 
     # -- entry points -------------------------------------------------------
 
-    def parse_program(self) -> Program:
-        program = Program(rules=[], registry=self.registry)
+    def parse_program(self, program: Program) -> Program:
         while not self.at("eof"):
             if self.accept("#"):
                 self.parse_directive(program)
@@ -235,7 +235,7 @@ class _Parser:
             return self.parse_aggregate()
         term = self.parse_term()
         cmp_tok = self.peek()
-        if cmp_tok.kind in ("=", "!=", "<", ">", "<=", ">="):
+        if cmp_tok.kind in COMPARATORS:
             self.next()
             right = self.parse_term()
             op = cmp_tok.kind if not negated else _NEGATED_CMP[cmp_tok.kind]
@@ -254,7 +254,7 @@ class _Parser:
         pset = self.parse_set()
         self.expect("}")
         cmp_tok = self.peek()
-        if cmp_tok.kind not in ("=", "!=", "<", ">", "<=", ">="):
+        if cmp_tok.kind not in COMPARATORS:
             raise self.error("expected a comparator after the aggregate set")
         self.next()
         if self.accept("["):
@@ -520,11 +520,14 @@ def parse_program(
     text: str,
     registry: StrategyRegistry | None = None,
     filename: str = "<string>",
+    into: Program | None = None,
 ) -> Program:
-    """Parse program text into rules plus strategy directives."""
+    """Parse program text into rules plus strategy directives, in a new
+    program or appended to into, as if the texts were concatenated: only a
+    directive the text states changes a strategy of into."""
     registry = registry if registry is not None else builtin_registry()
     parser = _Parser(tokenize(text, filename), filename, registry)
-    return parser.parse_program()
+    return parser.parse_program(into if into is not None else Program(rules=[], registry=registry))
 
 
 def parse_formula(text: str, registry: StrategyRegistry | None = None) -> HybridFormula:

@@ -92,12 +92,6 @@ def satisfies_body(h, rule: Rule) -> bool | None:
     return True if decided else None
 
 
-def satisfies_rule(h: PInterpretation, rule: Rule) -> bool:
-    return not satisfies_body(h, rule) or any(
-        truth_leq(ann, h.value(HybridFormula.atomic(atom))) for atom, ann in rule.head
-    )
-
-
 @dataclass(frozen=True)
 class SatisfactionReport:
     """Every rule's verdict, and the first failed check as data: (rule,),

@@ -14,8 +14,8 @@ Every value the closure can reach is an entry of the program's value
 lattice, so each enumeration first compiles the program into integer
 tables over lattice ranks (_Compiled) and closes candidates over tuples of
 ranks; an interpretation is built only for a closure not seen before.
-Before searching it checks that every disjunctive strategy in use never
-folds an atom's head annotations below one of them (_check_expansive): the
+Compiling folds each atom's head annotations into one table, and checks
+on it that no disjunctive strategy in use folds them below one of them: the
 closure is complete then, and otherwise NonExpansiveStrategy says so.
 
 Every candidate that agrees with its own `not` guesses is then checked
@@ -106,9 +106,13 @@ class _Compiled:
     head, place, radix): it is live when bits & need == want; it fires once
     every (formula, table) in pos holds; it chooses the disjunct
     head[choice // place % radix], each disjunct being (atom, annotation
-    rank, table), where a rule of one disjunct needs no table. Folds and
-    compositions are memoised on ranks. Compiling raises NonExpansiveStrategy
-    when the closure could miss answer sets (_check_expansive).
+    rank, table), where a rule of one disjunct needs no table.
+
+    folds[i] maps (rank, annotation rank) to the rank of their composition
+    for an atom with two or more head occurrences, and is None for the
+    others, which the closure never folds; building it raises
+    NonExpansiveStrategy when the closure could miss answer sets
+    (_fold_table). Compositions of compound values are memoised on ranks.
     """
 
     def __init__(
@@ -195,9 +199,17 @@ class _Compiled:
                 self.components[c] = tuple(position[HybridFormula.atomic(a)] for a in f.atoms)
                 for i in self.components[c]:
                     self.compounds_of.setdefault(i, []).append(c)
-        self._folds: dict[tuple[int, int, int], int] = {}
         self._compositions: dict[tuple[int, tuple[int, ...]], int] = {}
-        _check_expansive(self, occurrences)
+        # gp holds every annotation object while this runs, so atoms whose
+        # occurrences are the same objects under one strategy share a table
+        self.folds: list[dict[tuple[int, int], int] | None] = [None] * len(self.formulae)
+        fold_tables: dict[tuple, dict[tuple[int, int], int]] = {}
+        for i, anns in occurrences.items():
+            if len(anns) > 1:
+                signature = (self.strategy(i).name, *sorted(map(id, anns)))
+                if signature not in fold_tables:
+                    fold_tables[signature] = self._fold_table(i, anns)
+                self.folds[i] = fold_tables[signature]
 
     def strategy(self, i: int) -> PStrategy:
         """Formula i's strategy: its predicate's for an atom, its own for a compound."""
@@ -206,15 +218,32 @@ class _Compiled:
             return self.gp.strategy_for(f.atoms[0].predicate)
         return self.gp.formula_strategy(f)
 
-    def fold(self, i: int, rank: int, ann: int) -> int:
-        """The rank of atom i's strategy composing its ranks rank and ann."""
-        key = (i, rank, ann)
-        out = self._folds.get(key)
-        if out is None:
-            values = self.values[i]
-            out = values.index(self.strategy(i).compose(values[rank], values[ann]))
-            self._folds[key] = out
-        return out
+    def _fold_table(self, i: int, anns: list[ProbInterval]) -> dict[tuple[int, int], int]:
+        """Atom i's strategy composing each fold of a non-empty sub-multiset
+        of its head annotations anns with each of anns, as (rank, annotation
+        rank) -> rank. GroundProgram._lattice builds those folds: they are
+        the lattice values but ZERO, which is one only when it is in anns.
+        A result outside the lattice uses an occurrence twice, which the
+        closure never does. Raises NonExpansiveStrategy unless every result
+        lies at or above both inputs: then the closure's values only grow,
+        towards every answer set."""
+        strategy = self.strategy(i)
+        values = self.values[i]
+        rank = {v: r for r, v in enumerate(values)}
+        columns = {rank[ann] for ann in anns}
+        table = {}
+        for r in range(0 if 0 in columns else 1, len(values)):
+            for a in columns:
+                v, ann = values[r], values[a]
+                out = strategy.compose(v, ann)
+                if not (truth_leq(v, out) and truth_leq(ann, out)):
+                    raise NonExpansiveStrategy(
+                        f"strategy {strategy.name} is not expansive on {self.formulae[i]}: "
+                        f"it composes {v} and {ann} to {out}, so the solver could miss answer sets"
+                    )
+                if out in rank:
+                    table[r, a] = rank[out]
+        return table
 
     def compose(self, c: int, ranks: tuple[int, ...]) -> int:
         """The rank of compound c's strategy composing its components' ranks."""
@@ -247,15 +276,17 @@ def _closure(cp: _Compiled, index: int) -> tuple[int, ...]:
     which the p-model check confirms. When a rule fires, its chosen
     disjunct contributes its annotation, and so does any other disjunct
     already satisfied by the current values. Each round reads the values
-    at its start. An atom's value is the fold of its contributions, a
-    compound's the composition of its components.
+    at its start. An atom's value is the fold of its contributions, read
+    from cp.folds: each contribution is an occurrence outside the fold so
+    far, so the fold table holds the result. A compound's value is the
+    composition of its components.
 
     Why a candidate that contradicts its own closure (cp.contradicts) can
     be skipped unchecked: the closure is complete when every disjunctive
-    strategy in use is expansive on the program (_check_expansive), so each
-    answer set h is the closure of the candidate whose guesses are h's own
-    truth values and whose choices are disjuncts h satisfies, and that
-    candidate agrees with its own closure. Skipping the ones that disagree
+    strategy in use is expansive on the program (_Compiled._fold_table),
+    so each answer set h is the closure of the candidate whose guesses are
+    h's own truth values and whose choices are disjuncts h satisfies, and
+    that candidate agrees with its own closure. Skipping the ones that disagree
     loses no answer set. It can change which answer set a seeded limit
     query meets first, never what a full enumeration returns.
     """
@@ -284,52 +315,11 @@ def _closure(cp: _Compiled, index: int) -> tuple[int, ...]:
             return tuple(ranks)
         waiting = still
         for i, ann, _ in adds:
-            ranks[i] = cp.fold(i, ranks[i], ann) if started[i] else ann
+            ranks[i] = cp.folds[i][ranks[i], ann] if started[i] else ann
             started[i] = 1
         if cp.components:
             for c in {c for i, _, _ in adds for c in cp.compounds_of.get(i, ())}:
                 ranks[c] = cp.compose(c, tuple(ranks[i] for i in cp.components[c]))
-
-
-def _check_expansive(cp: _Compiled, occurrences: dict[int, list[ProbInterval]]) -> None:
-    """Raise NonExpansiveStrategy unless, for every atom, composing any fold
-    of a non-empty sub-multiset of its head annotations (occurrences[i] for
-    atom i) with any of them lies at or above both: then the closure's
-    values only grow, towards every answer set. An atom with one head
-    occurrence is never folded, so it has nothing to check. A composition
-    checked once is not checked again for another atom."""
-    checked: dict[tuple[str, ProbInterval, ProbInterval], ProbInterval] = {}
-
-    def compose(i: int, strategy: PStrategy, v: ProbInterval, ann: ProbInterval) -> ProbInterval:
-        key = (strategy.name, v, ann)
-        out = checked.get(key)
-        if out is None:
-            out = checked[key] = strategy.compose(v, ann)
-            if not (truth_leq(v, out) and truth_leq(ann, out)):
-                raise NonExpansiveStrategy(
-                    f"strategy {strategy.name} is not expansive on {cp.formulae[i]}: "
-                    f"it composes {v} and {ann} to {out}, so the solver could miss answer sets"
-                )
-        return out
-
-    # gp holds every annotation object while this runs, so atoms whose
-    # occurrences are the same objects under one strategy pass or fail
-    # together, and only the first of them is checked
-    signatures: set[tuple] = set()
-    for i, anns in occurrences.items():
-        if len(anns) < 2:
-            continue
-        strategy = cp.strategy(i)
-        signature = (strategy.name, *sorted(map(id, anns)))
-        if signature in signatures:
-            continue
-        signatures.add(signature)
-        folds: set[ProbInterval] = set()
-        for ann in anns:
-            folds |= {ann} | {compose(i, strategy, v, ann) for v in folds}
-        for v in folds:
-            for ann in set(anns):
-                compose(i, strategy, v, ann)
 
 
 # -- minimality ---------------------------------------------------------------

@@ -86,6 +86,25 @@ def test_solve_merges_multiple_files(tmp_path, dice_path):
     assert json.loads(out)["count"] == 3
 
 
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ("#default_tau(ind). a : 0.5. a : 0.5 :- b.", "b."),
+        ("#default_tau(ind). a : 0.5. a : 0.5 :- b.", "#default_tau(pcd). b."),
+        ("#tau(a, ind). a : 0.5.", "a : 0.5 :- b. b. #default_tau(pcd)."),
+    ],
+)
+def test_split_files_solve_as_their_concatenation(tmp_path, first, second):
+    whole = tmp_path / "whole.dhpp"
+    whole.write_text(f"{first}\n{second}\n")
+    head, tail = tmp_path / "head.dhpp", tmp_path / "tail.dhpp"
+    head.write_text(first + "\n")
+    tail.write_text(second + "\n")
+    expected = invoke(inputs=[str(whole)])
+    assert expected[0] == 0
+    assert invoke(inputs=[str(head), str(tail)]) == expected
+
+
 # -- ground-only -------------------------------------------------------------------
 
 
@@ -290,6 +309,16 @@ def test_strategies_file_targets_one_atom(tmp_path):
     assert code == 0
     assert "a : [0.58,0.58]" in out
     assert "b : [0.4,0.4]" in out
+
+
+def test_strategies_file_comment_leaves_the_default(tmp_path):
+    program = tmp_path / "two.dhpp"
+    program.write_text("#default_tau(ind).\na : 0.5.\na : 0.5 :- b.\nb.\n")
+    overrides = tmp_path / "tau.dhpp"
+    overrides.write_text("% default_tau is left alone\n#tau(b, pcd).\n")
+    code, out, _ = invoke(inputs=[str(program)], strategies=str(overrides))
+    assert code == 0
+    assert "a : [0.75,0.75]" in out  # 0.5 + 0.5 - 0.25 under ind
 
 
 def test_strategies_file_rejects_rules(tmp_path, dice_path):

@@ -16,7 +16,7 @@ from dhpp import (
     satisfies_program,
 )
 from dhpp.model import Num
-from dhpp.semantics import satisfies_body, satisfies_literal, satisfies_rule
+from dhpp.semantics import satisfies_body, satisfies_literal
 from dhpp.solver import _MinimalitySearch
 from dhpp.strategies import compose_fold
 from generators import (
@@ -93,16 +93,17 @@ def test_undefined_aggregate_satisfies_naf():
 
 
 def test_disjunctive_fact_satisfaction():
-    rule = parse_program("a:0.5 | b:0.5.").rules[0]
+    gp = ground_program(parse_program("a:0.5 | b:0.5."))
     h = PInterpretation.from_pairs([(HybridFormula.atomic(Atom("a")), iv("0.5"))])
-    assert satisfies_rule(h, rule)
-    assert not satisfies_rule(PInterpretation(), rule)
+    assert satisfies_program(gp, h).rule_verdicts == (True,)
+    assert satisfies_program(gp, PInterpretation()).rule_verdicts == (False,)
 
 
 def test_dice_constraint_body_unsatisfied_under_h1(dice_solved):
     constraint = next(r for r in dice_solved.ground.rules if not r.head)
     assert not satisfies_body(H1, constraint)
-    assert satisfies_rule(H1, constraint)
+    verdicts = satisfies_program(dice_solved.ground, H1).rule_verdicts
+    assert verdicts[dice_solved.ground.rules.index(constraint)]
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +253,7 @@ def test_reduct_properties_on_random_programs():
         twice = reduct(red, h)
         assert [str(r) for r in twice.rules] == [str(r) for r in red.rules]
         if satisfies_program(gp, h).satisfied:
-            assert all(satisfies_rule(h, r) for r in red.rules)
+            assert all(satisfies_program(red, h).rule_verdicts)
 
 
 def test_positive_literals_monotone_naf_antimonotone():

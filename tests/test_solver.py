@@ -254,6 +254,21 @@ def test_lone_occurrences_under_a_non_expansive_strategy_solve(text, expected):
     assert interp_strings(enumerate_answer_sets(gp)) == expected
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # a ZERO annotation is folded first, so its row must be in the table
+        ("a : 0. a : 0.5.", ["{a:[0.5,0.5]}"]),
+        ("a : 0 :- b. b. a : 0.5 :- c. c :- a : 0.", ["{a:[0.5,0.5], b:[1,1], c:[1,1]}"]),
+        # ZERO is no fold here, and mn composes it below 0.5
+        ("#default_tau(mn). a : 0.5. a : 0.5 :- t. t.", ["{a:[0.5,0.5], t:[1,1]}"]),
+    ],
+)
+def test_fold_table_rows_are_the_folds_of_head_annotations(text, expected):
+    gp = ground_program(parse_program(text, registry=min_registry()))
+    assert interp_strings(enumerate_answer_sets(gp)) == expected
+
+
 # -- enumeration controls ----------------------------------------------------------
 
 
