@@ -2,7 +2,8 @@
 
 The pipeline: parse_program reads the surface syntax, ground_program
 instantiates it over its own constants, and enumerate_answer_sets lists
-the minimal probability models of the reduct.  translate_dlp embeds
+the minimal probability models of the reduct, the p-model check's fired
+rules: reduct(gp, satisfies_program(gp, h)).  translate_dlp embeds
 classical disjunctive programs with every annotation pinned to [1,1].
 """
 

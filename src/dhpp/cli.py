@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import TextIO
 
@@ -86,7 +85,7 @@ def _load_model(path: str) -> PInterpretation:
         for entry in data["formulae"]:
             text = entry.get("text") or entry["formula"]
             formula = parse_formula(text)
-            value = ProbInterval(Fraction(entry["lo"]), Fraction(entry["hi"]))
+            value = ProbInterval(entry["lo"], entry["hi"])
             pairs.append((formula, value))
     except (KeyError, TypeError, ValueError) as exc:
         raise DhppError(f"bad model file {path}: {exc}") from exc

@@ -12,11 +12,12 @@ of the satisfied head annotations of fired rules must stay below the
 assigned value, and per compound formula, the strategy composition of the
 component values must stay below the assigned value. satisfies_program
 checks all three in one pass over the rules, reading atom values from one
-map, and keeps every rule's verdict and the first failed check as data;
-its text is rendered only when asked for (first_failure).
+map, and keeps every rule's verdict, the fired rules and the first failed
+check as data, rendering text only when asked (first_failure). The reduct
+by h is those fired rules (the FLP reduct), so each body is decided once.
 
 satisfies_literal and satisfies_body are the one literal evaluator of the
-p-model check, the reduct and the minimality search. They read h only
+p-model check and the minimality search. They read h only
 through h.possible(formula), the values a formula may still take (None
 while h cannot tell), and return None while those values disagree; a
 PInterpretation allows one value per formula, so it gets plain booleans.
@@ -24,7 +25,7 @@ PInterpretation allows one value per formula, so it gets plain booleans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .aggregates import EValue, PValue, UNDEFINED, build_multiset, eval_aggregate
 from .grounder import GroundProgram
@@ -94,11 +95,12 @@ def satisfies_body(h, rule: Rule) -> bool | None:
 
 @dataclass(frozen=True)
 class SatisfactionReport:
-    """Every rule's verdict, and the first failed check as data: (rule,),
-    (atom, folded, assigned) or (formula, composed, assigned); None for a
-    p-model."""
+    """Every rule's verdict, the rules whose whole body h satisfies (in
+    program order), and the first failed check as data: (rule,), (atom,
+    folded, assigned) or (formula, composed, assigned); None for a p-model."""
 
     rule_verdicts: tuple[bool, ...]
+    fired: tuple[Rule, ...]
     failure: tuple | None
 
     @property
@@ -130,11 +132,13 @@ def satisfies_program(gp: GroundProgram, h: PInterpretation) -> SatisfactionRepo
     compound's composition of its components, in scope order."""
     values = {f.atoms[0]: v for f, v in h.entries if f.is_atomic}
     verdicts = []
+    fired = []
     failure = None
     contributions: dict[Atom, list[ProbInterval]] = {}
     for rule in gp.rules:
         ok = True
         if satisfies_body(h, rule):
+            fired.append(rule)
             ok = False
             for atom, ann in rule.head:
                 if truth_leq(ann, values.get(atom, ZERO)):
@@ -162,16 +166,10 @@ def satisfies_program(gp: GroundProgram, h: PInterpretation) -> SatisfactionRepo
             if not truth_leq(composed, assigned):
                 failure = (formula, composed, assigned)
                 break
-    return SatisfactionReport(tuple(verdicts), failure)
+    return SatisfactionReport(tuple(verdicts), tuple(fired), failure)
 
 
-def reduct(gp: GroundProgram, h: PInterpretation) -> GroundProgram:
-    """Rules whose whole body h satisfies, kept verbatim, in gp's formula scope."""
-    rules = [rule for rule in gp.rules if satisfies_body(h, rule)]
-    return GroundProgram(
-        rules=rules,
-        tau=dict(gp.tau),
-        default_tau=gp.default_tau,
-        registry=gp.registry,
-        scope=gp.relevant_formulae,
-    )
+def reduct(gp: GroundProgram, report: SatisfactionReport) -> GroundProgram:
+    """The reduct of gp by the interpretation that report judged: its fired
+    rules, kept verbatim, in gp's formula scope. No body is decided again."""
+    return replace(gp, rules=list(report.fired), scope=gp.relevant_formulae)

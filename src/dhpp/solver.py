@@ -20,7 +20,8 @@ closure is complete then, and otherwise NonExpansiveStrategy says so.
 
 Every candidate that agrees with its own `not` guesses is then checked
 exactly: it must be a p-model of the program, which no candidate violating
-a constraint is, and a minimal p-model of its own reduct.
+a constraint is, and a minimal p-model of its own reduct. The reduct is the
+rules that fired in that p-model check, read from its report.
 
 Minimality runs as a DFS over per-formula value domains at or below the
 candidate, with unit propagation on rules whose bodies are decided.
@@ -480,7 +481,7 @@ def _judge(
     for formula, value in h.entries:
         if formula not in lattice:
             return report, (formula, value), None
-    red = reduct(gp, h)
+    red = reduct(gp, report)
     witness, nodes = find_smaller_model(red, h, lattice, node_cap)
     if witness is not None:
         return report, (witness,), None

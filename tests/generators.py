@@ -16,6 +16,7 @@ from math import prod
 from dhpp import (
     AggregateAtom,
     Atom,
+    ClassicalAggregate,
     ClassicalProgram,
     ClassicalRule,
     HybridFormula,
@@ -34,7 +35,7 @@ from dhpp import (
     truth_leq,
 )
 from dhpp.grounder import GroundProgram
-from dhpp.model import BuiltinComparison
+from dhpp.model import COMPARATORS, BuiltinComparison, Num
 
 ANNOTATIONS = [Fraction(3, 10), Fraction(1, 2), Fraction(7, 10), Fraction(1)]
 GRID = [Fraction(0), Fraction(3, 10), Fraction(1, 2), Fraction(7, 10), Fraction(1)]
@@ -150,7 +151,7 @@ def brute_force_answer_sets(
 
     answer_sets = []
     for h in models:
-        red = reduct(gp, h)
+        red = reduct(gp, satisfies_program(gp, h))
         below = [
             [v for v in dom if truth_leq(v, h.value(f))]
             for f, dom in zip(formulae, domains)
@@ -162,6 +163,45 @@ def brute_force_answer_sets(
                 minimal = False
                 break
         if minimal:
+            answer_sets.append(h)
+    answer_sets.sort(key=str)
+    return answer_sets
+
+
+def original_dhpp_answer_sets(
+    gp: GroundProgram, cap: int = 30_000
+) -> list[PInterpretation] | None:
+    """Answer sets under the original DHPP semantics, for programs without
+    aggregates: the p-models h of the lattice product with no p-model
+    strictly below h of h's reduct, which drops every rule with a `not F:mu`
+    that h satisfies and deletes the `not` literals of the rest. The reduct
+    is built here, not by semantics.reduct. None when the product is too big."""
+    lattice = gp.value_lattice()
+    formulae = list(gp.relevant_formulae)
+    domains = [lattice[f] for f in formulae]
+    if prod(len(d) for d in domains) > cap:
+        return None
+    answer_sets = []
+    for values in itertools.product(*domains):
+        h = PInterpretation.from_pairs(zip(formulae, values))
+        if not satisfies_program(gp, h).satisfied:
+            continue
+        kept = [
+            Rule(rule.head, rule.pos_body, ())
+            for rule in gp.rules
+            if not any(truth_leq(ann, h.value(f)) for f, ann in rule.neg_body)
+        ]
+        red = GroundProgram(
+            rules=kept, tau=gp.tau, default_tau=gp.default_tau, registry=gp.registry
+        )
+        below = [
+            [v for v in dom if truth_leq(v, h.value(f))]
+            for f, dom in zip(formulae, domains)
+        ]
+        smaller = (
+            PInterpretation.from_pairs(zip(formulae, vs)) for vs in itertools.product(*below)
+        )
+        if not any(interp_lt(s, h) and satisfies_program(red, s).satisfied for s in smaller):
             answer_sets.append(h)
     answer_sets.sort(key=str)
     return answer_sets
@@ -392,6 +432,42 @@ def random_classical_program(
         if not head and not (pos or neg):
             continue  # bare falsum helps nothing
         rules.append(ClassicalRule(head, tuple(pos), tuple(neg)))
+    if not rules:
+        rules.append(ClassicalRule((atoms[0],), (), ()))
+    return ClassicalProgram(rules)
+
+
+def random_classical_aggregate_program(rng: random.Random) -> ClassicalProgram:
+    """2-4 atoms and 1-4 rules with heads of 0-2 atoms; bodies of 0-2 items,
+    each an atom, a `not` atom, or a count/sum/min/max/times aggregate over
+    program atoms (so often recursive, and nonmonotone), with weights -1, 1
+    or 2, any comparator and a bound in -1..2."""
+    atoms = [Atom(name) for name in "abcd"[: rng.randint(2, 4)]]
+    rules = []
+    for _ in range(rng.randint(1, 4)):
+        head = tuple(rng.sample(atoms, rng.randint(0, 2)))
+        pos, neg = [], []
+        for _ in range(rng.randint(0, 2)):
+            roll = rng.random()
+            if roll < 0.3:
+                pos.append(rng.choice(atoms))
+            elif roll < 0.5:
+                neg.append(rng.choice(atoms))
+            else:
+                members = tuple(
+                    (Num(rng.choice([-1, 1, 2])), atom)
+                    for atom in rng.sample(atoms, rng.randint(1, len(atoms)))
+                )
+                pos.append(
+                    ClassicalAggregate(
+                        rng.choice(["count", "sum", "min", "max", "times"]),
+                        members,
+                        rng.choice(COMPARATORS),
+                        Fraction(rng.randint(-1, 2)),
+                    )
+                )
+        if head or pos or neg:
+            rules.append(ClassicalRule(head, tuple(pos), tuple(neg)))
     if not rules:
         rules.append(ClassicalRule((atoms[0],), (), ()))
     return ClassicalProgram(rules)

@@ -19,7 +19,7 @@ from dhpp import (
     translate_dlp,
 )
 from dhpp.model import Num, Var
-from generators import random_classical_program
+from generators import random_classical_aggregate_program, random_classical_program
 
 
 def oracle_sets(text: str) -> list[set[str]]:
@@ -145,6 +145,27 @@ def test_translation_matches_oracle_on_random_programs():
             key=sorted,
         )
         assert got == expected, str(program)
+
+
+def test_translation_matches_oracle_on_recursive_aggregate_programs():
+    # theorem (a) with aggregates over the program's own atoms, so recursive
+    # and often nonmonotone: every function, comparator and sign of weight
+    rng = random.Random(11)
+    answered = with_aggregates = 0
+    for _ in range(1000):
+        program = random_classical_aggregate_program(rng)
+        expected = sorted(
+            ({str(a) for a in s} for s in classical_oracle(program)), key=sorted
+        )
+        res = enumerate_answer_sets(ground_program(translate_dlp(program)))
+        got = sorted(
+            ({str(a) for a in answer_set_atoms(h)} for h in res.interpretations),
+            key=sorted,
+        )
+        assert got == expected, str(program)
+        answered += bool(expected)
+        with_aggregates += program.has_aggregates()
+    assert answered > 700 and with_aggregates > 600
 
 
 # -- surface syntax ----------------------------------------------------------------

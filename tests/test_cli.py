@@ -266,6 +266,25 @@ def test_check_model_bad_file(tmp_path, dice_path):
     assert "bad model file" in err
 
 
+@pytest.mark.parametrize(
+    "lo, hi, code",
+    [("0.1", "1/10", 0), (0.1, 0.1, 2), (True, True, 2), (0, 0, 1), (1, 1, 1)],
+    ids=["strings", "floats", "bools", "int-zero", "int-one"],
+)
+def test_check_model_reads_endpoints_exactly(tmp_path, lo, hi, code):
+    # a JSON number with a fraction part would arrive as a binary float, and
+    # 0.1 is not 1/10 there: such a value is refused, never rounded
+    program = tmp_path / "a.dhpp"
+    program.write_text("a : 0.1.")
+    model = write_model(tmp_path, [{"formula": "a", "lo": lo, "hi": hi}])
+    got, out, err = invoke(inputs=[str(program)], mode="check-model", model=model)
+    assert got == code
+    if code == 2:
+        assert "bad model file" in err and out == ""
+    else:
+        assert ("answer set: yes" in out) == (code == 0)
+
+
 # -- translate-dlp -----------------------------------------------------------------
 
 

@@ -219,12 +219,12 @@ def test_overderived_atom_rejected():
 
 def test_reduct_of_fact_program_is_identity(dice_solved):
     gp = ground("a:0.5 | b:0.5.\nc:0.3.")
-    red = reduct(gp, PInterpretation())
+    red = reduct(gp, satisfies_program(gp, PInterpretation()))
     assert [str(r) for r in red.rules] == [str(r) for r in gp.rules]
 
 
 def test_dice_reduct_under_h1_drops_constraint(dice_solved):
-    red = reduct(dice_solved.ground, H1)
+    red = reduct(dice_solved.ground, satisfies_program(dice_solved.ground, H1))
     assert len(red.rules) == 2
     assert all(r.head[0][0].predicate == "a" for r in red.rules)
 
@@ -234,7 +234,7 @@ def test_dice_reduct_keeps_constraint_when_marker_high(dice_solved):
     marked = PInterpretation.from_pairs(
         list(NOT_P_MODEL.entries) + [(HybridFormula.atomic(Atom("__c")), ONE)]
     )
-    red = reduct(dice_solved.ground, marked)
+    red = reduct(dice_solved.ground, satisfies_program(dice_solved.ground, marked))
     assert any(not r.head for r in red.rules)
     assert not satisfies_program(dice_solved.ground, marked).satisfied
 
@@ -247,10 +247,10 @@ def test_reduct_properties_on_random_programs():
         formulae = list(gp.relevant_formulae)
         values = [rng.choice(lattice[f]) for f in formulae]
         h = PInterpretation.from_pairs(zip(formulae, values))
-        red = reduct(gp, h)
+        red = reduct(gp, satisfies_program(gp, h))
         originals = [str(r) for r in gp.rules]
         assert all(str(r) in originals for r in red.rules)
-        twice = reduct(red, h)
+        twice = reduct(red, satisfies_program(red, h))
         assert [str(r) for r in twice.rules] == [str(r) for r in red.rules]
         if satisfies_program(gp, h).satisfied:
             assert all(satisfies_program(red, h).rule_verdicts)
@@ -273,7 +273,7 @@ def test_reduct_keeps_the_formula_scope_of_its_source():
     gp = ground("a : 0.5.  b : 0.5.  c :- not a : 0.5, a and[inc] b : 0.2.")
     assert "a and[inc] b" in {str(f) for f in gp.relevant_formulae}
     h = PInterpretation.from_pairs((HybridFormula.atomic(Atom(n)), iv("0.5")) for n in "ab")
-    red = reduct(gp, h)
+    red = reduct(gp, satisfies_program(gp, h))
     assert [str(r) for r in red.rules] == ["a:0.5.", "b:0.5."]
     assert red.relevant_formulae == gp.relevant_formulae
 

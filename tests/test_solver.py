@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+import dhpp.semantics
 import dhpp.solver
 from dhpp import (
     Atom,
@@ -17,9 +18,12 @@ from dhpp import (
     enumerate_answer_sets,
     ground_program,
     interp_leq,
+    interp_lt,
     is_answer_set,
     parse_classical,
     parse_program,
+    reduct,
+    satisfies_program,
     translate_dlp,
     truth_leq,
     ZERO,
@@ -36,6 +40,7 @@ from dhpp.strategies import DISJUNCTIVE
 from generators import (
     brute_force_answer_sets,
     definite_fixpoint,
+    original_dhpp_answer_sets,
     random_aggregate_program,
     random_classical_program,
     random_definite_program,
@@ -395,6 +400,43 @@ def test_candidate_cap_overflows(dice_solved):
         enumerate_answer_sets(dice_solved.ground, max_candidates=1)
 
 
+def test_judging_an_answer_set_decides_each_aggregate_once(dice_solved, monkeypatch):
+    # the p-model check decides the sumP constraint's body; the reduct is
+    # read from that check, so it evaluates the aggregate no second time
+    calls = []
+    original = dhpp.semantics.eval_aggregate
+
+    def counting(func, multiset):
+        calls.append(func)
+        return original(func, multiset)
+
+    monkeypatch.setattr(dhpp.semantics, "eval_aggregate", counting)
+    h = dice_solved.result.interpretations[0]
+    assert is_answer_set(dice_solved.ground, h) == (True, None)
+    assert len(calls) == 1
+
+
+def test_a_closure_cannot_stand_in_for_the_minimality_search():
+    # {a, b} is a p-model whose reduct keeps both rules; its smaller p-model
+    # {b} is unsupported, so no closure of the reduct reaches it, and only a
+    # search over the values below {a, b} finds it
+    gp = ground_program(
+        translate_dlp(parse_classical("a :- count{1:a, 1:b} != 1. b :- count{1:a, 1:b} != 1."))
+    )
+    one = ProbInterval(1, 1)
+    h = PInterpretation.from_pairs((HybridFormula.atomic(Atom(n)), one) for n in "ab")
+    report = satisfies_program(gp, h)
+    assert report.satisfied
+    ok, reason = is_answer_set(gp, h)
+    assert not ok and reason.startswith("not minimal")
+    red = reduct(gp, report)
+    witness, _ = find_smaller_model(red, h, gp.value_lattice())
+    assert witness is not None
+    assert interp_lt(witness, h)
+    assert satisfies_program(red, witness).satisfied
+    assert enumerate_answer_sets(gp).interpretations == []
+
+
 def test_node_cap_bounds_the_check_of_one_answer_set(dice_solved):
     h = dice_solved.result.interpretations[0]
     with pytest.raises(SearchSpaceOverflow):
@@ -463,6 +505,21 @@ def test_matches_brute_force_on_random_programs():
         assert [str(h) for h in got.interpretations] == [str(h) for h in expected]
         assert pairwise_incomparable(got.interpretations)
         checked += 1
+
+
+def test_matches_the_original_dhpp_semantics_on_random_programs():
+    # theorem (b): without aggregates, the answer sets are those of the
+    # original DHPP semantics, whose reduct drops the rules a `not` blocks
+    rng = random.Random(17)
+    answered = 0
+    for _ in range(300):
+        gp = random_probability_program(rng)
+        expected = original_dhpp_answer_sets(gp)
+        assert expected is not None
+        got = enumerate_answer_sets(gp).interpretations
+        assert [str(h) for h in got] == [str(h) for h in expected], str(gp)
+        answered += bool(expected)
+    assert answered > 250
 
 
 def test_matches_brute_force_on_aggregate_programs():
