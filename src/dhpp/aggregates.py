@@ -10,6 +10,12 @@ Empty multisets follow the neutral-element conventions: additive functions
 start from 0, multiplicative ones from 1, and the joint probability of no
 members is [1,1]. min and max have no neutral element and come out
 undefined, which is a value here, not an error.
+
+Sums and the joint probability run on integer numerators and denominators
+and are reduced to a Fraction once, so the arithmetic stays exact.
+eval_aggregate is a pure function of the function name and the multiset,
+so semantics memoises its results per ground program (see the semantics
+module), up to grounder.AGGREGATE_MEMO_CAP of them.
 """
 
 from __future__ import annotations
@@ -94,11 +100,19 @@ def scalar_interval_product(c: Fraction, iv: ValueInterval) -> ValueInterval:
 
 
 def joint_probability(ms: Multiset) -> ProbInterval:
-    """Componentwise product of the member annotations; [1,1] when empty."""
-    lo = hi = Fraction(1)
+    """Componentwise product of the member annotations; [1,1] when empty.
+
+    The numerators and the denominators are multiplied as integers and each
+    endpoint is reduced once; when the two products agree, as they do when
+    every member is a point, hi is lo."""
+    lo_num = lo_den = hi_num = hi_den = 1
     for _, prob in ms:
-        lo *= prob.lo
-        hi *= prob.hi
+        lo_num *= prob.lo.numerator
+        lo_den *= prob.lo.denominator
+        hi_num *= prob.hi.numerator
+        hi_den *= prob.hi.denominator
+    lo = Fraction(lo_num, lo_den)
+    hi = lo if (hi_num, hi_den) == (lo_num, lo_den) else Fraction(hi_num, hi_den)
     return ProbInterval(lo, hi)
 
 
@@ -111,10 +125,16 @@ def _numeric_values(ms: Multiset) -> list[Fraction] | None:
     return values
 
 
-def _interval_sum(parts: list[ValueInterval]) -> ValueInterval:
-    lo = sum((p.lo for p in parts), Fraction(0))
-    hi = sum((p.hi for p in parts), Fraction(0))
-    return ValueInterval(lo, hi)
+def _exact_sum(terms) -> Fraction:
+    """The sum of n/d over (n, d) integer pairs, on integers, reduced once."""
+    num, den = 0, 1
+    for n, d in terms:
+        if d == den:
+            num += n
+        else:
+            num = num * d + n * den
+            den *= d
+    return Fraction(num, den)
 
 
 def eval_aggregate(func: str, ms: Multiset) -> AggregateResult:
@@ -129,13 +149,19 @@ def eval_aggregate(func: str, ms: Multiset) -> AggregateResult:
         return UNDEFINED  # non-numeric members fall outside the domain
 
     if func == "valE":
-        return EValue(_interval_sum([scalar_interval_product(v, prob) for v, (_, prob) in zip(values, ms)]))
+        # v * prob summed over the members; a negative v flips prob's ends
+        lows, highs = [], []
+        for v, (_, p) in zip(values, ms):
+            lo, hi = (p.lo, p.hi) if v.numerator >= 0 else (p.hi, p.lo)
+            lows.append((v.numerator * lo.numerator, v.denominator * lo.denominator))
+            highs.append((v.numerator * hi.numerator, v.denominator * hi.denominator))
+        return EValue(ValueInterval(_exact_sum(lows), _exact_sum(highs)))
 
     if func in ("minE", "maxE", "minP", "maxP") and not ms:
         return UNDEFINED
 
     if func.startswith("sum"):
-        x = sum(values, Fraction(0))
+        x = _exact_sum((v.numerator, v.denominator) for v in values)
     elif func.startswith("times"):
         x = Fraction(1)
         for v in values:

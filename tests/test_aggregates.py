@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dhpp import (
@@ -196,12 +196,52 @@ def test_val_e_equals_sum_e_on_singletons():
     assert eval_aggregate("valE", ms) == eval_aggregate("sumE", ms)
 
 
-@given(members)
-def test_joint_probability_is_times_fold(raw):
-    ms = _multiset(raw)
+# members whose annotations are often points and often have a 0 endpoint,
+# so both of joint_probability's endpoint paths are taken
+endpoint = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1)]),
+    st.fractions(min_value=0, max_value=1, max_denominator=12),
+)
+annotations = st.one_of(
+    endpoint.map(lambda p: ProbInterval(p, p)),
+    st.tuples(endpoint, endpoint).map(lambda pq: ProbInterval(min(pq), max(pq))),
+)
+
+
+@given(st.lists(annotations, max_size=9))
+@example([])
+@example([iv("0"), iv("0.5")])
+@example([iv("0", "0.5"), iv("0.25", "1")])
+@example([iv("1/3", "1/2")])
+@example([iv("1/3"), iv("0.5", "0.75"), iv("1/6")])
+def test_joint_probability_is_times_fold(probs):
+    ms = [(Num(str(k)), p) for k, p in enumerate(probs)]
     lo = Fraction(1)
     hi = Fraction(1)
     for _, prob in ms:
         lo *= prob.lo
         hi *= prob.hi
-    assert joint_probability(ms) == ProbInterval(lo, hi)
+    joint = joint_probability(ms)
+    assert joint == ProbInterval(lo, hi)
+    if not probs:
+        assert joint == ONE
+
+
+@given(
+    st.lists(
+        st.tuples(st.fractions(min_value=-6, max_value=9, max_denominator=6), annotations),
+        max_size=9,
+    )
+)
+@example([])
+@example([(Fraction(-2), iv("0.25", "0.5")), (Fraction(1, 3), iv("0.5", "1"))])
+def test_sums_match_the_stepwise_fraction_sums(raw):
+    # valE and the sum family add on integers and reduce once
+    ms = [(Num(v), p) for v, p in raw]
+    total = sum((v for v, _ in raw), Fraction(0))
+    lo = sum((scalar_interval_product(v, p).lo for v, p in raw), Fraction(0))
+    hi = sum((scalar_interval_product(v, p).hi for v, p in raw), Fraction(0))
+    assert eval_aggregate("valE", ms) == EValue(ValueInterval(lo, hi))
+    joint = joint_probability(ms)
+    assert eval_aggregate("sumP", ms) == PValue(total, joint)
+    assert eval_aggregate("sumE", ms) == EValue(scalar_interval_product(total, joint))
