@@ -13,15 +13,13 @@ undefined, which is a value here, not an error.
 
 Sums and the joint probability run on integer numerators and denominators
 and are reduced to a Fraction once, so the arithmetic stays exact.
-eval_aggregate is a pure function of the function name and the multiset,
-so semantics memoises its results per ground program (see the semantics
-module), up to grounder.AGGREGATE_MEMO_CAP of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .model import (
     GroundSet,
@@ -126,14 +124,18 @@ def _numeric_values(ms: Multiset) -> list[Fraction] | None:
 
 
 def _exact_sum(terms) -> Fraction:
-    """The sum of n/d over (n, d) integer pairs, on integers, reduced once."""
+    """The sum of n/d over (n, d) integer pairs, on integers, reduced once.
+
+    den stays the lcm of the denominators seen, not their product, so the
+    integers stay about as small as a stepwise Fraction sum's."""
     num, den = 0, 1
     for n, d in terms:
         if d == den:
             num += n
         else:
-            num = num * d + n * den
-            den *= d
+            g = gcd(den, d)
+            num = num * (d // g) + n * (den // g)
+            den = den // g * d
     return Fraction(num, den)
 
 

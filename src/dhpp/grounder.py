@@ -71,9 +71,6 @@ Env = dict[str, Term]
 
 # most values the lattice of one ground program may hold
 LATTICE_CAP = 200_000
-# most aggregate results the memo of one ground program and its reducts
-# holds; a full memo evaluates without storing
-AGGREGATE_MEMO_CAP = 10_000
 
 
 # -- universe ----------------------------------------------------------------
@@ -574,9 +571,6 @@ class GroundProgram(Program):
 
     # the formula scope, when given: a reduct keeps its source's
     scope: tuple[HybridFormula, ...] | None = field(default=None, compare=False, repr=False)
-    # aggregate results by (function, selected members), filled by
-    # semantics._aggregate_satisfied; replace() hands it on to a reduct
-    aggregate_memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def strategy_for(self, predicate: str) -> PStrategy:
         return self.registry.get_kind(self.tau_name(predicate), DISJUNCTIVE)

@@ -21,24 +21,13 @@ p-model check and the minimality search. They read h only
 through h.possible(formula), the values a formula may still take (None
 while h cannot tell), and return None while those values disagree; a
 PInterpretation allows one value per formula, so it gets plain booleans.
-
-An aggregate's result depends only on its function and the members its
-conditions select, so _aggregate_satisfied memoises eval_aggregate's
-results in the ground program's aggregate_memo, keyed on the function and
-the members build_multiset selected. build_multiset runs on every call and
-eval_aggregate only on a miss. The memo lives with the ground program, and
-its reducts (dataclasses.replace) share it, so the p-model check, the
-reduct and the minimality search all read it; it stores at most
-grounder.AGGREGATE_MEMO_CAP results and then evaluates without storing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain
 
 from .aggregates import EValue, PValue, UNDEFINED, build_multiset, eval_aggregate
-from . import grounder
 from .grounder import GroundProgram
 from .model import (
     AggregateAtom,
@@ -56,17 +45,11 @@ from .model import (
 from .strategies import compose_fold
 
 
-def _aggregate_satisfied(h, item: AggregateAtom, ann: ProbInterval, memo: dict) -> bool | None:
+def _aggregate_satisfied(h, item: AggregateAtom, ann: ProbInterval) -> bool | None:
     multiset = build_multiset(item.pset, h)
     if multiset is None:
         return None
-    # flat, so the key keeps no tuple of build_multiset's alive
-    key = (item.func, *chain.from_iterable(multiset))
-    result = memo.get(key)
-    if result is None:
-        result = eval_aggregate(item.func, multiset)
-        if len(memo) < grounder.AGGREGATE_MEMO_CAP:
-            memo[key] = result
+    result = eval_aggregate(item.func, multiset)
     if result is UNDEFINED:
         return False
     guard = item.guard_interval()
@@ -78,12 +61,9 @@ def _aggregate_satisfied(h, item: AggregateAtom, ann: ProbInterval, memo: dict) 
     )
 
 
-def satisfies_literal(
-    h, item, ann: ProbInterval, positive: bool, memo: dict | None = None
-) -> bool | None:
+def satisfies_literal(h, item, ann: ProbInterval, positive: bool) -> bool | None:
     """Whether h satisfies item:ann, or its negation unless positive; None
-    while the literal is open. memo, a ground program's aggregate_memo,
-    keeps aggregate results; without one they are computed afresh."""
+    while the literal is open."""
     if isinstance(item, HybridFormula):
         values = h.possible(item)
         if values is None:
@@ -92,7 +72,7 @@ def satisfies_literal(
         if len(values) > 1 and any(truth_leq(ann, v) != sat for v in values[1:]):
             return None
     elif isinstance(item, AggregateAtom):
-        sat = _aggregate_satisfied(h, item, ann, {} if memo is None else memo)
+        sat = _aggregate_satisfied(h, item, ann)
     elif isinstance(item, BuiltinComparison):
         sat = item.holds()
     else:
@@ -100,12 +80,12 @@ def satisfies_literal(
     return sat if positive or sat is None else not sat
 
 
-def satisfies_body(h, rule: Rule, memo: dict | None = None) -> bool | None:
+def satisfies_body(h, rule: Rule) -> bool | None:
     """False when a body literal fails, True when all hold, None otherwise."""
     decided = True
     for literals, positive in ((rule.pos_body, True), (rule.neg_body, False)):
         for item, ann in literals:
-            sat = satisfies_literal(h, item, ann, positive, memo)
+            sat = satisfies_literal(h, item, ann, positive)
             if sat is False:
                 return False
             if sat is None:
@@ -155,10 +135,9 @@ def satisfies_program(gp: GroundProgram, h: PInterpretation) -> SatisfactionRepo
     fired = []
     failure = None
     contributions: dict[Atom, list[ProbInterval]] = {}
-    memo = gp.aggregate_memo
     for rule in gp.rules:
         ok = True
-        if satisfies_body(h, rule, memo):
+        if satisfies_body(h, rule):
             fired.append(rule)
             ok = False
             for atom, ann in rule.head:

@@ -392,12 +392,11 @@ class _MinimalitySearch:
 
     def _propagate(self) -> bool:
         domains = self.domains
-        memo = self.red.aggregate_memo
         changed = True
         while changed:
             changed = False
             for rule in self.red.rules:
-                if satisfies_body(self, rule, memo) is not True:
+                if satisfies_body(self, rule) is not True:
                     continue
                 satisfiable = []
                 for atom, ann in rule.head:

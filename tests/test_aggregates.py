@@ -235,6 +235,14 @@ def test_joint_probability_is_times_fold(probs):
 )
 @example([])
 @example([(Fraction(-2), iv("0.25", "0.5")), (Fraction(1, 3), iv("0.5", "1"))])
+@example(
+    # many members whose denominators alternate, so an unreduced common
+    # denominator would be the product of all of them
+    [
+        (Fraction(k % 7 - 3, 1 + k % 11), ProbInterval(Fraction(1, 3 + k % 5), Fraction(1, 1 + k % 3)))
+        for k in range(400)
+    ]
+)
 def test_sums_match_the_stepwise_fraction_sums(raw):
     # valE and the sum family add on integers and reduce once
     ms = [(Num(v), p) for v, p in raw]

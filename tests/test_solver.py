@@ -4,7 +4,6 @@ import tracemalloc
 
 import pytest
 
-import dhpp.grounder
 import dhpp.semantics
 import dhpp.solver
 from dhpp import (
@@ -303,16 +302,13 @@ def test_seed_shuffles_search_not_answers(dice_solved):
 
 
 def test_full_enumeration_does_not_depend_on_the_seed():
-    # each seeded run fills its program's aggregate memo in its own order,
-    # both on a fresh copy and on one program shared by every seed
     rng = random.Random(41)
     for _ in range(40):
         for gp in (random_aggregate_program(rng), random_probability_program(rng)):
-            expected = interp_strings(enumerate_answer_sets(regrounded(gp)))
+            expected = interp_strings(enumerate_answer_sets(gp))
             for seed in range(5):
-                for target in (gp, regrounded(gp)):
-                    got = interp_strings(enumerate_answer_sets(target, seed=seed))
-                    assert got == expected, f"seed {seed}\n{gp}"
+                got = interp_strings(enumerate_answer_sets(gp, seed=seed))
+                assert got == expected, f"seed {seed}\n{gp}"
 
 
 def test_seeded_first_model_is_repeatable_in_bounded_memory():
@@ -414,12 +410,10 @@ def test_candidate_cap_overflows(dice_solved):
         enumerate_answer_sets(dice_solved.ground, max_candidates=1)
 
 
-def regrounded(gp):
-    """A freshly ground copy of gp, with an empty aggregate memo."""
-    return ground_program(parse_program(str(gp)))
-
-
-def counting_evaluations(monkeypatch) -> list:
+def test_judging_an_answer_set_decides_each_aggregate_once(dice_solved, monkeypatch):
+    # the p-model check decides the sumP constraint's body, and the reduct is
+    # read from that check, so it evaluates the aggregate no second time; a
+    # repeated judgement and one of a larger neighbour do the same
     calls = []
     original = dhpp.semantics.eval_aggregate
 
@@ -428,62 +422,19 @@ def counting_evaluations(monkeypatch) -> list:
         return original(func, multiset)
 
     monkeypatch.setattr(dhpp.semantics, "eval_aggregate", counting)
-    return calls
-
-
-def test_judging_an_answer_set_decides_each_aggregate_once(dice_path, monkeypatch):
-    # the p-model check decides the sumP constraint's body, and the reduct is
-    # read from that check; the program's memo then answers every judgement
-    # whose constraint selects the same members
-    gp = ground_program(parse_program(dice_path.read_text(encoding="utf-8")))
-    h = enumerate_answer_sets(regrounded(gp)).interpretations[0]
-    # a larger neighbour: the highest atom below [1,1] raised to [1,1], which
-    # keeps every condition of the constraint's pairs as it was
+    h = dice_solved.result.interpretations[0]
+    # the highest atom below [1,1] raised to [1,1], which keeps every
+    # condition of the constraint's pairs as it was
     top = max((f for f, v in h.entries if v.hi < 1), key=lambda f: h.value(f).hi)
     neighbour = PInterpretation.from_pairs(
         [(f, v) for f, v in h.entries if f != top] + [(top, ProbInterval(1, 1))]
     )
-    expected = [is_answer_set(regrounded(gp), x) for x in (h, h, neighbour)]
-    assert expected[0] == (True, None) and not expected[2][0]
-    calls = counting_evaluations(monkeypatch)
-    for x, want, evaluations in zip((h, h, neighbour), expected, (1, 0, 0)):
-        calls.clear()
-        assert is_answer_set(gp, x) == want
-        assert len(calls) == evaluations
-
-
-def closures(gp) -> list[PInterpretation]:
-    """Every distinct closure of gp's candidates, in candidate order."""
-    keys = _guess_keys(gp)
-    compiled = _Compiled(gp, gp.value_lattice(), keys)
-    seen = {}
-    for index in range(2 ** len(keys) * compiled.choice_total):
-        ranks = _closure(compiled, index)
-        seen.setdefault(ranks, compiled.interpretation(ranks))
-    return list(seen.values())
-
-
-def test_the_aggregate_memo_is_bounded_and_exact(dice_path, monkeypatch):
-    cap = 3
-    monkeypatch.setattr(dhpp.grounder, "AGGREGATE_MEMO_CAP", cap)
-    calls = counting_evaluations(monkeypatch)
-    rng = random.Random(23)
-    programs = [ground_program(parse_program(dice_path.read_text(encoding="utf-8")))]
-    programs += [random_aggregate_program(rng) for _ in range(50)]
-    judged = filled = shared = fresh = 0
-    for gp in programs:
-        for h in closures(gp):
-            calls.clear()
-            verdict = is_answer_set(gp, h)
-            shared += len(calls)
-            assert len(gp.aggregate_memo) <= cap
-            filled += len(gp.aggregate_memo) == cap
-            calls.clear()
-            assert verdict == is_answer_set(regrounded(gp), h), f"{h}\n{gp}"
-            fresh += len(calls)
-            judged += 1
-    # the memo both filled up and answered judgements in place of evaluations
-    assert judged > 100 and filled > 10 and shared < fresh
+    assert is_answer_set(dice_solved.ground, h) == (True, None)
+    assert len(calls) == 1
+    assert is_answer_set(dice_solved.ground, h) == (True, None)
+    assert len(calls) == 2
+    assert not is_answer_set(dice_solved.ground, neighbour)[0]
+    assert len(calls) == 3
 
 
 def test_a_closure_cannot_stand_in_for_the_minimality_search():
