@@ -28,7 +28,7 @@ from .model import (
     Rule,
     Term,
 )
-from .parser import Token, _Parser, tokenize
+from .parser import _Parser
 from .strategies import builtin_registry
 
 # classical aggregate name -> probability counterpart
@@ -284,37 +284,20 @@ def answer_set_atoms(h) -> frozenset[Atom]:
 
 
 class _ClassicalParser(_Parser):
-    def __init__(self, tokens: list[Token], filename: str):
-        super().__init__(tokens, filename, builtin_registry())
-
     def parse_classical_program(self) -> ClassicalProgram:
         program = ClassicalProgram()
         while not self.at("eof"):
-            program.rules.append(self.parse_classical_rule())
+            parts = self.parse_rule(self.parse_plain_atom, self.parse_classical_literal)
+            program.rules.append(ClassicalRule(*parts))
         return program
 
-    def parse_classical_rule(self) -> ClassicalRule:
-        head: list[Atom] = []
-        if not self.at(":-"):
-            head.append(self.parse_plain_atom())
-            while self.accept("|"):
-                head.append(self.parse_plain_atom())
-        pos: list[Atom | ClassicalAggregate] = []
-        neg: list[Atom] = []
-        if self.accept(":-"):
-            while True:
-                tok = self.peek()
-                if tok.kind == "ident" and tok.text == "not":
-                    self.next()
-                    neg.append(self.parse_plain_atom())
-                elif tok.kind == "ident" and tok.text in CLASSICAL_AGG_FUNCS and self.peek(1).kind == "{":
-                    pos.append(self.parse_classical_aggregate())
-                else:
-                    pos.append(self.parse_plain_atom())
-                if not self.accept(","):
-                    break
-        self.expect(".")
-        return ClassicalRule(tuple(head), tuple(pos), tuple(neg))
+    def parse_classical_literal(self) -> tuple[Atom | ClassicalAggregate, bool]:
+        if self.accept_not():
+            return self.parse_plain_atom(), True
+        tok = self.peek()
+        if tok.kind == "ident" and tok.text in CLASSICAL_AGG_FUNCS and self.peek(1).kind == "{":
+            return self.parse_classical_aggregate(), False
+        return self.parse_plain_atom(), False
 
     def parse_plain_atom(self) -> Atom:
         tok = self.peek()
@@ -323,17 +306,15 @@ class _ClassicalParser(_Parser):
             raise self.error("classical atoms must be ground", tok)
         return atom
 
+    def parse_classical_member(self) -> tuple[Term, Atom]:
+        value = self.parse_term()
+        self.expect(":")
+        return value, self.parse_plain_atom()
+
     def parse_classical_aggregate(self) -> ClassicalAggregate:
         func = self.next().text
         self.expect("{")
-        members: list[tuple[Term, Atom]] = []
-        if not self.at("}"):
-            while True:
-                value = self.parse_term()
-                self.expect(":")
-                members.append((value, self.parse_plain_atom()))
-                if not self.accept(","):
-                    break
+        members = () if self.at("}") else self.sequence(self.parse_classical_member)
         self.expect("}")
         cmp_tok = self.next()
         if cmp_tok.kind not in COMPARATORS:
@@ -342,9 +323,9 @@ class _ClassicalParser(_Parser):
         bound = self.parse_term()
         if not isinstance(bound, Num):
             raise self.error("aggregate bound must be a number", bound_tok)
-        return ClassicalAggregate(func, tuple(members), cmp_tok.kind, bound.value)
+        return ClassicalAggregate(func, members, cmp_tok.kind, bound.value)
 
 
 def parse_classical(text: str, filename: str = "<string>") -> ClassicalProgram:
     """Read a ground classical program: `a | b :- c, not d, count{...} >= n.`"""
-    return _ClassicalParser(tokenize(text, filename), filename).parse_classical_program()
+    return _ClassicalParser(text, filename).parse_classical_program()

@@ -432,7 +432,7 @@ def ground_symbolic_set(
         value = substitute_term(pset.value, e)
         if value is None or not term_is_ground(value):
             continue
-        prob = evaluate_annotation(Annotation(pset.lo, pset.hi), e)
+        prob = evaluate_annotation(pset.prob, e)
         condition = []
         ok = True
         for formula, ann in pset.condition:

@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
-from math import inf
+from math import inf, prod
 from operator import attrgetter
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .errors import (
     AnnotationRangeError,
@@ -36,11 +36,11 @@ Rational = Union[Fraction, int, str]
 
 def as_fraction(value: Rational) -> Fraction:
     """Coerce to Fraction, rejecting floats so precision never leaks away."""
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, bool):
         raise TypeError("bool is not a rational value")
-    if isinstance(value, (Fraction, int)):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"expected Fraction, int or str, got {type(value).__name__}")
 
@@ -410,31 +410,14 @@ class HybridFormula(_HashOnce):
 # ---------------------------------------------------------------------------
 # Annotations
 
-ANNOTATION_FUNCTIONS: dict[str, tuple[int, int | None]] = {
-    # name -> (min arity, max arity or None for variadic)
-    "pmul": (2, None),
-    "pcomp": (1, 1),
-    "pmin": (2, None),
-    "pmax": (2, None),
-    "padd": (2, None),
+ANNOTATION_FUNCTIONS: dict[str, tuple[int, int | None, Callable[[list[Fraction]], Fraction]]] = {
+    # name -> (min arity, max arity or None for variadic, function)
+    "pmul": (2, None, lambda args: prod(args, start=Fraction(1))),
+    "pcomp": (1, 1, lambda args: 1 - args[0]),
+    "pmin": (2, None, min),
+    "pmax": (2, None, max),
+    "padd": (2, None, lambda args: min(Fraction(1), sum(args, Fraction(0)))),
 }
-
-
-def _apply_annotation_function(name: str, args: list[Fraction]) -> Fraction:
-    if name == "pmul":
-        out = Fraction(1)
-        for a in args:
-            out *= a
-        return out
-    if name == "pcomp":
-        return 1 - args[0]
-    if name == "pmin":
-        return min(args)
-    if name == "pmax":
-        return max(args)
-    if name == "padd":
-        return min(Fraction(1), sum(args, Fraction(0)))
-    raise UnknownAnnotationFunction(f"unknown annotation function {name!r}")
 
 
 @dataclass(frozen=True)
@@ -467,7 +450,7 @@ class AnnFunc:
         spec = ANNOTATION_FUNCTIONS.get(self.name)
         if spec is None:
             raise UnknownAnnotationFunction(f"unknown annotation function {self.name!r}")
-        lo, hi = spec
+        lo, hi, _ = spec
         if len(self.args) < lo or (hi is not None and len(self.args) > hi):
             raise UnknownAnnotationFunction(
                 f"annotation function {self.name!r} does not take {len(self.args)} arguments"
@@ -497,7 +480,7 @@ def _eval_annotation_item(item: AnnItem, env: Mapping[str, Term]) -> Fraction:
                 f"annotation variable {item.name} bound to {format_rational(bound.value)} outside [0,1]"
             )
         return bound.value
-    value = _apply_annotation_function(item.name, [_eval_annotation_item(a, env) for a in item.args])
+    value = ANNOTATION_FUNCTIONS[item.name][2]([_eval_annotation_item(a, env) for a in item.args])
     if value < 0 or value > 1:
         raise AnnotationRangeError(f"{item} evaluated to {format_rational(value)} outside [0,1]")
     return value
@@ -517,12 +500,18 @@ class Annotation:
         return ProbInterval(_eval_annotation_item(self.lo, env), _eval_annotation_item(self.hi, env))
 
     def __str__(self) -> str:
-        if self.lo == self.hi:
-            return str(self.lo)
-        return f"[{self.lo},{self.hi}]"
+        return _annotation_text(self)
 
 
 AnnotationLike = Union[Annotation, ProbInterval]
+
+
+def _annotation_text(ann: AnnotationLike) -> str:
+    """The annotation as written: p for a point [p,p], else [lo,hi]."""
+    text = format_rational if isinstance(ann, ProbInterval) else str
+    if ann.lo == ann.hi:
+        return text(ann.lo)
+    return f"[{text(ann.lo)},{text(ann.hi)}]"
 
 
 def _item_variables(item: AnnItem) -> set[str]:
@@ -550,13 +539,7 @@ def evaluate_annotation(ann: AnnotationLike, env: Mapping[str, Term]) -> ProbInt
 
 def annotation_suffix(ann: AnnotationLike) -> str:
     """Render ':ann', or nothing for the implicit [1,1]."""
-    if isinstance(ann, ProbInterval):
-        if ann == ONE:
-            return ""
-        if ann.lo == ann.hi:
-            return f":{format_rational(ann.lo)}"
-        return f":{ann}"
-    return f":{ann}"
+    return "" if ann == ONE else f":{_annotation_text(ann)}"
 
 
 # ---------------------------------------------------------------------------
@@ -569,22 +552,21 @@ AGG_FUNCS = E_FUNCS + P_FUNCS
 Condition = tuple[tuple[HybridFormula, AnnotationLike], ...]
 
 
+def _member_text(value: Term, prob: AnnotationLike, condition: Condition) -> str:
+    conds = ", ".join(str(f) + annotation_suffix(a) for f, a in condition)
+    return f"{value} : {_annotation_text(prob)} | {conds}"
+
+
 @dataclass(frozen=True)
 class ProbabilitySet:
-    """Symbolic set { value : [lo,hi] | condition } awaiting grounding."""
+    """Symbolic set { value : prob | condition } awaiting grounding."""
 
     value: Term
-    lo: AnnItem
-    hi: AnnItem
+    prob: Annotation
     condition: Condition
 
     def __str__(self) -> str:
-        if self.lo == self.hi:
-            ann = str(self.lo)
-        else:
-            ann = f"[{self.lo},{self.hi}]"
-        conds = ", ".join(str(f) + annotation_suffix(a) for f, a in self.condition)
-        return f"{self.value} : {ann} | {conds}"
+        return _member_text(self.value, self.prob, self.condition)
 
 
 @dataclass(frozen=True)
@@ -596,12 +578,7 @@ class GroundPair:
     condition: tuple[tuple[HybridFormula, ProbInterval], ...]
 
     def __str__(self) -> str:
-        if self.prob.lo == self.prob.hi:
-            ann = format_rational(self.prob.lo)
-        else:
-            ann = str(self.prob)
-        conds = ", ".join(str(f) + annotation_suffix(a) for f, a in self.condition)
-        return f"<{self.value} : {ann} | {conds}>"
+        return f"<{_member_text(self.value, self.prob, self.condition)}>"
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Surface syntax.
+"""Surface syntax, one method of _Parser per production.
 
     rule       :=  head [ ":-" body ] "."  |  ":-" body "."
     head       :=  atom [":" ann] ( "|" atom [":" ann] )*
@@ -6,23 +6,29 @@
     literal    :=  ["not"] ( aggregate | comparison | formula [":" ann] )
     formula    :=  atom ( ("and"|"or") "[" name "]" atom )*
     aggregate  :=  fname "{" set "}" cmp guard [":" ann]
-    set        :=  term ":" ann "|" condition          (symbolic)
-               |   [ "<" term ":" ann "|" condition ">" , ... ]   (ground)
+    set        :=  member                                  (symbolic)
+               |   [ "<" member ">" ( "," "<" member ">" )* ]    (ground)
+    member     :=  term ":" ann "|" formula [":" ann] ( "," formula [":" ann] )*
     ann        :=  item | "[" item "," item "]"        (item: constant,
                    variable, or pmul/pcomp/pmin/pmax/padd application)
     guard      :=  term | "[" term "," term "]"
     cmp        :=  "=" "!=" "<" ">" "<=" ">="
+    directive  :=  "#" ( "tau" "(" pred "," | "default_tau" "(" ) strategy ")" "."
 
-Directives: #tau(pred, strategy). #default_tau(strategy). Comments run from
-% to end of line. An omitted annotation means [1,1] and a single annotation
-item p means [p,p]. A headless rule ":- body." is a constraint: it derives
-nothing, and no model may satisfy its body.
+Every "x ( sep x )*" above, and the argument lists of function terms and
+annotation functions, is read by _Parser.sequence. Comments run from % to
+end of line. An omitted annotation means [1,1] and a single annotation item
+p means [p,p]. A headless rule ":- body." is a constraint: it derives
+nothing, and no model may satisfy its body. The classical reader in
+classical.py reads its rules with the same rule, sequence and atom
+productions.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 from .errors import ParseError, UnknownAggregateFunction, UnsafeVariable
 from .model import (
@@ -58,6 +64,8 @@ from .model import (
     Var,
 )
 from .strategies import CONJUNCTIVE, DISJUNCTIVE, StrategyRegistry, builtin_registry
+
+_T = TypeVar("_T")
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
@@ -116,34 +124,42 @@ def tokenize(text: str, filename: str) -> list[Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], filename: str, registry: StrategyRegistry):
-        self.tokens = tokens
+    def __init__(self, text: str, filename: str, registry: StrategyRegistry | None = None):
+        self.tokens = tokenize(text, filename)
+        self.tokens.append(self.tokens[-1])  # a lookahead from eof sees eof
         self.filename = filename
-        self.registry = registry
+        self.registry = registry if registry is not None else builtin_registry()
         self.pos = 0
 
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        idx = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[idx]
+        # pos stops at the first eof, so ahead <= 1 stays inside the tokens
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "eof":
             self.pos += 1
         return tok
 
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.tokens[self.pos].kind == kind
 
     def accept(self, kind: str) -> Token | None:
-        if self.at(kind):
+        if self.tokens[self.pos].kind == kind:
             return self.next()
         return None
 
+    def accept_not(self) -> bool:
+        tok = self.tokens[self.pos]
+        if tok.kind == "ident" and tok.text == "not":
+            self.pos += 1
+            return True
+        return False
+
     def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != kind:
             expected = what or repr(kind)
             raise self.error(f"expected {expected}, found {tok.text or 'end of input'!r}", tok)
@@ -153,7 +169,14 @@ class _Parser:
         tok = tok or self.peek()
         return ParseError(message, self.filename, tok.line, tok.col)
 
-    # -- entry points -------------------------------------------------------
+    def sequence(self, parse_item: Callable[[], _T], separator: str = ",") -> tuple[_T, ...]:
+        """item ( separator item )*"""
+        items = [parse_item()]
+        while self.accept(separator):
+            items.append(parse_item())
+        return tuple(items)
+
+    # -- programs and rules -------------------------------------------------
 
     def parse_program(self, program: Program) -> Program:
         while not self.at("eof"):
@@ -161,78 +184,57 @@ class _Parser:
                 self.parse_directive(program)
                 continue
             start = self.peek()
-            rule = self.parse_rule()
+            rule = Rule(*self.parse_rule(self.parse_head_literal, self.parse_body_literal))
             self.check_safety(rule, start)
             program.rules.append(rule)
         return program
 
     def parse_directive(self, program: Program) -> None:
         name = self.expect("ident", "a directive name")
+        if name.text not in ("tau", "default_tau"):
+            raise self.error(f"unknown directive #{name.text}", name)
+        self.expect("(")
+        pred = None
         if name.text == "tau":
-            self.expect("(")
             pred = self.expect("ident", "a predicate name").text
             self.expect(",")
-            strat = self.expect("ident", "a strategy name")
-            self.expect(")")
-            self.expect(".")
-            self.registry.get_kind(strat.text, DISJUNCTIVE)
-            program.tau[pred] = strat.text
-        elif name.text == "default_tau":
-            self.expect("(")
-            strat = self.expect("ident", "a strategy name")
-            self.expect(")")
-            self.expect(".")
-            self.registry.get_kind(strat.text, DISJUNCTIVE)
-            program.default_tau = strat.text
-        else:
-            raise self.error(f"unknown directive #{name.text}", name)
-
-    def parse_rule(self) -> Rule:
-        head: list[tuple[Atom, AnnotationLike]] = []
-        if not self.at(":-"):
-            head.append(self.parse_head_literal())
-            while self.accept("|"):
-                head.append(self.parse_head_literal())
-        pos: list[BodyLiteral] = []
-        neg: list[BodyLiteral] = []
-        if self.accept(":-"):
-            pos, neg = self.parse_body()
+        strat = self.expect("ident", "a strategy name").text
+        self.expect(")")
         self.expect(".")
-        return Rule(head=tuple(head), pos_body=tuple(pos), neg_body=tuple(neg))
+        self.registry.get_kind(strat, DISJUNCTIVE)
+        if pred is None:
+            program.default_tau = strat
+        else:
+            program.tau[pred] = strat
+
+    def parse_rule(
+        self, head_literal: Callable[[], object], body_literal: Callable[[], tuple[object, bool]]
+    ) -> tuple[tuple, tuple, tuple]:
+        """The head, positive body and negative body of a rule whose body
+        literals are read as (literal, negated)."""
+        head = () if self.at(":-") else self.sequence(head_literal, "|")
+        pos = []
+        neg = []
+        if self.accept(":-"):
+            for literal, negated in self.sequence(body_literal):
+                (neg if negated else pos).append(literal)
+        self.expect(".")
+        return head, tuple(pos), tuple(neg)
 
     def parse_head_literal(self) -> tuple[Atom, AnnotationLike]:
-        atom = self.parse_atom()
-        ann: AnnotationLike = ONE
-        if self.accept(":"):
-            ann = self.parse_annotation()
-        return atom, ann
+        return self.parse_atom(), self.parse_optional_annotation()
 
-    def parse_body(self) -> tuple[list[BodyLiteral], list[BodyLiteral]]:
-        pos: list[BodyLiteral] = []
-        neg: list[BodyLiteral] = []
-        while True:
-            negated = False
-            tok = self.peek()
-            if tok.kind == "ident" and tok.text == "not":
-                self.next()
-                negated = True
-            item, ann = self.parse_body_literal(negated)
-            if negated and not isinstance(item, BuiltinComparison):
-                neg.append((item, ann))
-            else:
-                pos.append((item, ann))
-            if not self.accept(","):
-                break
-        return pos, neg
-
-    def parse_body_literal(self, negated: bool) -> BodyLiteral:
+    def parse_body_literal(self) -> tuple[BodyLiteral, bool]:
+        """A literal and whether it is negative; a negated comparison is its
+        complement, a positive literal."""
+        negated = self.accept_not()
         tok = self.peek()
         if tok.kind == "ident" and self.peek(1).kind == "{":
             if tok.text not in AGG_FUNCS:
                 raise UnknownAggregateFunction(
                     f"{self.filename}:{tok.line}:{tok.col}: unknown aggregate function {tok.text!r}"
                 )
-            return self.parse_aggregate()
+            return self.parse_aggregate(), negated
         term = self.parse_term()
         cmp_tok = self.peek()
         if cmp_tok.kind in COMPARATORS:
@@ -241,12 +243,13 @@ class _Parser:
             op = cmp_tok.kind if not negated else _NEGATED_CMP[cmp_tok.kind]
             if self.at(":"):
                 raise self.error("comparisons cannot be annotated")
-            return BuiltinComparison(term, op, right), ONE
-        formula = self.parse_formula_tail(self.term_to_atom(term, tok))
-        ann: AnnotationLike = ONE
-        if self.accept(":"):
-            ann = self.parse_annotation()
-        return formula, ann
+            return (BuiltinComparison(term, op, right), ONE), False
+        return self.parse_formula_literal(self.term_to_atom(term, tok)), negated
+
+    def parse_formula_literal(self, first: Atom | None = None) -> tuple[HybridFormula, AnnotationLike]:
+        return self.parse_formula(first), self.parse_optional_annotation()
+
+    # -- aggregates and sets ------------------------------------------------
 
     def parse_aggregate(self) -> BodyLiteral:
         name = self.expect("ident")
@@ -265,55 +268,32 @@ class _Parser:
         else:
             lo = hi = self.parse_term()
         atom = AggregateAtom(name.text, pset, cmp_tok.kind, lo, hi)
-        ann: AnnotationLike = ONE
-        if self.accept(":"):
-            ann = self.parse_annotation()
-        return atom, ann
+        return atom, self.parse_optional_annotation()
 
     def parse_set(self) -> ProbabilitySet | GroundSet:
         if self.at("}"):
             return GroundSet(())
         if self.at("<"):
-            pairs = [self.parse_ground_pair()]
-            while self.accept(","):
-                pairs.append(self.parse_ground_pair())
-            return GroundSet(tuple(pairs))
+            return GroundSet(self.sequence(self.parse_ground_pair))
+        return ProbabilitySet(*self.parse_member())
+
+    def parse_member(self) -> tuple[Term, Annotation, tuple[tuple[HybridFormula, AnnotationLike], ...]]:
         value = self.parse_term()
         self.expect(":")
-        lo, hi = self.parse_annotation_pair()
+        prob = self.parse_annotation()
         self.expect("|")
-        condition = [self.parse_condition_conjunct()]
-        while self.accept(","):
-            condition.append(self.parse_condition_conjunct())
-        return ProbabilitySet(value, lo, hi, tuple(condition))
+        return value, prob, self.sequence(self.parse_formula_literal)
 
     def parse_ground_pair(self) -> GroundPair:
         start = self.expect("<")
-        value = self.parse_term()
-        self.expect(":")
-        lo, hi = self.parse_annotation_pair()
-        self.expect("|")
-        condition = [self.parse_condition_conjunct()]
-        while self.accept(","):
-            condition.append(self.parse_condition_conjunct())
+        value, prob, condition = self.parse_member()
         self.expect(">")
-        if not (isinstance(lo, AnnConst) and isinstance(hi, AnnConst)):
+        if not (isinstance(prob.lo, AnnConst) and isinstance(prob.hi, AnnConst)):
             raise self.error("ground pair annotations must be constants", start)
-        ground_condition = []
         for formula, ann in condition:
             if not isinstance(ann, ProbInterval) or not formula.is_ground():
                 raise self.error("ground pair conditions must be ground", start)
-            ground_condition.append((formula, ann))
-        return GroundPair(value, ProbInterval(lo.value, hi.value), tuple(ground_condition))
-
-    def parse_condition_conjunct(self) -> tuple[HybridFormula, AnnotationLike]:
-        tok = self.peek()
-        term = self.parse_term()
-        formula = self.parse_formula_tail(self.term_to_atom(term, tok))
-        ann: AnnotationLike = ONE
-        if self.accept(":"):
-            ann = self.parse_annotation()
-        return formula, ann
+        return GroundPair(value, ProbInterval(prob.lo.value, prob.hi.value), condition)
 
     # -- formulae, atoms, terms ---------------------------------------------
 
@@ -328,26 +308,24 @@ class _Parser:
         tok = self.peek()
         return self.term_to_atom(self.parse_term(), tok)
 
-    def parse_formula_tail(self, first: Atom) -> HybridFormula:
-        tok = self.peek()
-        if not (tok.kind == "ident" and tok.text in ("and", "or") and self.peek(1).kind == "["):
-            return HybridFormula.atomic(first)
-        connective = tok.text
-        atoms = [first]
-        strategy = None
+    def parse_formula(self, first: Atom | None = None) -> HybridFormula:
+        """The formula, or the rest of it after its first atom."""
+        atoms = [first if first is not None else self.parse_atom()]
+        connective = strategy = None
         while True:
             tok = self.peek()
             if not (tok.kind == "ident" and tok.text in ("and", "or") and self.peek(1).kind == "["):
                 break
-            if tok.text != connective:
+            if connective is None:
+                connective = tok.text
+            elif tok.text != connective:
                 raise self.error("a formula uses a single connective", tok)
             self.next()
             self.expect("[")
             strat = self.expect("ident", "a strategy name")
             if strategy is None:
                 strategy = strat.text
-                kind = CONJUNCTIVE if connective == "and" else DISJUNCTIVE
-                self.registry.get_kind(strategy, kind)
+                self.registry.get_kind(strategy, CONJUNCTIVE if connective == "and" else DISJUNCTIVE)
             elif strat.text != strategy:
                 raise self.error("a formula uses a single strategy", strat)
             self.expect("]")
@@ -388,11 +366,9 @@ class _Parser:
         if tok.kind == "ident":
             self.next()
             if self.accept("("):
-                args = [self.parse_term()]
-                while self.accept(","):
-                    args.append(self.parse_term())
+                args = self.sequence(self.parse_term)
                 self.expect(")")
-                return FuncTerm(tok.text, tuple(args))
+                return FuncTerm(tok.text, args)
             return Const(tok.text)
         if self.accept("("):
             inner = self.parse_term()
@@ -402,24 +378,25 @@ class _Parser:
 
     # -- annotations ----------------------------------------------------------
 
-    def parse_annotation(self) -> AnnotationLike:
-        lo, hi = self.parse_annotation_pair()
-        return self.make_annotation(lo, hi)
+    def parse_optional_annotation(self) -> AnnotationLike:
+        """[":" ann], as an interval when both ends are constants; [1,1]
+        when omitted."""
+        if not self.accept(":"):
+            return ONE
+        ann = self.parse_annotation()
+        if isinstance(ann.lo, AnnConst) and isinstance(ann.hi, AnnConst):
+            return ProbInterval(ann.lo.value, ann.hi.value)
+        return ann
 
-    def parse_annotation_pair(self) -> tuple[AnnItem, AnnItem]:
+    def parse_annotation(self) -> Annotation:
         if self.accept("["):
             lo = self.parse_annotation_item()
             self.expect(",")
             hi = self.parse_annotation_item()
             self.expect("]")
-            return lo, hi
+            return Annotation(lo, hi)
         item = self.parse_annotation_item()
-        return item, item
-
-    def make_annotation(self, lo: AnnItem, hi: AnnItem) -> AnnotationLike:
-        if isinstance(lo, AnnConst) and isinstance(hi, AnnConst):
-            return ProbInterval(lo.value, hi.value)
-        return Annotation(lo, hi)
+        return Annotation(item, item)
 
     def parse_annotation_item(self) -> AnnItem:
         tok = self.peek()
@@ -438,11 +415,9 @@ class _Parser:
             if tok.text not in ANNOTATION_FUNCTIONS:
                 raise self.error(f"unknown annotation function {tok.text!r}", tok)
             self.expect("(")
-            args = [self.parse_annotation_item()]
-            while self.accept(","):
-                args.append(self.parse_annotation_item())
+            args = self.sequence(self.parse_annotation_item)
             self.expect(")")
-            return AnnFunc(tok.text, tuple(args))
+            return AnnFunc(tok.text, args)
         raise self.error(f"expected an annotation, found {tok.text or 'end of input'!r}", tok)
 
     # -- safety ----------------------------------------------------------------
@@ -454,13 +429,13 @@ class _Parser:
         condition. Positive-body occurrences outside plain formulae (guards,
         set globals) are allowed and ground by universe enumeration.
         """
-        pos_vars: set[str] = set()
+        outside: set[str] = set()  # the rule's variables outside its sets
         sets: list[ProbabilitySet] = []
         for item, ann in rule.pos_body:
-            pos_vars |= annotation_variables(ann) | item_variables(item)
+            outside |= annotation_variables(ann) | item_variables(item)
             if isinstance(item, AggregateAtom) and isinstance(item.pset, ProbabilitySet):
-                pos_vars |= _set_variables(item.pset)
                 sets.append(item.pset)
+        positive = outside.union(*map(_set_variables, sets))
 
         demanded: set[str] = set()
         for atom, ann in rule.head:
@@ -469,8 +444,9 @@ class _Parser:
             demanded |= annotation_variables(ann) | item_variables(item)
             if isinstance(item, AggregateAtom) and isinstance(item.pset, ProbabilitySet):
                 sets.append(item.pset)
+        outside |= demanded
 
-        unsafe = demanded - pos_vars
+        unsafe = demanded - positive
         if unsafe:
             name = sorted(unsafe)[0]
             raise UnsafeVariable(
@@ -481,13 +457,11 @@ class _Parser:
             )
 
         # set-local variables must be bindable by the set's own condition
-        rule_text_vars = _rule_variables_outside_sets(rule)
         for pset in sets:
             cond_vars: set[str] = set()
             for formula, ann in pset.condition:
                 cond_vars |= formula.variables() | annotation_variables(ann)
-            local = _set_variables(pset) - rule_text_vars
-            floating = local - cond_vars
+            floating = _set_variables(pset) - outside - cond_vars
             if floating:
                 name = sorted(floating)[0]
                 raise UnsafeVariable(
@@ -499,20 +473,9 @@ class _Parser:
 
 
 def _set_variables(pset: ProbabilitySet) -> set[str]:
-    out = term_variables(pset.value)
-    for item in (pset.lo, pset.hi):
-        out |= annotation_variables(Annotation(item, item))
+    out = term_variables(pset.value) | annotation_variables(pset.prob)
     for formula, ann in pset.condition:
         out |= formula.variables() | annotation_variables(ann)
-    return out
-
-
-def _rule_variables_outside_sets(rule: Rule) -> set[str]:
-    out: set[str] = set()
-    for atom, ann in rule.head:
-        out |= atom.variables() | annotation_variables(ann)
-    for item, ann in rule.pos_body + rule.neg_body:
-        out |= annotation_variables(ann) | item_variables(item)
     return out
 
 
@@ -525,22 +488,20 @@ def parse_program(
     """Parse program text into rules plus strategy directives, in a new
     program or appended to into, as if the texts were concatenated: only a
     directive the text states changes a strategy of into."""
-    registry = registry if registry is not None else builtin_registry()
-    parser = _Parser(tokenize(text, filename), filename, registry)
-    return parser.parse_program(into if into is not None else Program(rules=[], registry=registry))
+    parser = _Parser(text, filename, registry)
+    return parser.parse_program(into if into is not None else Program(rules=[], registry=parser.registry))
 
 
 def parse_formula(text: str, registry: StrategyRegistry | None = None) -> HybridFormula:
     """Parse a standalone hybrid formula, e.g. from a model file."""
-    registry = registry if registry is not None else builtin_registry()
-    parser = _Parser(tokenize(text, "<formula>"), "<formula>", registry)
-    formula = parser.parse_formula_tail(parser.parse_atom())
+    parser = _Parser(text, "<formula>", registry)
+    formula = parser.parse_formula()
     parser.expect("eof", "end of formula")
     return formula
 
 
 def parse_annotation_item(text: str) -> AnnItem:
-    parser = _Parser(tokenize(text, "<annotation>"), "<annotation>", builtin_registry())
+    parser = _Parser(text, "<annotation>")
     item = parser.parse_annotation_item()
     parser.expect("eof", "end of annotation")
     return item

@@ -68,6 +68,11 @@ def test_as_fraction_accepts_exact_forms():
     assert as_fraction(Fraction(2, 5)) == Fraction(2, 5)
 
 
+def test_as_fraction_returns_a_fraction_itself():
+    q = Fraction(2, 5)
+    assert as_fraction(q) is q
+
+
 def test_as_fraction_rejects_inexact_forms():
     with pytest.raises(TypeError):
         as_fraction(0.7)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,12 +13,26 @@ from dhpp import (
     ProbInterval,
     Rule,
     UnsafeVariable,
+    ground_program,
     parse_annotation_item,
+    parse_classical,
     parse_formula,
     parse_program,
 )
-from dhpp.errors import ConstantOutOfRange, UnknownAggregateFunction, UnknownStrategy
+from dhpp.errors import (
+    ConstantOutOfRange,
+    InvalidInterval,
+    UnknownAggregateFunction,
+    UnknownAnnotationFunction,
+    UnknownStrategy,
+)
 from dhpp.model import AnnFunc, Annotation, BuiltinComparison, Num, Var
+from generators import (
+    random_aggregate_program,
+    random_nonground_program,
+    random_probability_program,
+    rule_text,
+)
 
 
 def iv(lo, hi=None) -> ProbInterval:
@@ -197,6 +212,15 @@ ROUND_TRIP_PROGRAMS = [
     "a :- minP{<1 : 0.5 | b:0.5>} > 0 : 0.5.\n",
     "a(X) :- b(X), X < 2.\n",
     "d(X*2) :- b(X).\n",
+    # the remaining productions: annotation functions and variables as
+    # interval ends, nested arithmetic, a negated comparison, negated
+    # aggregates, a set condition of two literals, an empty set
+    "c(X) : pmul(P1,pcomp(P2)) :- a(X) : P1, b(X) : [P2,pmax(P1,P2)].\n",
+    "a : [1/3,0.9] | b : 0.2 :- c and[inc] d : [0.1,0.5], not e or[ind] f or[ind] g : pmin(0.5,0.7).\n",
+    "d(X*2+1,Y-(X-1)) :- b(X), b(Y), X <= Y, X != 3, not X > 1.\n",
+    ":- not sumP{X : P | a(X,Y) : P, c(Y)} >= [1,3] : 0.3.\n",
+    "a :- not countE{<1 : [0.2,0.4] | b and[pcc] c : 0.5>, <2 : 0.5 | d>} < 2, maxP{} = -1.\n",
+    "a :- valE{X : [P,padd(P,0.1)] | n(F,X) : P} < 230.\n",
 ]
 
 
@@ -223,3 +247,121 @@ def test_no_bare_scalars_survive_parsing(diet_path):
     for rule in program.rules:
         for _, ann in rule.head + rule.pos_body + rule.neg_body:
             assert isinstance(ann, (ProbInterval, Annotation))
+
+
+def assert_print_parse_round_trip(program):
+    again = parse_program(str(program))
+    assert again.rules == program.rules, str(program)
+    assert (again.tau, again.default_tau) == (program.tau, program.default_tau)
+
+
+def test_random_programs_round_trip():
+    rng = random.Random(5)
+    for _ in range(200):
+        text = "\n".join(rule_text(rule) for rule in random_nonground_program(rng))
+        program = parse_program(text)
+        assert_print_parse_round_trip(program)
+        assert_print_parse_round_trip(ground_program(program))
+    rng = random.Random(6)
+    for _ in range(200):
+        assert_print_parse_round_trip(random_aggregate_program(rng))
+        assert_print_parse_round_trip(random_probability_program(rng))
+
+
+READERS = {
+    "program": parse_program,
+    "formula": parse_formula,
+    "item": parse_annotation_item,
+    "classical": parse_classical,
+}
+
+# one input per error the readers raise, and per validation they reach:
+# (reader, text, exception type, message, line, column)
+PARSE_ERRORS = [
+    ("program", "a :- b ? c.", ParseError, "<string>:1:8: unexpected character '?'", 1, 8),
+    ("program", "a.\nb :- c", ParseError, "<string>:2:7: expected '.', found 'end of input'", 2, 7),
+    ("program", "#(x).", ParseError, "<string>:1:2: expected a directive name, found '('", 1, 2),
+    ("program", "#foo(x).", ParseError, "<string>:1:2: unknown directive #foo", 1, 2),
+    ("program", "#tau(1, ind).", ParseError, "<string>:1:6: expected a predicate name, found '1'", 1, 6),
+    ("program", "#tau(p ind).", ParseError, "<string>:1:8: expected ',', found 'ind'", 1, 8),
+    ("program", "#default_tau(1).", ParseError, "<string>:1:14: expected a strategy name, found '1'", 1, 14),
+    ("program", "#default_tau(ind.", ParseError, "<string>:1:17: expected ')', found '.'", 1, 17),
+    ("program", "#default_tau(ind)", ParseError, "<string>:1:18: expected '.', found 'end of input'", 1, 18),
+    ("program", "#default_tau(inc).", UnknownStrategy, "strategy 'inc' is conjunctive, expected disjunctive", None, None),
+    ("program", "a :- avgE{X : P | b(X) : P} > 1.", UnknownAggregateFunction, "<string>:1:6: unknown aggregate function 'avgE'", None, None),
+    ("program", "a(X) :- b(X), X = 2 : 0.5.", ParseError, "<string>:1:21: comparisons cannot be annotated", 1, 21),
+    ("program", "a :- sumP{<1 : 0.5 | b>} ~ 1.", ParseError, "<string>:1:26: unexpected character '~'", 1, 26),
+    ("program", "a :- sumP{<1 : 0.5 | b>} foo.", ParseError, "<string>:1:26: expected a comparator after the aggregate set", 1, 26),
+    ("program", "a :- sumP{<1 : 0.5 | b> 1.", ParseError, "<string>:1:25: expected '}', found '1'", 1, 25),
+    ("program", "a :- sumP{<1 : 0.5 | b>} >= [1, 2.", ParseError, "<string>:1:34: expected ']', found '.'", 1, 34),
+    ("program", "a :- sumP{<1 : 0.5 | b>} >= [1 2].", ParseError, "<string>:1:32: expected ',', found '2'", 1, 32),
+    ("program", "a :- sumP{<1 0.5 | b>} > 1.", ParseError, "<string>:1:14: expected ':', found '0.5'", 1, 14),
+    ("program", "a :- sumP{<1 : 0.5 b>} > 1.", ParseError, "<string>:1:20: expected '|', found 'b'", 1, 20),
+    ("program", "a :- sumP{<1 : 0.5 | b} > 1.", ParseError, "<string>:1:23: expected '>', found '}'", 1, 23),
+    ("program", "a :- sumP{<1 : P | b>} > 1.", ParseError, "<string>:1:11: ground pair annotations must be constants", 1, 11),
+    ("program", "a :- sumP{<1 : [0.2, P] | b>} > 1.", ParseError, "<string>:1:11: ground pair annotations must be constants", 1, 11),
+    ("program", "a :- sumP{<1 : 0.5 | b(X)>} > 1.", ParseError, "<string>:1:11: ground pair conditions must be ground", 1, 11),
+    ("program", "a :- sumP{<1 : 0.5 | b : P>} > 1.", ParseError, "<string>:1:11: ground pair conditions must be ground", 1, 11),
+    ("program", "a :- sumP{<1 : [0.7, 0.3] | b>} > 1.", InvalidInterval, "interval endpoints out of order: [7/10, 3/10]", None, None),
+    ("program", "a :- sumP{X 0.5 | b(X)} > 1.", ParseError, "<string>:1:13: expected ':', found '0.5'", 1, 13),
+    ("program", "a :- sumP{X : 0.5 b(X)} > 1.", ParseError, "<string>:1:19: expected '|', found 'b'", 1, 19),
+    ("program", "X :- b.", ParseError, "<string>:1:1: expected an atom, found X", 1, 1),
+    ("program", "a :- 1.", ParseError, "<string>:1:6: expected an atom, found 1", 1, 6),
+    ("program", "c :- a and[inc] b or[ind] d.", ParseError, "<string>:1:19: a formula uses a single connective", 1, 19),
+    ("program", "c :- a and[inc] b and[pcc] d.", ParseError, "<string>:1:23: a formula uses a single strategy", 1, 23),
+    ("program", "c :- a and[inc] a.", ParseError, "<string>:1:18: compound formula atoms must be distinct", 1, 18),
+    ("program", "c :- a and[1] b.", ParseError, "<string>:1:12: expected a strategy name, found '1'", 1, 12),
+    ("program", "c :- a and[inc b.", ParseError, "<string>:1:16: expected ']', found 'b'", 1, 16),
+    ("program", "c :- a and[nosuch] b.", UnknownStrategy, "unknown strategy 'nosuch'", None, None),
+    ("program", "c :- a or[inc] b.", UnknownStrategy, "strategy 'inc' is conjunctive, expected disjunctive", None, None),
+    ("program", "a :- .", ParseError, "<string>:1:6: expected a term, found '.'", 1, 6),
+    ("program", "a(-X).", ParseError, "<string>:1:4: expected a number after unary minus, found 'X'", 1, 4),
+    ("program", "a(b,.", ParseError, "<string>:1:5: expected a term, found '.'", 1, 5),
+    ("program", "a :- (1 + 2.", ParseError, "<string>:1:12: expected ')', found '.'", 1, 12),
+    ("program", "a : pfoo(0.5).", ParseError, "<string>:1:5: unknown annotation function 'pfoo'", 1, 5),
+    ("program", "a : pmul 0.5.", ParseError, "<string>:1:10: expected '(', found '0.5'", 1, 10),
+    ("program", "a : pmul(0.5 0.5).", ParseError, "<string>:1:14: expected ')', found '0.5'", 1, 14),
+    ("program", "a : .", ParseError, "<string>:1:5: expected an annotation, found '.'", 1, 5),
+    ("program", "a : -P.", ParseError, "<string>:1:6: expected a number after unary minus, found 'P'", 1, 6),
+    ("program", "a : [0.2 0.3].", ParseError, "<string>:1:10: expected ',', found '0.3'", 1, 10),
+    ("program", "a : [0.2, 0.3.", ParseError, "<string>:1:14: expected ']', found '.'", 1, 14),
+    ("program", "a : 1.5.", ConstantOutOfRange, "annotation constant 1.5 outside [0,1]", None, None),
+    ("program", "a : -1.", ConstantOutOfRange, "annotation constant -1 outside [0,1]", None, None),
+    ("program", "a : pcomp(0.5, 0.5).", UnknownAnnotationFunction, "annotation function 'pcomp' does not take 2 arguments", None, None),
+    ("program", "a : pmul(0.5).", UnknownAnnotationFunction, "annotation function 'pmul' does not take 1 arguments", None, None),
+    ("program", "a : [0.7, 0.3].", InvalidInterval, "interval endpoints out of order: [7/10, 3/10]", None, None),
+    ("program", "a :- b : [0.5, 0.4].", InvalidInterval, "interval endpoints out of order: [1/2, 2/5]", None, None),
+    ("program", "a(X).", UnsafeVariable, "<string>:1:1: variable X has no positive body occurrence", 1, 1),
+    ("program", "a :- not b(X).", UnsafeVariable, "<string>:1:1: variable X has no positive body occurrence", 1, 1),
+    ("program", "a : P :- b.", UnsafeVariable, "<string>:1:1: variable P has no positive body occurrence", 1, 1),
+    ("program", "a :- b, sumP{X : P | b(Y) : P} > 1 : 0.5.", UnsafeVariable, "<string>:1:1: set variable X does not occur in the set condition", 1, 1),
+    ("program", "a :- b, not sumP{X : Q | c(Y) : P} > 1 : 0.5.", UnsafeVariable, "<string>:1:1: set variable Q does not occur in the set condition", 1, 1),
+    ("formula", "a b", ParseError, "<formula>:1:3: expected end of formula, found 'b'", 1, 3),
+    ("formula", "X", ParseError, "<formula>:1:1: expected an atom, found X", 1, 1),
+    ("item", "0.5 0.5", ParseError, "<annotation>:1:5: expected end of annotation, found '0.5'", 1, 5),
+    ("item", "1.5", ConstantOutOfRange, "annotation constant 1.5 outside [0,1]", None, None),
+    ("classical", "p(X) :- q.", ParseError, "<string>:1:1: classical atoms must be ground", 1, 1),
+    ("classical", "big :- sum{3 : a} ~ 5.", ParseError, "<string>:1:19: unexpected character '~'", 1, 19),
+    ("classical", "big :- sum{3 : a} foo 5.", ParseError, "<string>:1:19: expected a comparator, found 'foo'", 1, 19),
+    ("classical", "big :- sum{3 : a} >= foo.", ParseError, "<string>:1:22: aggregate bound must be a number", 1, 22),
+    ("classical", "big :- sum{3 a} >= 1.", ParseError, "<string>:1:14: expected ':', found 'a'", 1, 14),
+    ("classical", "big :- sum{3 : a >= 1.", ParseError, "<string>:1:18: expected '}', found '>='", 1, 18),
+    ("classical", "a :- not count{1 : b} > 0.", ParseError, "<string>:1:15: expected '.', found '{'", 1, 15),
+    ("classical", "a | :- b.", ParseError, "<string>:1:5: expected a term, found ':-'", 1, 5),
+    ("classical", "a :- b", ParseError, "<string>:1:7: expected '.', found 'end of input'", 1, 7),
+]
+
+
+@pytest.mark.parametrize("reader, text, error, message, line, col", PARSE_ERRORS)
+def test_parse_errors_are_pinned(reader, text, error, message, line, col):
+    with pytest.raises(error) as caught:
+        READERS[reader](text)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+    assert (getattr(caught.value, "line", None), getattr(caught.value, "col", None)) == (line, col)
+
+
+def test_constant_set_interval_is_checked_when_the_set_is_ground():
+    program = parse_program("b(1).\na :- sumP{X : [0.7, 0.3] | b(X)} > 0 : 0.5.")
+    with pytest.raises(InvalidInterval, match="out of order"):
+        ground_program(program)
