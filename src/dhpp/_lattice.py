@@ -1,0 +1,256 @@
+"""The value lattice of a ground program, as GroundProgram.value_lattice()
+returns it, with the tables of the minimality search (solver) built over it.
+"""
+
+from __future__ import annotations
+
+import itertools
+from array import array
+from typing import Mapping
+
+from .model import (
+    AggregateAtom,
+    Atom,
+    HybridFormula,
+    ProbInterval,
+    Program,
+    Rule,
+    truth_leq,
+    ZERO,
+)
+
+
+class _ValueLattice(Mapping):
+    """A read-only formula -> sorted values mapping that also numbers the
+    values and keeps the tables the minimality search reads.
+
+    Atom k is atoms[k], the k-th atomic formula of the program's scope in
+    printed order, with the values atom_values[k] (ZERO alone for an atom
+    the mapping lacks), numbered by rank. A set of its values is an int
+    mask, bit r standing for rank r: satisfying(k, ann) is the mask of the
+    values at or above ann in the truth order, below(k, r) that of the
+    values at or below rank r, kept once computed. The forms of the
+    program's rules (rule_form) and the branching order are built on first
+    use. The tables hold no reference to the program, so they die with it,
+    and a reduct shares the program's scope and rules, so they serve it
+    too.
+    """
+
+    __slots__ = (
+        "_values", "formulae", "_rules", "atoms", "position", "scope_positions",
+        "atom_values", "_offsets", "_downs", "_forms", "_order",
+    )
+
+    def __init__(self, values: dict[HybridFormula, tuple[ProbInterval, ...]], program: Program):
+        self._values = values
+        self.formulae = program.relevant_formulae
+        self._rules = program.rules
+        self.atoms = tuple(f for f in self.formulae if f.is_atomic)
+        self.position = {f.atoms[0]: k for k, f in enumerate(self.atoms)}
+        # per formula of the scope, its atom's number, or None for a compound
+        self.scope_positions = tuple(
+            self.position[f.atoms[0]] if f.is_atomic else None for f in self.formulae
+        )
+        self.atom_values = [values.get(f, (ZERO,)) for f in self.atoms]
+        # the down-set mask of atom k's rank r is _downs[_offsets[k] + r]
+        self._offsets = array('l', itertools.accumulate(map(len, self.atom_values), initial=0))
+        self._downs: list[int | None] = [None] * self._offsets[-1]
+        self._forms: tuple[list[tuple], list[tuple]] | None = None
+        self._order: tuple[int, ...] | None = None
+
+    def __getitem__(self, formula: HybridFormula) -> tuple[ProbInterval, ...]:
+        return self._values[formula]
+
+    def __contains__(self, formula: object) -> bool:
+        return formula in self._values
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def satisfying(self, k: int, ann: ProbInterval) -> int:
+        """The mask of atom k's values at or above ann."""
+        mask = 0
+        for r, v in enumerate(self.atom_values[k]):
+            if truth_leq(ann, v):
+                mask |= 1 << r
+        return mask
+
+    def rank(self, k: int, value: ProbInterval) -> int | None:
+        """The rank of value among atom k's values, or None."""
+        row = self.atom_values[k]
+        for r, v in enumerate(row):
+            if v is value:
+                return r
+        try:
+            return row.index(value)
+        except ValueError:
+            return None
+
+    def below(self, k: int, r: int) -> int:
+        """The mask of atom k's values at or below its value of rank r."""
+        i = self._offsets[k] + r
+        mask = self._downs[i]
+        if mask is None:
+            row = self.atom_values[k]
+            mask = self._downs[i] = _below_mask(row, row[r])
+        return mask
+
+    def rule_form(self, rule: Rule, literal=None) -> tuple[tuple, tuple]:
+        """rule as the minimality search reads it: its body literals in
+        order, each (atom, mask of the values where the literal holds) for
+        an atomic formula, else (None, (item, ann, positive)); and its head
+        disjuncts as (atom, mask of the values that satisfy it). literal(k,
+        ann, positive) makes the pair of an atomic formula, by default from
+        satisfying."""
+        literal = literal or self._literal
+        position = self.position
+        literals = []
+        for body, positive in ((rule.pos_body, True), (rule.neg_body, False)):
+            for item, ann in body:
+                if isinstance(item, HybridFormula) and item.is_atomic:
+                    literals.append(literal(position[item.atoms[0]], ann, positive))
+                else:
+                    literals.append((None, (item, ann, positive)))
+        head = tuple(literal(position[atom], ann, True) for atom, ann in rule.head)
+        return tuple(literals), head
+
+    def _literal(self, k: int, ann: ProbInterval, positive: bool) -> tuple[int, int]:
+        mask = self.satisfying(k, ann)
+        return k, mask if positive else ~mask
+
+    def _build_forms(self) -> tuple[list[tuple], list[tuple]]:
+        """The body and head forms of the program's rules."""
+        # equal literals and heads share one tuple. The memo lives for this
+        # build only, while the rules hold their annotations, so an id names
+        # one and equal annotations built apart are never compared
+        shared: dict[tuple, tuple] = {}
+
+        def literal(k: int, ann: ProbInterval, positive: bool) -> tuple[int, int]:
+            key = (k, id(ann), positive)
+            pair = shared.get(key)
+            if pair is None:
+                pair = self._literal(k, ann, positive)
+                pair = shared[key] = shared.setdefault(pair, pair)
+            return pair
+
+        bodies, heads = [], []
+        for rule in self._rules:
+            literals, head = self.rule_form(rule, literal)
+            bodies.append(literals)
+            heads.append(shared.setdefault(head, head))
+        return bodies, heads
+
+    def rule_forms(self, rules: list[Rule]) -> tuple[list[tuple], list[tuple]]:
+        """The body and head forms of rules, read from those of the
+        program's rules when rules are among them in program order, as a
+        reduct's are, else built afresh."""
+        if self._forms is None:
+            self._forms = self._build_forms()
+        mine, (bodies, heads) = self._rules, self._forms
+        if rules is mine:
+            return bodies, heads
+        out: tuple[list[tuple], list[tuple]] = ([], [])
+        j = 0
+        for rule in rules:
+            while j < len(mine) and mine[j] is not rule:
+                j += 1
+            if j == len(mine):
+                forms = [self.rule_form(rule) for rule in rules]
+                return [f[0] for f in forms], [f[1] for f in forms]
+            out[0].append(bodies[j])
+            out[1].append(heads[j])
+            j += 1
+        return out
+
+    @property
+    def order(self) -> tuple[int, ...]:
+        """The atoms in branching order: grouped by strongly connected
+        component of the positive dependency graph, bodies before heads,
+        printed order inside a component. Atoms in the conditions of an
+        aggregate count as body atoms. Branching in this order decides a
+        rule's body before its head is branched on."""
+        if self._order is None:
+            self._order = self._branching_order()
+        return self._order
+
+    def _branching_order(self) -> tuple[int, ...]:
+        position = self.position
+        depends: list[list[int]] = [[] for _ in self.atoms]
+        for rule in self._rules:
+            if not rule.head:
+                continue
+            body: list[int] = []
+            for item, _ in rule.pos_body:
+                if isinstance(item, HybridFormula):
+                    body.extend(map(position.__getitem__, item.atoms))
+                elif isinstance(item, AggregateAtom):
+                    for pair in item.pset.pairs:
+                        for formula, _ in pair.condition:
+                            body.extend(map(position.__getitem__, formula.atoms))
+            for atom, _ in rule.head:
+                depends[position[atom]].extend(body)
+        return tuple(_components(depends))
+
+
+def _below_mask(values: tuple[ProbInterval, ...], top: ProbInterval) -> int:
+    """The mask of the values at or below top. values is sorted by (lo, hi),
+    so no value after one whose lo exceeds top's can be at or below it."""
+    mask = 0
+    for r, v in enumerate(values):
+        if truth_leq(v, top):
+            mask |= 1 << r
+        elif v.lo > top.lo:
+            break
+    return mask
+
+
+def _components(depends: list[list[int]]) -> list[int]:
+    """Nodes 0..n-1 grouped by strongly connected component of the graph
+    whose edges run from each node to its depends, each component in
+    ascending order and after every component it reaches (Tarjan's
+    algorithm, iterative, roots in ascending order, edges in list order)."""
+    n = len(depends)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    out: list[int] = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(depends[root]))]
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(depends[w])))
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                        if w == v:
+                            break
+                    out.extend(sorted(component))
+    return out

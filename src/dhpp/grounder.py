@@ -29,9 +29,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import MappingProxyType
 from typing import Mapping
 
+from ._lattice import _ValueLattice
 from .errors import UniverseOverflow, UnsupportedConstruct
 from .model import (
     AggregateAtom,
@@ -622,12 +622,16 @@ class GroundProgram(Program):
         Atoms take fold values over sub-multisets of their head-occurrence
         annotations; compound formulae take strategy compositions over
         component values. Sorted ascending by (lo, hi). Computed once per
-        program and shared read-only between callers.
+        program and shared read-only between callers. The mapping also
+        numbers each atom's values and keeps the rank masks, rule forms and
+        branching order of the minimality search (_lattice._ValueLattice),
+        each built on first use; they belong to this program and die with
+        it.
         """
         return self._lattice
 
     @cached_property
-    def _lattice(self) -> Mapping[HybridFormula, tuple[ProbInterval, ...]]:
+    def _lattice(self) -> _ValueLattice:
         occurrences = self.head_annotations()
         lattice: dict[HybridFormula, tuple[ProbInterval, ...]] = {}
         total = 0
@@ -664,7 +668,7 @@ class GroundProgram(Program):
             if total > LATTICE_CAP:
                 raise UniverseOverflow(f"value lattice exceeded {LATTICE_CAP} entries")
             lattice[formula] = tuple(sorted(values, key=lambda v: (v.lo, v.hi)))
-        return MappingProxyType(lattice)
+        return _ValueLattice(lattice, self)
 
 
 def ground_program(program: Program, max_rules: int = 100_000) -> GroundProgram:

@@ -281,6 +281,9 @@ class _Parser:
         value = self.parse_term()
         self.expect(":")
         prob = self.parse_annotation()
+        # constant ends out of order raise here, as on heads and bodies; the
+        # annotation itself is evaluated when the set is ground
+        _constant_interval(prob)
         self.expect("|")
         return value, prob, self.sequence(self.parse_formula_literal)
 
@@ -288,12 +291,13 @@ class _Parser:
         start = self.expect("<")
         value, prob, condition = self.parse_member()
         self.expect(">")
-        if not (isinstance(prob.lo, AnnConst) and isinstance(prob.hi, AnnConst)):
+        interval = _constant_interval(prob)
+        if interval is None:
             raise self.error("ground pair annotations must be constants", start)
         for formula, ann in condition:
             if not isinstance(ann, ProbInterval) or not formula.is_ground():
                 raise self.error("ground pair conditions must be ground", start)
-        return GroundPair(value, ProbInterval(prob.lo.value, prob.hi.value), condition)
+        return GroundPair(value, interval, condition)
 
     # -- formulae, atoms, terms ---------------------------------------------
 
@@ -384,9 +388,7 @@ class _Parser:
         if not self.accept(":"):
             return ONE
         ann = self.parse_annotation()
-        if isinstance(ann.lo, AnnConst) and isinstance(ann.hi, AnnConst):
-            return ProbInterval(ann.lo.value, ann.hi.value)
-        return ann
+        return _constant_interval(ann) or ann
 
     def parse_annotation(self) -> Annotation:
         if self.accept("["):
@@ -470,6 +472,14 @@ class _Parser:
                     start.line,
                     start.col,
                 )
+
+
+def _constant_interval(ann: Annotation) -> ProbInterval | None:
+    """ann as an interval when both ends are constants, else None; raises
+    InvalidInterval when the constants are out of order."""
+    if isinstance(ann.lo, AnnConst) and isinstance(ann.hi, AnnConst):
+        return ProbInterval(ann.lo.value, ann.hi.value)
+    return None
 
 
 def _set_variables(pset: ProbabilitySet) -> set[str]:

@@ -16,11 +16,13 @@ map, and keeps every rule's verdict, the fired rules and the first failed
 check as data, rendering text only when asked (first_failure). The reduct
 by h is those fired rules (the FLP reduct), so each body is decided once.
 
-satisfies_literal and satisfies_body are the one literal evaluator of the
-p-model check and the minimality search. They read h only
-through h.possible(formula), the values a formula may still take (None
-while h cannot tell), and return None while those values disagree; a
-PInterpretation allows one value per formula, so it gets plain booleans.
+satisfies_literal and satisfies_body are the literal evaluator of the
+p-model check. The minimality search decides atomic formula literals over
+rank masks of its own and calls satisfies_literal for compound formulae
+and aggregates, so aggregates are evaluated here alone. The evaluator reads
+h only through h.possible(formula), the values a formula may still take
+(None while h cannot tell), and returns None while those values disagree;
+a PInterpretation allows one value per formula, so it gets plain booleans.
 """
 
 from __future__ import annotations

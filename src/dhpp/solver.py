@@ -23,10 +23,16 @@ exactly: it must be a p-model of the program, which no candidate violating
 a constraint is, and a minimal p-model of its own reduct. The reduct is the
 rules that fired in that p-model check, read from its report.
 
-Minimality runs as a DFS over per-formula value domains at or below the
-candidate, with unit propagation on rules whose bodies are decided.
-Compound values are determined by their components throughout. Rule bodies
-there are read by the semantics' evaluator, as in the p-model check.
+Minimality runs as a DFS for a p-model of the reduct strictly below the
+candidate. An atom's domain is a mask over its lattice ranks at or below
+the candidate's value, plus a bit for that value when it lies off the
+lattice; atoms are branched on in the dependency order the value lattice
+keeps, bodies before heads, with unit propagation on rules whose bodies
+are decided. Formula literals and head disjuncts are decided by ANDing
+masks the lattice builds once per program (_lattice._ValueLattice).
+Compounds, composed once their components are decided, and aggregates go
+to semantics.satisfies_literal, and satisfies_program judges each leaf, so
+aggregates and rule satisfaction keep one definition each.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .errors import NonExpansiveStrategy, SearchSpaceOverflow
+from ._lattice import _below_mask, _ValueLattice
 from .grounder import GroundProgram
 from .model import (
     AggregateAtom,
@@ -48,7 +55,7 @@ from .model import (
     truth_leq,
     ZERO,
 )
-from .semantics import SatisfactionReport, reduct, satisfies_body, satisfies_program
+from .semantics import SatisfactionReport, reduct, satisfies_literal, satisfies_program
 from .strategies import compose_fold, PStrategy
 
 GuessKey = tuple[str, object, ProbInterval]
@@ -329,13 +336,17 @@ def _closure(cp: _Compiled, index: int) -> tuple[int, ...]:
 class _MinimalitySearch:
     """DFS for a strictly smaller p-model of the reduct.
 
-    Domains hold lattice values at or below the candidate; compound values
-    are determined by components, so only atoms branch. The search answers
-    possible(formula) for its current branch, so satisfies_body(self, rule)
-    is decided only when every completion of the branch agrees. Propagation:
-    a rule whose body is decided true must keep a satisfiable head disjunct,
-    and when only one disjunct can serve, its atom's domain shrinks to the
-    satisfying values.
+    Atom k of the lattice (_ValueLattice) has the domain domains[k], a mask
+    over its lattice ranks: the values at or below h's, plus one bit above
+    them for h's own value when it lies off the lattice. Compound values
+    are determined by their components, so only atoms branch, in the
+    lattice's order. A formula literal or head disjunct is decided by
+    ANDing the domain with the mask of its satisfying values; compounds and
+    aggregates go to satisfies_literal, which reads possible(formula), so a
+    body is decided only when every completion of the branch agrees.
+    Propagation: a rule whose body is decided true must keep a satisfiable
+    head disjunct, and when only one disjunct can serve, its atom's domain
+    shrinks to the satisfying values.
     """
 
     def __init__(
@@ -345,30 +356,52 @@ class _MinimalitySearch:
         lattice: Mapping[HybridFormula, tuple[ProbInterval, ...]],
         node_cap: int,
     ):
+        if not isinstance(lattice, _ValueLattice) or lattice.formulae is not red.relevant_formulae:
+            lattice = _ValueLattice(dict(lattice), red)
         self.red = red
         self.h = h
         self.node_cap = node_cap
         self.nodes = 0
-        self.atom_order = [f for f in red.relevant_formulae if f.is_atomic]
-        self.atomics = {f.atoms[0]: f for f in self.atom_order}
-        self.domains: dict[HybridFormula, tuple[ProbInterval, ...]] = {}
-        for f in self.atom_order:
-            assigned = h.value(f)
-            # the lattice tuple is sorted by (lo, hi): a value at or below
-            # assigned sorts before it, so assigned goes last, and no value
-            # after one whose lo exceeds assigned's can be at or below it
-            vals = []
-            for v in lattice.get(f, (ZERO,)):
-                if truth_leq(v, assigned):
-                    vals.append(v)
-                elif v.lo > assigned.lo:
-                    break
-            if vals[-1:] != [assigned]:
-                vals.append(assigned)
-            self.domains[f] = tuple(vals)
+        self.lattice = lattice
+        self.atoms = lattice.atoms
+        self.position = lattice.position
+        self.values = list(lattice.atom_values)
+        # each atom's value in h, and its bit
+        self.assigned = [h.value(f) for f in self.atoms]
+        self.top: list[int] = []
+        # h's value of each atom it puts off the lattice
+        self.extra: dict[int, ProbInterval] = {}
+        self.domains: list[int] = []
+        for k, assigned in enumerate(self.assigned):
+            r = lattice.rank(k, assigned)
+            if r is not None:
+                self.top.append(1 << r)
+                self.domains.append(lattice.below(k, r))
+                continue
+            values = self.values[k]
+            self.top.append(1 << len(values))
+            self.domains.append(_below_mask(values, assigned) | self.top[k])
+            self.values[k] = values + (assigned,)
+            self.extra[k] = assigned
+        self.bodies, self.heads = lattice.rule_forms(red.rules)
+        if self.extra:
+            # the forms that read an atom h puts off the lattice need its bit
+            self.bodies, self.heads = list(self.bodies), list(self.heads)
+            for p, rule in enumerate(red.rules):
+                if any(k in self.extra for k, _ in self.bodies[p] + self.heads[p]):
+                    self.bodies[p], self.heads[p] = lattice.rule_form(rule, self._literal)
+
+    def _literal(self, k: int, ann: ProbInterval, positive: bool) -> tuple[int, int]:
+        """The lattice's literal pair, whose mask also holds the bit of h's
+        value when h puts atom k off the lattice and that value satisfies
+        ann."""
+        mask = self.lattice.satisfying(k, ann)
+        if k in self.extra and truth_leq(ann, self.extra[k]):
+            mask |= self.top[k]
+        return k, mask if positive else ~mask
 
     def run(self) -> PInterpretation | None:
-        return self._search(self.domains)
+        return self._search(self.domains, 0)
 
     def _spend(self) -> None:
         self.nodes += 1
@@ -378,70 +411,103 @@ class _MinimalitySearch:
             )
 
     def possible(self, formula: HybridFormula) -> tuple[ProbInterval, ...] | None:
-        """An atom's domain; a compound's one value once every component is
-        decided, None before."""
+        """An atom's domain, decoded; a compound's one value once every
+        component is decided, None before."""
         if formula.is_atomic:
-            return self.domains[formula]
+            k = self.position[formula.atoms[0]]
+            d = self.domains[k]
+            return tuple(v for r, v in enumerate(self.values[k]) if d >> r & 1)
         component = []
         for a in formula.atoms:
-            dom = self.domains[self.atomics[a]]
-            if len(dom) != 1:
+            k = self.position[a]
+            d = self.domains[k]
+            if d & (d - 1):
                 return None
-            component.append(dom[0])
+            component.append(self.values[k][d.bit_length() - 1])
         return (compose_fold(self.red.formula_strategy(formula), component),)
+
+    def body(self, literals: tuple) -> bool | None:
+        """False when a body literal fails, True when all hold, None
+        otherwise, in the current branch; literals as in
+        _ValueLattice.rule_form."""
+        domains = self.domains
+        decided = True
+        for k, mask in literals:
+            if k is None:
+                sat = satisfies_literal(self, *mask)
+                if sat is False:
+                    return False
+                if sat is None:
+                    decided = False
+                continue
+            d = domains[k]
+            m = d & mask
+            if m != d:
+                if not m:
+                    return False
+                decided = False
+        return True if decided else None
 
     def _propagate(self) -> bool:
         domains = self.domains
         changed = True
         while changed:
             changed = False
-            for rule in self.red.rules:
-                if satisfies_body(self, rule) is not True:
+            for literals, head in zip(self.bodies, self.heads):
+                if self.body(literals) is not True:
                     continue
-                satisfiable = []
-                for atom, ann in rule.head:
-                    f = self.atomics[atom]
-                    ok = tuple(v for v in domains[f] if truth_leq(ann, v))
+                serving = 0
+                for k, mask in head:
+                    ok = domains[k] & mask
                     if ok:
-                        satisfiable.append((f, ok))
-                if not satisfiable:
+                        serving += 1
+                        only, narrowed = k, ok
+                if not serving:
                     return False
-                if len(satisfiable) == 1:
-                    f, ok = satisfiable[0]
-                    if len(ok) < len(domains[f]):
-                        domains[f] = ok
-                        changed = True
+                if serving == 1 and narrowed != domains[only]:
+                    domains[only] = narrowed
+                    changed = True
         return True
 
-    def _search(self, domains) -> PInterpretation | None:
+    def _search(self, domains: list[int], start: int) -> PInterpretation | None:
+        """Search the branch domains, which this call owns; the atoms before
+        start in the branching order are decided already."""
         self._spend()
-        # the branch being evaluated; children below get copies of it
-        self.domains = domains = dict(domains)
+        self.domains = domains
         if not self._propagate():
             return None
-        open_formula = None
-        for f in self.atom_order:
-            if len(domains[f]) > 1:
-                open_formula = f
-                break
-        if open_formula is None:
+        if not any(d & (d - 1) for d in domains):
             return self._leaf()
-        for v in domains[open_formula]:
-            branch = dict(domains)
-            branch[open_formula] = (v,)
-            witness = self._search(branch)
+        order = self.lattice.order
+        for p in range(start, len(order)):
+            k = order[p]
+            d = domains[k]
+            if d & (d - 1):
+                break
+        while d:
+            low = d & -d
+            branch = domains.copy()
+            branch[k] = low
+            witness = self._search(branch, p)
             if witness is not None:
                 return witness
+            d ^= low
         return None
 
     def _leaf(self) -> PInterpretation | None:
-        # the scope is sorted as PInterpretation sorts its entries
+        # the scope is sorted as PInterpretation sorts its entries; an atom
+        # at h's value takes h's own object, so comparing with h is cheap
+        domains = self.domains
         entries = []
-        for formula in self.red.relevant_formulae:
-            value = self.possible(formula)[0]
-            if not formula.is_atomic and not truth_leq(value, self.h.value(formula)):
-                return None
-            if value != ZERO:
+        for formula, k in zip(self.lattice.formulae, self.lattice.scope_positions):
+            if k is None:
+                value = self.possible(formula)[0]
+                if not truth_leq(value, self.h.value(formula)):
+                    return None
+            else:
+                d = domains[k]
+                value = self.assigned[k] if d == self.top[k] else self.values[k][d.bit_length() - 1]
+            if value is not ZERO and value != ZERO:
                 entries.append((formula, value))
         candidate = PInterpretation(tuple(entries))
         if candidate == self.h:
@@ -457,7 +523,9 @@ def find_smaller_model(
     lattice: Mapping[HybridFormula, tuple[ProbInterval, ...]],
     node_cap: int = 500_000,
 ) -> tuple[PInterpretation | None, int]:
-    """A p-model of red strictly below h, or None; plus nodes searched."""
+    """A p-model of red strictly below h, or None; plus nodes searched.
+    lattice is the value lattice of red's source program, whose tables the
+    search reads; a plain mapping gets the same tables built for this call."""
     search = _MinimalitySearch(red, h, lattice, node_cap)
     witness = search.run()
     return witness, search.nodes

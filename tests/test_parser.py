@@ -362,6 +362,18 @@ def test_parse_errors_are_pinned(reader, text, error, message, line, col):
 
 
 def test_constant_set_interval_is_checked_when_the_set_is_ground():
-    program = parse_program("b(1).\na :- sumP{X : [0.7, 0.3] | b(X)} > 0 : 0.5.")
+    # a constant interval out of order is rejected when it is read, as on
+    # heads and bodies, whether or not the rule holding the set is ever
+    # instantiated
+    for text in (
+        "b(1).\na :- sumP{X : [0.7, 0.3] | b(X)} > 0 : 0.5.",
+        "b(1).\na :- c, sumP{X : [0.7, 0.3] | b(X)} > 0 : 0.5.",
+    ):
+        with pytest.raises(InvalidInterval, match="out of order"):
+            parse_program(text)
+
+
+def test_variable_set_interval_is_checked_when_the_set_is_ground():
+    program = parse_program("b(1, 0.3).\na :- sumP{X : [0.7, P] | b(X, P)} > 0 : 0.5.")
     with pytest.raises(InvalidInterval, match="out of order"):
         ground_program(program)

@@ -328,14 +328,16 @@ def test_decided_bodies_agree_with_every_completion_of_a_branch(dice_path, diet_
                 if f.is_atomic
             )
             search = _MinimalitySearch(gp, top, lattice, node_cap=1)
-            for f, d in search.domains.items():
-                keep = rng.sample(d, rng.randint(1, len(d)))
-                search.domains[f] = tuple(v for v in d if v in keep)
-            for rule in gp.rules:
-                decided = satisfies_body(search, rule)
+            for i, d in enumerate(search.domains):
+                ranks = [r for r in range(d.bit_length()) if d >> r & 1]
+                keep = rng.sample(ranks, rng.randint(1, len(ranks)))
+                search.domains[i] = sum(1 << r for r in keep)
+            domains = {f: search.possible(f) for f in search.atoms}
+            for rule, literals in zip(gp.rules, search.bodies):
+                decided = search.body(literals)
                 verdicts.append(decided)
                 if decided is None:
                     continue
-                for h in completions(gp, search.domains, body_atoms(rule)):
+                for h in completions(gp, domains, body_atoms(rule)):
                     assert satisfies_body(h, rule) is decided, (str(rule), str(h))
     assert {True, False, None} <= set(verdicts)

@@ -1,6 +1,8 @@
+import itertools
 import random
 import re
 import tracemalloc
+from math import prod
 
 import pytest
 
@@ -36,7 +38,7 @@ from dhpp.solver import (
     find_smaller_model,
     pairwise_incomparable,
 )
-from dhpp.strategies import DISJUNCTIVE
+from dhpp.strategies import compose_fold, DISJUNCTIVE
 from generators import (
     brute_force_answer_sets,
     definite_fixpoint,
@@ -394,8 +396,9 @@ def test_minimality_domains_are_the_values_at_or_below_the_candidate():
                 for f in gp.relevant_formulae
             )
             search = _MinimalitySearch(gp, h, lattice, node_cap=1)
-            assert list(search.domains) == search.atom_order
-            for f, domain in search.domains.items():
+            assert sorted(search.atoms, key=str) == [f for f in gp.relevant_formulae if f.is_atomic]
+            for f in search.atoms:
+                domain = search.possible(f)
                 assigned = h.value(f)
                 values = {v for v in lattice.get(f, (ZERO,)) if truth_leq(v, assigned)}
                 outside += assigned not in values
@@ -403,6 +406,65 @@ def test_minimality_domains_are_the_values_at_or_below_the_candidate():
                 assert domain == tuple(sorted(values, key=lambda v: (v.lo, v.hi)))
                 checked += 1
     assert checked > 600 and outside > 200
+
+
+def smaller_models(red, h, lattice, cap: int = 4096):
+    """Every p-model of red strictly below h over the search's domains, by
+    brute force: per atom, the lattice values at or below h's value plus
+    that value itself; per compound, the composition of its components,
+    kept when it lies at or below h's value. None past cap combinations."""
+    atoms = [f for f in red.relevant_formulae if f.is_atomic]
+    compounds = [f for f in red.relevant_formulae if not f.is_atomic]
+    domains = []
+    for f in atoms:
+        top = h.value(f)
+        below = [v for v in lattice.get(f, (ZERO,)) if truth_leq(v, top)]
+        domains.append(below + [top] * (top not in below))
+    if prod(len(d) for d in domains) > cap:
+        return None
+    models = set()
+    for values in itertools.product(*domains):
+        chosen = dict(zip(atoms, values))
+        for f in compounds:
+            component = [chosen[HybridFormula.atomic(a)] for a in f.atoms]
+            chosen[f] = compose_fold(red.formula_strategy(f), component)
+        if not all(truth_leq(chosen[f], h.value(f)) for f in compounds):
+            continue
+        candidate = PInterpretation.from_pairs(chosen.items())
+        if candidate != h and satisfies_program(red, candidate).satisfied:
+            models.add(candidate)
+    return models
+
+
+def test_find_smaller_model_matches_brute_force():
+    # h mixes lattice values with intervals off the lattice, and the search
+    # reads either the program's own lattice or a partial plain mapping
+    rng = random.Random(29)
+    judged = found = 0
+    for n in range(160):
+        gp = (random_aggregate_program if n % 2 else random_probability_program)(rng)
+        full = gp.value_lattice()
+        for _ in range(3):
+            if rng.random() < 0.5:
+                lattice = full
+            else:
+                lattice = {f: v for f, v in full.items() if rng.random() < 0.8}
+            h = PInterpretation.from_pairs(
+                (f, rng.choice(full[f]) if rng.random() < 0.6 else random_interval(rng))
+                for f in gp.relevant_formulae
+            )
+            red = reduct(gp, satisfies_program(gp, h))
+            models = smaller_models(red, h, lattice)
+            if models is None:
+                continue
+            witness, _ = find_smaller_model(red, h, lattice)
+            assert (witness is not None) == bool(models), (str(gp), str(h))
+            if witness is not None:
+                assert witness in models
+                assert interp_lt(witness, h)
+                found += 1
+            judged += 1
+    assert judged > 300 and found > 100
 
 
 def test_candidate_cap_overflows(dice_solved):
@@ -456,6 +518,37 @@ def test_a_closure_cannot_stand_in_for_the_minimality_search():
     assert interp_lt(witness, h)
     assert satisfies_program(red, witness).satisfied
     assert enumerate_answer_sets(gp).interpretations == []
+
+
+def diet_non_minimal_models(diet_solved):
+    """Two p-models of diet that are no answer set: the union of its answer
+    sets (a formula in several takes its first value) and every atom at
+    [1,1]."""
+    union: dict = {}
+    for h in diet_solved.result.interpretations:
+        for f, v in h.entries:
+            union.setdefault(f, v)
+    one = ProbInterval(1, 1)
+    yield PInterpretation.from_pairs(union.items())
+    yield PInterpretation.from_pairs(
+        (f, one) for f in diet_solved.ground.relevant_formulae if f.is_atomic
+    )
+
+
+def test_non_minimal_diet_models_are_rejected_within_a_small_node_cap(diet_solved):
+    # branching in printed-name order took over 20,000 nodes on each; the
+    # witness is checked as a model, not pinned as text
+    gp = diet_solved.ground
+    for h in diet_non_minimal_models(diet_solved):
+        report = satisfies_program(gp, h)
+        assert report.satisfied
+        ok, reason = is_answer_set(gp, h, node_cap=2_000)
+        assert not ok and reason.startswith("not minimal")
+        red = reduct(gp, report)
+        witness, nodes = find_smaller_model(red, h, gp.value_lattice(), node_cap=2_000)
+        assert witness is not None and nodes <= 2_000
+        assert interp_lt(witness, h)
+        assert satisfies_program(red, witness).satisfied
 
 
 def test_node_cap_bounds_the_check_of_one_answer_set(dice_solved):
