@@ -1,5 +1,7 @@
 """The value lattice of a ground program, as GroundProgram.value_lattice()
-returns it, with the tables of the minimality search (solver) built over it.
+returns it, with the tables that judge interpretations over it: rank masks,
+rule forms and the minimality search's branching order. An interpretation
+in the lattice's numbering is a _Point.
 """
 
 from __future__ import annotations
@@ -10,8 +12,8 @@ from typing import Mapping
 
 from .model import (
     AggregateAtom,
-    Atom,
     HybridFormula,
+    PInterpretation,
     ProbInterval,
     Program,
     Rule,
@@ -19,10 +21,13 @@ from .model import (
     ZERO,
 )
 
+# rules' body and head forms, as _ValueLattice.rule_form makes them
+Forms = tuple[list[tuple], list[tuple]]
+
 
 class _ValueLattice(Mapping):
     """A read-only formula -> sorted values mapping that also numbers the
-    values and keeps the tables the minimality search reads.
+    values and keeps the tables that judge interpretations over them.
 
     Atom k is atoms[k], the k-th atomic formula of the program's scope in
     printed order, with the values atom_values[k] (ZERO alone for an atom
@@ -55,7 +60,7 @@ class _ValueLattice(Mapping):
         # the down-set mask of atom k's rank r is _downs[_offsets[k] + r]
         self._offsets = array('l', itertools.accumulate(map(len, self.atom_values), initial=0))
         self._downs: list[int | None] = [None] * self._offsets[-1]
-        self._forms: tuple[list[tuple], list[tuple]] | None = None
+        self._forms: Forms | None = None
         self._order: tuple[int, ...] | None = None
 
     def __getitem__(self, formula: HybridFormula) -> tuple[ProbInterval, ...]:
@@ -98,13 +103,45 @@ class _ValueLattice(Mapping):
             mask = self._downs[i] = _below_mask(row, row[r])
         return mask
 
+    def point(self, h: PInterpretation) -> tuple[_Point, tuple | None]:
+        """h in this lattice's numbering, and h's first entry whose formula
+        lies outside the scope, as (formula, value), or None: one walk of
+        h.entries. An atom h puts off the lattice gets its own bit."""
+        position = self.position
+        domains = [1] * len(self.atoms)
+        compounds = dict.fromkeys(
+            (f for f, k in zip(self.formulae, self.scope_positions) if k is None), ZERO
+        )
+        extra: dict[int, ProbInterval] = {}
+        outside = None
+        for formula, value in h.entries:
+            if formula.is_atomic:
+                k = position.get(formula.atoms[0])
+                if k is not None:
+                    r = self.rank(k, value)
+                    if r is None:
+                        r = len(self.atom_values[k])
+                        extra[k] = value
+                    domains[k] = 1 << r
+                    continue
+            elif formula in compounds:
+                compounds[formula] = value
+                continue
+            if outside is None:
+                outside = (formula, value)
+        return _Point(self, domains, compounds, extra), outside
+
     def rule_form(self, rule: Rule, literal=None) -> tuple[tuple, tuple]:
-        """rule as the minimality search reads it: its body literals in
-        order, each (atom, mask of the values where the literal holds) for
-        an atomic formula, else (None, (item, ann, positive)); and its head
-        disjuncts as (atom, mask of the values that satisfy it). literal(k,
-        ann, positive) makes the pair of an atomic formula, by default from
-        satisfying."""
+        """rule as the judge and the minimality search read it.
+
+        Its body literals, in order: (atom, mask of the values where the
+        literal holds) for an atomic formula; (None, (item, ann, positive,
+        conditions)) for an aggregate, whose conditions hold, per pair of
+        its set, the pair's condition formulae, an atomic one as (atom,
+        mask), a compound as (None, (formula, ann)); and (None, (item, ann,
+        positive)) for any other. Its head disjuncts: (atom, mask of the
+        values that satisfy it). literal(k, ann, positive) makes the pair
+        of an atomic formula, by default from satisfying."""
         literal = literal or self._literal
         position = self.position
         literals = []
@@ -112,6 +149,15 @@ class _ValueLattice(Mapping):
             for item, ann in body:
                 if isinstance(item, HybridFormula) and item.is_atomic:
                     literals.append(literal(position[item.atoms[0]], ann, positive))
+                elif isinstance(item, AggregateAtom):
+                    conditions = tuple(
+                        tuple(
+                            literal(position[f.atoms[0]], c, True) if f.is_atomic else (None, (f, c))
+                            for f, c in pair.condition
+                        )
+                        for pair in item.pset.pairs
+                    )
+                    literals.append((None, (item, ann, positive, conditions)))
                 else:
                     literals.append((None, (item, ann, positive)))
         head = tuple(literal(position[atom], ann, True) for atom, ann in rule.head)
@@ -121,7 +167,7 @@ class _ValueLattice(Mapping):
         mask = self.satisfying(k, ann)
         return k, mask if positive else ~mask
 
-    def _build_forms(self) -> tuple[list[tuple], list[tuple]]:
+    def _build_forms(self) -> Forms:
         """The body and head forms of the program's rules."""
         # equal literals and heads share one tuple. The memo lives for this
         # build only, while the rules hold their annotations, so an id names
@@ -143,27 +189,13 @@ class _ValueLattice(Mapping):
             heads.append(shared.setdefault(head, head))
         return bodies, heads
 
-    def rule_forms(self, rules: list[Rule]) -> tuple[list[tuple], list[tuple]]:
+    def rule_forms(self, rules: list[Rule]) -> Forms | None:
         """The body and head forms of rules, read from those of the
         program's rules when rules are among them in program order, as a
-        reduct's are, else built afresh."""
+        reduct's are; None when they are not."""
         if self._forms is None:
             self._forms = self._build_forms()
-        mine, (bodies, heads) = self._rules, self._forms
-        if rules is mine:
-            return bodies, heads
-        out: tuple[list[tuple], list[tuple]] = ([], [])
-        j = 0
-        for rule in rules:
-            while j < len(mine) and mine[j] is not rule:
-                j += 1
-            if j == len(mine):
-                forms = [self.rule_form(rule) for rule in rules]
-                return [f[0] for f in forms], [f[1] for f in forms]
-            out[0].append(bodies[j])
-            out[1].append(heads[j])
-            j += 1
-        return out
+        return _among(rules, self._rules, self._forms)
 
     @property
     def order(self) -> tuple[int, ...]:
@@ -193,6 +225,123 @@ class _ValueLattice(Mapping):
             for atom, _ in rule.head:
                 depends[position[atom]].extend(body)
         return tuple(_components(depends))
+
+
+class _Point:
+    """An interpretation in a value lattice's numbering.
+
+    domains[k] holds one bit, the rank of atom k's value in values[k]: the
+    lattice's row, with the interpretation's own value appended when it
+    lies off the lattice (extra[k]). compounds maps every compound formula
+    of the scope, in scope order, to its value. forms, when given, are the
+    forms of the rules named with them, as forms(rules) would build them.
+    """
+
+    __slots__ = ("lattice", "domains", "values", "extra", "compounds", "_forms")
+
+    def __init__(
+        self,
+        lattice: _ValueLattice,
+        domains: list[int],
+        compounds: dict[HybridFormula, ProbInterval],
+        extra: dict[int, ProbInterval],
+        forms: tuple[list[Rule], Forms] | None = None,
+    ):
+        self.lattice = lattice
+        self.domains = domains
+        self.compounds = compounds
+        self.extra = extra
+        self.values = lattice.atom_values
+        if extra:
+            self.values = list(self.values)
+            for k, value in extra.items():
+                self.values[k] += (value,)
+        self._forms = forms
+
+    def value(self, k: int) -> ProbInterval:
+        return self.values[k][self.domains[k].bit_length() - 1]
+
+    def literal(self, k: int, ann: ProbInterval, positive: bool) -> tuple[int, int]:
+        """The lattice's literal pair, whose mask also holds the bit of atom
+        k's own value when that lies off the lattice and satisfies ann."""
+        mask = self.lattice.satisfying(k, ann)
+        if k in self.extra and truth_leq(ann, self.extra[k]):
+            mask |= 1 << len(self.lattice.atom_values[k])
+        return k, mask if positive else ~mask
+
+    def forms(self, rules: list[Rule]) -> Forms | None:
+        """The forms of rules (_ValueLattice.rule_forms), where each mask
+        that reads an atom off the lattice also holds the atom's own bit
+        when its value satisfies the mask's annotation; None when rules are
+        not among the lattice program's. The forms last made are kept, and
+        read again for rules among theirs, as a reduct's are."""
+        if self._forms is not None:
+            forms = _among(rules, *self._forms)
+            if forms is not None:
+                return forms
+        forms = self.lattice.rule_forms(rules)
+        if forms is None:
+            return None
+        if self.extra:
+            bodies, heads = list(forms[0]), list(forms[1])
+            for p, rule in enumerate(rules):
+                if self._reads_extra(bodies[p], heads[p]):
+                    bodies[p], heads[p] = self._patched(rule, bodies[p], heads[p])
+            forms = bodies, heads
+        self._forms = rules, forms
+        return forms
+
+    def _reads_extra(self, body: tuple, head: tuple) -> bool:
+        extra = self.extra
+        for k, spec in body:
+            if k is None:
+                if len(spec) == 4 and any(c[0] in extra for pair in spec[3] for c in pair):
+                    return True
+            elif k in extra:
+                return True
+        return any(k in extra for k, _ in head)
+
+    def _patched(self, rule: Rule, body: tuple, head: tuple) -> tuple[tuple, tuple]:
+        """rule's forms body and head with every pair that reads an atom off
+        the lattice made again by literal."""
+        extra = self.extra
+
+        def pair(old: tuple, ann: ProbInterval, positive: bool) -> tuple:
+            return self.literal(old[0], ann, positive) if old[0] in extra else old
+
+        literals = []
+        signs = [True] * len(rule.pos_body) + [False] * len(rule.neg_body)
+        for (k, spec), (item, ann), positive in zip(body, rule.pos_body + rule.neg_body, signs):
+            if k is not None:
+                literals.append(pair((k, spec), ann, positive))
+            elif len(spec) == 4:
+                conditions = tuple(
+                    tuple(pair(c, c_ann, True) for c, (_, c_ann) in zip(condition, member.condition))
+                    for condition, member in zip(spec[3], item.pset.pairs)
+                )
+                literals.append((None, (*spec[:3], conditions)))
+            else:
+                literals.append((k, spec))
+        return tuple(literals), tuple(pair(d, ann, True) for d, (_, ann) in zip(head, rule.head))
+
+
+def _among(rules: list[Rule], mine: list[Rule], forms: Forms) -> Forms | None:
+    """The forms of rules, read from forms, those of the rules mine, when
+    rules are among mine in their order; None when they are not."""
+    bodies, heads = forms
+    if rules is mine:
+        return forms
+    out: Forms = ([], [])
+    j = 0
+    for rule in rules:
+        while j < len(mine) and mine[j] is not rule:
+            j += 1
+        if j == len(mine):
+            return None
+        out[0].append(bodies[j])
+        out[1].append(heads[j])
+        j += 1
+    return out
 
 
 def _below_mask(values: tuple[ProbInterval, ...], top: ProbInterval) -> int:

@@ -68,15 +68,31 @@ AggregateResult = EValue | PValue | _Undefined
 Multiset = list[tuple[Term, ProbInterval]]
 
 
-def build_multiset(gset: GroundSet, h) -> Multiset | None:
+def build_multiset(gset: GroundSet, h, conditions: tuple | None = None) -> Multiset | None:
     """Collect (value, prob) from the pairs whose conditions h satisfies.
 
     None while a condition formula may take more than one value, or h
-    cannot tell (see semantics.satisfies_literal).
+    cannot tell (see semantics.satisfies_literal). With conditions, the
+    pairs' condition forms as _lattice._ValueLattice.rule_form makes them,
+    h is an interpretation in the value lattice's numbering
+    (_lattice._Point), and an atomic condition holds when the atom's bit is
+    in its mask.
     Two distinct pairs that agree on value and probability both contribute,
     so the result is a genuine multiset.
     """
     out: Multiset = []
+    if conditions is not None:
+        domains, compounds = h.domains, h.compounds
+        for pair, condition in zip(gset.pairs, conditions):
+            for k, mask in condition:
+                if k is None:
+                    if not truth_leq(mask[1], compounds[mask[0]]):
+                        break
+                elif not domains[k] & mask:
+                    break
+            else:
+                out.append((pair.value, pair.prob))
+        return out
     for pair in gset.pairs:
         holds = True
         for f, ann in pair.condition:

@@ -174,8 +174,18 @@ def run(config: RunConfig, out: TextIO | None = None, err: TextIO | None = None)
             return _run_check(config, gp, out)
         return _run_solve(config, gp, out)
     except (DhppError, OSError) as exc:
-        err.write(f"error: {exc}\n")
+        err.write(f"error: {_error_text(exc)}\n")
         return 2
+
+
+def _error_text(exc: Exception) -> str:
+    """The error's message, led by FILE:LINE:COL: when reading the program
+    gave it a source position its message does not start with already."""
+    text = str(exc)
+    if getattr(exc, "line", None) is None:
+        return text
+    where = f"{exc.filename}:{exc.line}:{exc.col}: "
+    return text if text.startswith(where) else where + text
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

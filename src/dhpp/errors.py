@@ -2,7 +2,15 @@
 
 
 class DhppError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    An error raised while program text is read carries the source position
+    of the construct that caused it in filename, line and col; these stay
+    None for an error raised elsewhere."""
+
+    filename: str | None = None
+    line: int | None = None
+    col: int | None = None
 
 
 class InvalidInterval(DhppError):

@@ -27,10 +27,11 @@ productions.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
-from .errors import ParseError, UnknownAggregateFunction, UnsafeVariable
+from .errors import DhppError, ParseError, UnknownAggregateFunction, UnsafeVariable
 from .model import (
     AGG_FUNCS,
     AggregateAtom,
@@ -169,6 +170,18 @@ class _Parser:
         tok = tok or self.peek()
         return ParseError(message, self.filename, tok.line, tok.col)
 
+    @contextmanager
+    def located(self, tok: Token):
+        """A block in which an error raised by a validation of the model,
+        which has no source position, gets that of tok, where the construct
+        it rejects starts."""
+        try:
+            yield
+        except DhppError as exc:
+            if exc.line is None:
+                exc.filename, exc.line, exc.col = self.filename, tok.line, tok.col
+            raise
+
     def sequence(self, parse_item: Callable[[], _T], separator: str = ",") -> tuple[_T, ...]:
         """item ( separator item )*"""
         items = [parse_item()]
@@ -198,14 +211,15 @@ class _Parser:
         if name.text == "tau":
             pred = self.expect("ident", "a predicate name").text
             self.expect(",")
-        strat = self.expect("ident", "a strategy name").text
+        strat = self.expect("ident", "a strategy name")
         self.expect(")")
         self.expect(".")
-        self.registry.get_kind(strat, DISJUNCTIVE)
+        with self.located(strat):
+            self.registry.get_kind(strat.text, DISJUNCTIVE)
         if pred is None:
-            program.default_tau = strat
+            program.default_tau = strat.text
         else:
-            program.tau[pred] = strat
+            program.tau[pred] = strat.text
 
     def parse_rule(
         self, head_literal: Callable[[], object], body_literal: Callable[[], tuple[object, bool]]
@@ -231,9 +245,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "ident" and self.peek(1).kind == "{":
             if tok.text not in AGG_FUNCS:
-                raise UnknownAggregateFunction(
-                    f"{self.filename}:{tok.line}:{tok.col}: unknown aggregate function {tok.text!r}"
-                )
+                with self.located(tok):
+                    raise UnknownAggregateFunction(
+                        f"{self.filename}:{tok.line}:{tok.col}: unknown aggregate function {tok.text!r}"
+                    )
             return self.parse_aggregate(), negated
         term = self.parse_term()
         cmp_tok = self.peek()
@@ -280,10 +295,12 @@ class _Parser:
     def parse_member(self) -> tuple[Term, Annotation, tuple[tuple[HybridFormula, AnnotationLike], ...]]:
         value = self.parse_term()
         self.expect(":")
+        start = self.peek()
         prob = self.parse_annotation()
         # constant ends out of order raise here, as on heads and bodies; the
         # annotation itself is evaluated when the set is ground
-        _constant_interval(prob)
+        with self.located(start):
+            _constant_interval(prob)
         self.expect("|")
         return value, prob, self.sequence(self.parse_formula_literal)
 
@@ -329,7 +346,8 @@ class _Parser:
             strat = self.expect("ident", "a strategy name")
             if strategy is None:
                 strategy = strat.text
-                self.registry.get_kind(strategy, CONJUNCTIVE if connective == "and" else DISJUNCTIVE)
+                with self.located(strat):
+                    self.registry.get_kind(strategy, CONJUNCTIVE if connective == "and" else DISJUNCTIVE)
             elif strat.text != strategy:
                 raise self.error("a formula uses a single strategy", strat)
             self.expect("]")
@@ -387,8 +405,10 @@ class _Parser:
         when omitted."""
         if not self.accept(":"):
             return ONE
+        start = self.peek()
         ann = self.parse_annotation()
-        return _constant_interval(ann) or ann
+        with self.located(start):
+            return _constant_interval(ann) or ann
 
     def parse_annotation(self) -> Annotation:
         if self.accept("["):
@@ -404,11 +424,13 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.next()
-            return AnnConst(tok.text)
+            with self.located(tok):
+                return AnnConst(tok.text)
         if tok.kind == "-":
             self.next()
             num = self.expect("num", "a number after unary minus")
-            return AnnConst(f"-{num.text}")
+            with self.located(tok):
+                return AnnConst(f"-{num.text}")
         if tok.kind == "var":
             self.next()
             return AnnVar(tok.text)
@@ -419,7 +441,8 @@ class _Parser:
             self.expect("(")
             args = self.sequence(self.parse_annotation_item)
             self.expect(")")
-            return AnnFunc(tok.text, args)
+            with self.located(tok):
+                return AnnFunc(tok.text, args)
         raise self.error(f"expected an annotation, found {tok.text or 'end of input'!r}", tok)
 
     # -- safety ----------------------------------------------------------------

@@ -11,25 +11,36 @@ Being a p-model takes more than satisfying every rule: per atom, the fold
 of the satisfied head annotations of fired rules must stay below the
 assigned value, and per compound formula, the strategy composition of the
 component values must stay below the assigned value. satisfies_program
-checks all three in one pass over the rules, reading atom values from one
-map, and keeps every rule's verdict, the fired rules and the first failed
-check as data, rendering text only when asked (first_failure). The reduct
-by h is those fired rules (the FLP reduct), so each body is decided once.
+checks all three in one pass over the rules and keeps every rule's
+verdict, the fired rules and the first failed check as data, rendering
+text only when asked (first_failure). The reduct by h is those fired rules
+(the FLP reduct), so each body is decided once.
 
-satisfies_literal and satisfies_body are the literal evaluator of the
-p-model check. The minimality search decides atomic formula literals over
-rank masks of its own and calls satisfies_literal for compound formulae
-and aggregates, so aggregates are evaluated here alone. The evaluator reads
-h only through h.possible(formula), the values a formula may still take
+The check runs over the value lattice (_lattice._ValueLattice), for
+enumeration, check-model and the minimality search's leaves alike: h is
+one bit-mask domain per atom, with a bit of its own for a value off the
+lattice (_lattice._Point); formula literals and head disjuncts are decided
+by ANDing it with the masks of the lattice's rule forms, and an aggregate
+selects its pairs by their condition masks (build_multiset). Compounds
+read their values from the point, and folds and compositions go through
+compose_fold.
+
+satisfies_literal is the literal evaluator of the minimality search, which
+decides atomic formula literals over rank masks of its own and calls it
+for compound formulae and aggregates while a branch is open. It reads h
+only through h.possible(formula), the values a formula may still take
 (None while h cannot tell), and returns None while those values disagree;
 a PInterpretation allows one value per formula, so it gets plain booleans.
+Both paths evaluate an aggregate through _aggregate_holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 from .aggregates import EValue, PValue, UNDEFINED, build_multiset, eval_aggregate
+from ._lattice import _Point
 from .grounder import GroundProgram
 from .model import (
     AggregateAtom,
@@ -42,15 +53,13 @@ from .model import (
     Rule,
     truth_leq,
     ValueInterval,
-    ZERO,
 )
 from .strategies import compose_fold
 
 
-def _aggregate_satisfied(h, item: AggregateAtom, ann: ProbInterval) -> bool | None:
-    multiset = build_multiset(item.pset, h)
-    if multiset is None:
-        return None
+def _aggregate_holds(item: AggregateAtom, ann: ProbInterval, multiset) -> bool:
+    """Whether the aggregate over the selected multiset meets its guard and,
+    for the probability family, dominates ann."""
     result = eval_aggregate(item.func, multiset)
     if result is UNDEFINED:
         return False
@@ -74,25 +83,13 @@ def satisfies_literal(h, item, ann: ProbInterval, positive: bool) -> bool | None
         if len(values) > 1 and any(truth_leq(ann, v) != sat for v in values[1:]):
             return None
     elif isinstance(item, AggregateAtom):
-        sat = _aggregate_satisfied(h, item, ann)
+        multiset = build_multiset(item.pset, h)
+        sat = None if multiset is None else _aggregate_holds(item, ann, multiset)
     elif isinstance(item, BuiltinComparison):
         sat = item.holds()
     else:
         raise AssertionError(f"unexpected body item {item!r}")
     return sat if positive or sat is None else not sat
-
-
-def satisfies_body(h, rule: Rule) -> bool | None:
-    """False when a body literal fails, True when all hold, None otherwise."""
-    decided = True
-    for literals, positive in ((rule.pos_body, True), (rule.neg_body, False)):
-        for item, ann in literals:
-            sat = satisfies_literal(h, item, ann, positive)
-            if sat is False:
-                return False
-            if sat is None:
-                decided = False
-    return True if decided else None
 
 
 @dataclass(frozen=True)
@@ -124,51 +121,83 @@ class SatisfactionReport:
         return f"composition {value} for {subject} exceeds assigned {assigned}"
 
 
-def satisfies_program(gp: GroundProgram, h: PInterpretation) -> SatisfactionReport:
+def satisfies_program(
+    gp: GroundProgram, h: PInterpretation, point: _Point | None = None
+) -> SatisfactionReport:
     """Full p-model check in one pass over the rules.
 
     A rule whose body holds needs a satisfied head disjunct, and each one it
     has contributes its annotation to its atom. Once every rule holds, each
     atom's fold of contributions must lie below its value (the first failing
     atom by printed text is reported); once every fold holds, so must each
-    compound's composition of its components, in scope order."""
-    values = {f.atoms[0]: v for f, v in h.entries if f.is_atomic}
+    compound's composition of its components, in scope order.
+
+    Rules are decided over the value lattice's rule forms, with h in the
+    lattice's numbering: point when the caller has it, which numbers h on
+    gp's lattice or, for a reduct, on its source's; else gp's own lattice
+    numbers h."""
+    if point is None:
+        point = gp.value_lattice().point(h)[0]
+    domains = point.domains
+    compounds = point.compounds
+    bodies, heads = point.forms(gp.rules)
     verdicts = []
     fired = []
     failure = None
-    contributions: dict[Atom, list[ProbInterval]] = {}
-    for rule in gp.rules:
+    contributions: dict[int, list[ProbInterval]] = {}
+    for rule, body, head in zip(gp.rules, bodies, heads):
         ok = True
-        if satisfies_body(h, rule):
+        for k, mask in body:
+            if k is None:
+                if not _holds(mask, point):
+                    break
+            elif not domains[k] & mask:
+                break
+        else:
             fired.append(rule)
             ok = False
-            for atom, ann in rule.head:
-                if truth_leq(ann, values.get(atom, ZERO)):
+            for (k, mask), (_, ann) in zip(head, rule.head):
+                if domains[k] & mask:
                     ok = True
-                    contributions.setdefault(atom, []).append(ann)
+                    contributions.setdefault(k, []).append(ann)
         verdicts.append(ok)
         if not ok and failure is None:
             failure = (rule,)
     if failure is None:
-        for atom, anns in contributions.items():
-            folded = compose_fold(gp.strategy_for(atom.predicate), anns)
-            assigned = values.get(atom, ZERO)
-            if not truth_leq(folded, assigned) and (
-                failure is None or str(atom) < str(failure[0])
-            ):
-                failure = (atom, folded, assigned)
+        # atom k is the k-th by printed text
+        atoms = point.lattice.atoms
+        worst = len(atoms)
+        strategy_for = cache(gp.strategy_for)
+        for k, anns in contributions.items():
+            atom = atoms[k].atoms[0]
+            folded = compose_fold(strategy_for(atom.predicate), anns)
+            assigned = point.value(k)
+            if not truth_leq(folded, assigned) and k < worst:
+                failure, worst = (atom, folded, assigned), k
     if failure is None:
-        for formula in gp.relevant_formulae:
-            if formula.is_atomic:
-                continue
+        position = point.lattice.position
+        for formula, assigned in compounds.items():
             composed = compose_fold(
-                gp.formula_strategy(formula), [values.get(a, ZERO) for a in formula.atoms]
+                gp.formula_strategy(formula), [point.value(position[a]) for a in formula.atoms]
             )
-            assigned = h.value(formula)
             if not truth_leq(composed, assigned):
                 failure = (formula, composed, assigned)
                 break
     return SatisfactionReport(tuple(verdicts), tuple(fired), failure)
+
+
+def _holds(spec: tuple, point: _Point) -> bool:
+    """Whether a body literal that is no atomic formula holds at point; spec
+    as in _ValueLattice.rule_form. An aggregate selects its pairs by their
+    condition masks."""
+    item, ann, positive = spec[0], spec[1], spec[2]
+    if isinstance(item, AggregateAtom):
+        sat = _aggregate_holds(item, ann, build_multiset(item.pset, point, spec[3]))
+    elif isinstance(item, HybridFormula):
+        sat = truth_leq(ann, point.compounds[item])
+    else:
+        sat = item.holds()
+    return sat == positive
 
 
 def reduct(gp: GroundProgram, report: SatisfactionReport) -> GroundProgram:

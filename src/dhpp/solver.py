@@ -21,7 +21,10 @@ closure is complete then, and otherwise NonExpansiveStrategy says so.
 Every candidate that agrees with its own `not` guesses is then checked
 exactly: it must be a p-model of the program, which no candidate violating
 a constraint is, and a minimal p-model of its own reduct. The reduct is the
-rules that fired in that p-model check, read from its report.
+rules that fired in that p-model check, read from its report. The closure's
+ranks are lattice ranks, so the candidate goes to the check as they give
+it, one bit per atom (_Compiled.point); check-model and is_answer_set
+number their interpretation once, on the same lattice (_judge).
 
 Minimality runs as a DFS for a p-model of the reduct strictly below the
 candidate. An atom's domain is a mask over its lattice ranks at or below
@@ -30,9 +33,11 @@ lattice; atoms are branched on in the dependency order the value lattice
 keeps, bodies before heads, with unit propagation on rules whose bodies
 are decided. Formula literals and head disjuncts are decided by ANDing
 masks the lattice builds once per program (_lattice._ValueLattice).
-Compounds, composed once their components are decided, and aggregates go
-to semantics.satisfies_literal, and satisfies_program judges each leaf, so
-aggregates and rule satisfaction keep one definition each.
+The search starts from the judged interpretation's point. Compounds,
+composed once their components are decided, and aggregates go to
+semantics.satisfies_literal, and satisfies_program judges each leaf over
+the source program's lattice, so aggregates and rule satisfaction keep one
+definition each, and a reduct builds no lattice of its own.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .errors import NonExpansiveStrategy, SearchSpaceOverflow
-from ._lattice import _below_mask, _ValueLattice
+from ._lattice import _below_mask, _Point, _ValueLattice
 from .grounder import GroundProgram
 from .model import (
     AggregateAtom,
@@ -126,7 +131,7 @@ class _Compiled:
     def __init__(
         self,
         gp: GroundProgram,
-        lattice: Mapping[HybridFormula, tuple[ProbInterval, ...]],
+        lattice: _ValueLattice,
         keys: list[GuessKey],
     ):
         self.gp = gp
@@ -208,6 +213,11 @@ class _Compiled:
                 for i in self.components[c]:
                     self.compounds_of.setdefault(i, []).append(c)
         self._compositions: dict[tuple[int, tuple[int, ...]], int] = {}
+        # the value lattice numbers atoms apart from compounds: its atom k is
+        # formula atom_slots[k] here, with the same values, so a rank here
+        # is a rank there
+        self.lattice = lattice
+        self.atom_slots = [i for i, k in enumerate(lattice.scope_positions) if k is not None]
         # gp holds every annotation object while this runs, so atoms whose
         # occurrences are the same objects under one strategy share a table
         self.folds: list[dict[tuple[int, int], int] | None] = [None] * len(self.formulae)
@@ -273,13 +283,22 @@ class _Compiled:
             tuple((f, v[r]) for f, v, r in zip(self.formulae, self.values, ranks) if r)
         )
 
+    def point(self, ranks: tuple[int, ...]) -> _Point:
+        """The interpretation of ranks in the lattice's numbering."""
+        return _Point(
+            self.lattice,
+            [1 << ranks[i] for i in self.atom_slots],
+            {self.formulae[c]: self.values[c][ranks[c]] for c in self.components},
+            {},
+        )
+
 
 def _closure(cp: _Compiled, index: int) -> tuple[int, ...]:
     """The ranks a candidate closes to, from the empty interpretation.
 
     Rules whose guessed literals the candidate's bits deny never fire. The
-    others fire once their positive formula literals hold. This is not
-    semantics.satisfies_body: aggregates and negated literals need not grow
+    others fire once their positive formula literals hold. This is not the
+    p-model check's body test: aggregates and negated literals need not grow
     with the closure's values, so they read their guessed final truth,
     which the p-model check confirms. When a rule fires, its chosen
     disjunct contributes its annotation, and so does any other disjunct
@@ -338,15 +357,17 @@ class _MinimalitySearch:
 
     Atom k of the lattice (_ValueLattice) has the domain domains[k], a mask
     over its lattice ranks: the values at or below h's, plus one bit above
-    them for h's own value when it lies off the lattice. Compound values
-    are determined by their components, so only atoms branch, in the
-    lattice's order. A formula literal or head disjunct is decided by
-    ANDing the domain with the mask of its satisfying values; compounds and
-    aggregates go to satisfies_literal, which reads possible(formula), so a
-    body is decided only when every completion of the branch agrees.
-    Propagation: a rule whose body is decided true must keep a satisfiable
-    head disjunct, and when only one disjunct can serve, its atom's domain
-    shrinks to the satisfying values.
+    them for h's own value when it lies off the lattice, as point, h in the
+    lattice's numbering, gives it. Compound values are determined by their
+    components, so only atoms branch, in the lattice's order. A formula
+    literal or head disjunct is decided by ANDing the domain with the mask
+    of its satisfying values; compounds and aggregates go to
+    satisfies_literal, which reads possible(formula), so a body is decided
+    only when every completion of the branch agrees. Propagation: a rule
+    whose body is decided true must keep a satisfiable head disjunct, and
+    when only one disjunct can serve, its atom's domain shrinks to the
+    satisfying values. Each leaf is judged by satisfies_program over the
+    same lattice, its domains being the leaf's point.
     """
 
     def __init__(
@@ -355,50 +376,37 @@ class _MinimalitySearch:
         h: PInterpretation,
         lattice: Mapping[HybridFormula, tuple[ProbInterval, ...]],
         node_cap: int,
+        point: _Point | None = None,
     ):
-        if not isinstance(lattice, _ValueLattice) or lattice.formulae is not red.relevant_formulae:
+        forms = None
+        if isinstance(lattice, _ValueLattice) and lattice.formulae is red.relevant_formulae:
+            point = point or lattice.point(h)[0]
+            forms = point.forms(red.rules)
+        # the tables of red's source program serve red, and judge its leaves;
+        # any other lattice (a plain mapping, one of another scope or of a
+        # program red's rules are not among) gets tables built for red, whose
+        # values need not hold red's folds, so its leaves are judged on red's
+        # own lattice
+        self.exact = forms is not None
+        if not self.exact:
             lattice = _ValueLattice(dict(lattice), red)
+            point = lattice.point(h)[0]
+            forms = point.forms(red.rules)
         self.red = red
         self.h = h
         self.node_cap = node_cap
         self.nodes = 0
         self.lattice = lattice
+        self.point = point
         self.atoms = lattice.atoms
         self.position = lattice.position
-        self.values = list(lattice.atom_values)
-        # each atom's value in h, and its bit
-        self.assigned = [h.value(f) for f in self.atoms]
-        self.top: list[int] = []
-        # h's value of each atom it puts off the lattice
-        self.extra: dict[int, ProbInterval] = {}
-        self.domains: list[int] = []
-        for k, assigned in enumerate(self.assigned):
-            r = lattice.rank(k, assigned)
-            if r is not None:
-                self.top.append(1 << r)
-                self.domains.append(lattice.below(k, r))
-                continue
-            values = self.values[k]
-            self.top.append(1 << len(values))
-            self.domains.append(_below_mask(values, assigned) | self.top[k])
-            self.values[k] = values + (assigned,)
-            self.extra[k] = assigned
-        self.bodies, self.heads = lattice.rule_forms(red.rules)
-        if self.extra:
-            # the forms that read an atom h puts off the lattice need its bit
-            self.bodies, self.heads = list(self.bodies), list(self.heads)
-            for p, rule in enumerate(red.rules):
-                if any(k in self.extra for k, _ in self.bodies[p] + self.heads[p]):
-                    self.bodies[p], self.heads[p] = lattice.rule_form(rule, self._literal)
-
-    def _literal(self, k: int, ann: ProbInterval, positive: bool) -> tuple[int, int]:
-        """The lattice's literal pair, whose mask also holds the bit of h's
-        value when h puts atom k off the lattice and that value satisfies
-        ann."""
-        mask = self.lattice.satisfying(k, ann)
-        if k in self.extra and truth_leq(ann, self.extra[k]):
-            mask |= self.top[k]
-        return k, mask if positive else ~mask
+        self.values = point.values
+        extra, rows = point.extra, lattice.atom_values
+        self.domains = [
+            _below_mask(rows[k], extra[k]) | d if k in extra else lattice.below(k, d.bit_length() - 1)
+            for k, d in enumerate(point.domains)
+        ]
+        self.bodies, self.heads = forms
 
     def run(self) -> PInterpretation | None:
         return self._search(self.domains, 0)
@@ -434,7 +442,7 @@ class _MinimalitySearch:
         decided = True
         for k, mask in literals:
             if k is None:
-                sat = satisfies_literal(self, *mask)
+                sat = satisfies_literal(self, mask[0], mask[1], mask[2])
                 if sat is False:
                     return False
                 if sat is None:
@@ -495,24 +503,28 @@ class _MinimalitySearch:
         return None
 
     def _leaf(self) -> PInterpretation | None:
-        # the scope is sorted as PInterpretation sorts its entries; an atom
-        # at h's value takes h's own object, so comparing with h is cheap
+        # the scope is sorted as PInterpretation sorts its entries
         domains = self.domains
+        compounds = {}
         entries = []
         for formula, k in zip(self.lattice.formulae, self.lattice.scope_positions):
             if k is None:
                 value = self.possible(formula)[0]
-                if not truth_leq(value, self.h.value(formula)):
+                if not truth_leq(value, self.point.compounds[formula]):
                     return None
+                compounds[formula] = value
             else:
-                d = domains[k]
-                value = self.assigned[k] if d == self.top[k] else self.values[k][d.bit_length() - 1]
+                value = self.values[k][domains[k].bit_length() - 1]
             if value is not ZERO and value != ZERO:
                 entries.append((formula, value))
         candidate = PInterpretation(tuple(entries))
         if candidate == self.h:
             return None
-        if satisfies_program(self.red, candidate).satisfied:
+        point = None
+        if self.exact:
+            forms = self.red.rules, (self.bodies, self.heads)
+            point = _Point(self.lattice, domains, compounds, self.point.extra, forms)
+        if satisfies_program(self.red, candidate, point).satisfied:
             return candidate
         return None
 
@@ -522,11 +534,13 @@ def find_smaller_model(
     h: PInterpretation,
     lattice: Mapping[HybridFormula, tuple[ProbInterval, ...]],
     node_cap: int = 500_000,
+    point: _Point | None = None,
 ) -> tuple[PInterpretation | None, int]:
     """A p-model of red strictly below h, or None; plus nodes searched.
     lattice is the value lattice of red's source program, whose tables the
-    search reads; a plain mapping gets the same tables built for this call."""
-    search = _MinimalitySearch(red, h, lattice, node_cap)
+    search reads, and point h in its numbering, when the caller has it; a
+    plain mapping gets the same tables built for this call."""
+    search = _MinimalitySearch(red, h, lattice, node_cap, point)
     witness = search.run()
     return witness, search.nodes
 
@@ -534,23 +548,27 @@ def find_smaller_model(
 def _judge(
     gp: GroundProgram,
     h: PInterpretation,
-    lattice: Mapping[HybridFormula, tuple[ProbInterval, ...]],
+    lattice: _ValueLattice,
     node_cap: int = 500_000,
+    point: _Point | None = None,
 ) -> tuple[SatisfactionReport, tuple | None, Certificate | None]:
     """The p-model report of h, then why h is no answer set of gp, as data,
     or the certificate that it is. In order: the p-model check, whose
-    failure is left in the report, a formula the program never mentions
-    (the lattice has an entry for every formula it does), as (formula,
-    value), and minimality against the reduct, as (witness,), a smaller
-    p-model of the reduct. _reason renders them."""
-    report = satisfies_program(gp, h)
+    failure is left in the report, a formula outside the program's scope,
+    as (formula, value), and minimality against the reduct, as (witness,),
+    a smaller p-model of the reduct. _reason renders them. point is h in
+    the numbering of lattice, gp's value lattice; without it, one walk of
+    h's entries numbers h and finds a formula outside the scope."""
+    outside = None
+    if point is None:
+        point, outside = lattice.point(h)
+    report = satisfies_program(gp, h, point)
     if not report.satisfied:
         return report, None, None
-    for formula, value in h.entries:
-        if formula not in lattice:
-            return report, (formula, value), None
+    if outside is not None:
+        return report, outside, None
     red = reduct(gp, report)
-    witness, nodes = find_smaller_model(red, h, lattice, node_cap)
+    witness, nodes = find_smaller_model(red, h, lattice, node_cap, point)
     if witness is not None:
         return report, (witness,), None
     return report, None, Certificate(len(red.rules), nodes)
@@ -630,7 +648,7 @@ def enumerate_answer_sets(
             continue
         seen.add(ranks)
         h = cp.interpretation(ranks)
-        certificate = _judge(gp, h, lattice, node_cap)[2]
+        certificate = _judge(gp, h, lattice, node_cap, cp.point(ranks))[2]
         if certificate is None:
             continue
         found.append((h, certificate))

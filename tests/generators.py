@@ -3,7 +3,9 @@
 The solver is checked against two independent computations: a full product
 enumeration over the derivable-value lattice (probability side) and an
 exhaustive classical oracle (translation side).  Both are deliberately
-naive; they only need to be obviously correct at toy scale.
+naive; they only need to be obviously correct at toy scale.  The product
+enumeration judges p-models with reference_satisfies_program, written off
+the definition over PInterpretation lookups, not with the solver's check.
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ from dhpp import (
     interp_lt,
     parse_program,
     reduct,
-    satisfies_program,
     truth_leq,
 )
 from dhpp.grounder import GroundProgram
-from dhpp.model import COMPARATORS, BuiltinComparison, Num
+from dhpp.model import AGG_FUNCS, COMPARATORS, P_FUNCS, BuiltinComparison, Num
+from dhpp.semantics import SatisfactionReport, satisfies_literal
 
 ANNOTATIONS = [Fraction(3, 10), Fraction(1, 2), Fraction(7, 10), Fraction(1)]
 GRID = [Fraction(0), Fraction(3, 10), Fraction(1, 2), Fraction(7, 10), Fraction(1)]
@@ -132,6 +134,109 @@ def random_aggregate_program(rng: random.Random, max_rules: int = 3) -> GroundPr
     return ground_program(parse_program("\n".join(lines)))
 
 
+def random_recursive_aggregate_program(rng: random.Random, max_rules: int = 3) -> GroundProgram:
+    """Rules over a, b, c, each with a head and an aggregate in its body
+    whose first pair's condition is the rule's own first head atom, so every
+    aggregate is recursive, plus at most one more literal, an atom or
+    another aggregate, either negated or not; and a fact at times. The
+    aggregates draw from all eleven functions, every comparator and bounds
+    -1..2, over one to three pairs valued -1, 1 or 2 whose conditions, an
+    atom or `x and[pcc] y`, can all fail, so min and max meet empty
+    selections."""
+
+    def aggregate(own: str) -> str:
+        pairs = []
+        for n in range(rng.randint(1, 3)):
+            x, y = rng.sample("abc", 2)
+            condition = own if n == 0 else rng.choice([x, x, f"{x} and[pcc] {y}"])
+            pairs.append(
+                f"<{rng.choice(['-1', '1', '2'])} : {rng.choice(NUMERALS)} | "
+                f"{condition} : {rng.choice(NUMERALS)}>"
+            )
+        func = rng.choice(AGG_FUNCS)
+        literal = f"{func}{{{', '.join(pairs)}}} {rng.choice(COMPARATORS)} {rng.randint(-1, 2)}"
+        return literal + (f" : {rng.choice(NUMERALS)}" if func in P_FUNCS else "")
+
+    lines = []
+    if rng.random() < 0.5:
+        lines.append(f"{rng.choice('abc')} : {rng.choice(NUMERALS)}.")
+    for _ in range(rng.randint(1, max_rules)):
+        heads = rng.sample("abc", rng.randint(1, 2))
+        body = [aggregate(heads[0])]
+        roll = rng.random()
+        if roll < 0.3:
+            body.append(aggregate(rng.choice("abc")))
+        elif roll < 0.6:
+            body.append(f"{rng.choice('abc')} : {rng.choice(NUMERALS)}")
+        body = [("not " if rng.random() < 0.3 else "") + literal for literal in body]
+        head = " | ".join(f"{a} : {rng.choice(NUMERALS)}" for a in heads)
+        lines.append(f"{head} :- {', '.join(body)}.")
+    return ground_program(parse_program("\n".join(lines)))
+
+
+# ---------------------------------------------------------------------------
+# The p-model check over PInterpretation lookups
+
+
+def satisfies_body(h, rule: Rule) -> bool | None:
+    """False when a body literal fails, True when all hold, None otherwise."""
+    decided = True
+    for literals, positive in ((rule.pos_body, True), (rule.neg_body, False)):
+        for item, ann in literals:
+            sat = satisfies_literal(h, item, ann, positive)
+            if sat is False:
+                return False
+            if sat is None:
+                decided = False
+    return True if decided else None
+
+
+def reference_satisfies_program(gp: GroundProgram, h: PInterpretation) -> SatisfactionReport:
+    """The p-model check read straight off the definition, through
+    PInterpretation lookups, truth_leq and compose_fold, with the same
+    report as semantics.satisfies_program: every rule's verdict, the fired
+    rules, and the first failure (a failed rule in program order, else the
+    first over-folded atom by printed text, else the first compound, in
+    scope order, whose composition exceeds its value)."""
+    values = {f.atoms[0]: v for f, v in h.entries if f.is_atomic}
+    verdicts = []
+    fired = []
+    failure = None
+    contributions: dict[Atom, list[ProbInterval]] = {}
+    for rule in gp.rules:
+        ok = True
+        if satisfies_body(h, rule):
+            fired.append(rule)
+            ok = False
+            for atom, ann in rule.head:
+                if truth_leq(ann, values.get(atom, ZERO)):
+                    ok = True
+                    contributions.setdefault(atom, []).append(ann)
+        verdicts.append(ok)
+        if not ok and failure is None:
+            failure = (rule,)
+    if failure is None:
+        for atom, anns in contributions.items():
+            folded = compose_fold(gp.strategy_for(atom.predicate), anns)
+            assigned = values.get(atom, ZERO)
+            if not truth_leq(folded, assigned) and (
+                failure is None or str(atom) < str(failure[0])
+            ):
+                failure = (atom, folded, assigned)
+    if failure is None:
+        for formula in gp.relevant_formulae:
+            if formula.is_atomic:
+                continue
+            composed = compose_fold(
+                gp.formula_strategy(formula), [values.get(a, ZERO) for a in formula.atoms]
+            )
+            assigned = h.value(formula)
+            if not truth_leq(composed, assigned):
+                failure = (formula, composed, assigned)
+                break
+    return SatisfactionReport(tuple(verdicts), tuple(fired), failure)
+
+
 def brute_force_answer_sets(
     gp: GroundProgram, cap: int = 30_000
 ) -> list[PInterpretation] | None:
@@ -147,11 +252,11 @@ def brute_force_answer_sets(
         PInterpretation.from_pairs(zip(formulae, values))
         for values in itertools.product(*domains)
     ]
-    models = [h for h in combos if satisfies_program(gp, h).satisfied]
+    models = [h for h in combos if reference_satisfies_program(gp, h).satisfied]
 
     answer_sets = []
     for h in models:
-        red = reduct(gp, satisfies_program(gp, h))
+        red = reduct(gp, reference_satisfies_program(gp, h))
         below = [
             [v for v in dom if truth_leq(v, h.value(f))]
             for f, dom in zip(formulae, domains)
@@ -159,7 +264,7 @@ def brute_force_answer_sets(
         minimal = True
         for values in itertools.product(*below):
             smaller = PInterpretation.from_pairs(zip(formulae, values))
-            if interp_lt(smaller, h) and satisfies_program(red, smaller).satisfied:
+            if interp_lt(smaller, h) and reference_satisfies_program(red, smaller).satisfied:
                 minimal = False
                 break
         if minimal:
@@ -184,7 +289,7 @@ def original_dhpp_answer_sets(
     answer_sets = []
     for values in itertools.product(*domains):
         h = PInterpretation.from_pairs(zip(formulae, values))
-        if not satisfies_program(gp, h).satisfied:
+        if not reference_satisfies_program(gp, h).satisfied:
             continue
         kept = [
             Rule(rule.head, rule.pos_body, ())
@@ -201,7 +306,7 @@ def original_dhpp_answer_sets(
         smaller = (
             PInterpretation.from_pairs(zip(formulae, vs)) for vs in itertools.product(*below)
         )
-        if not any(interp_lt(s, h) and satisfies_program(red, s).satisfied for s in smaller):
+        if not any(interp_lt(s, h) and reference_satisfies_program(red, s).satisfied for s in smaller):
             answer_sets.append(h)
     answer_sets.sort(key=str)
     return answer_sets

@@ -241,9 +241,9 @@ def test_check_model_computes_the_p_model_report_once(tmp_path, dice_path, monke
     checked = []
     original = dhpp.solver.satisfies_program
 
-    def counting(gp, h):
+    def counting(gp, h, *point):
         checked.append(h)
-        return original(gp, h)
+        return original(gp, h, *point)
 
     for module in (dhpp.cli, dhpp.solver):
         monkeypatch.setattr(module, "satisfies_program", counting, raising=False)
@@ -385,6 +385,24 @@ def test_parse_error_reports_position(tmp_path):
     code, _, err = invoke(inputs=[str(path)])
     assert code == 2
     assert f"{path}:1:" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a : 1.5.", "1:5: annotation constant 1.5 outside [0,1]"),
+        ("a : [0.7, 0.3].", "1:5: interval endpoints out of order: [7/10, 3/10]"),
+        ("b.\na : pcomp(0.5, 0.5) :- b.", "2:5: annotation function 'pcomp' does not take 2 arguments"),
+        ("#default_tau(nosuch).", "1:14: unknown strategy 'nosuch'"),
+        ("a :- avgE{<1 : 0.5 | b>} > 1.", "1:6: unknown aggregate function 'avgE'"),
+    ],
+)
+def test_validation_errors_report_their_position_once(tmp_path, text, message):
+    path = tmp_path / "invalid.dhpp"
+    path.write_text(text + "\n")
+    code, _, err = invoke(inputs=[str(path)])
+    assert code == 2
+    assert err == f"error: {path}:{message}\n"
 
 
 def test_missing_input_file():

@@ -287,8 +287,8 @@ PARSE_ERRORS = [
     ("program", "#default_tau(1).", ParseError, "<string>:1:14: expected a strategy name, found '1'", 1, 14),
     ("program", "#default_tau(ind.", ParseError, "<string>:1:17: expected ')', found '.'", 1, 17),
     ("program", "#default_tau(ind)", ParseError, "<string>:1:18: expected '.', found 'end of input'", 1, 18),
-    ("program", "#default_tau(inc).", UnknownStrategy, "strategy 'inc' is conjunctive, expected disjunctive", None, None),
-    ("program", "a :- avgE{X : P | b(X) : P} > 1.", UnknownAggregateFunction, "<string>:1:6: unknown aggregate function 'avgE'", None, None),
+    ("program", "#default_tau(inc).", UnknownStrategy, "strategy 'inc' is conjunctive, expected disjunctive", 1, 14),
+    ("program", "a :- avgE{X : P | b(X) : P} > 1.", UnknownAggregateFunction, "<string>:1:6: unknown aggregate function 'avgE'", 1, 6),
     ("program", "a(X) :- b(X), X = 2 : 0.5.", ParseError, "<string>:1:21: comparisons cannot be annotated", 1, 21),
     ("program", "a :- sumP{<1 : 0.5 | b>} ~ 1.", ParseError, "<string>:1:26: unexpected character '~'", 1, 26),
     ("program", "a :- sumP{<1 : 0.5 | b>} foo.", ParseError, "<string>:1:26: expected a comparator after the aggregate set", 1, 26),
@@ -302,7 +302,7 @@ PARSE_ERRORS = [
     ("program", "a :- sumP{<1 : [0.2, P] | b>} > 1.", ParseError, "<string>:1:11: ground pair annotations must be constants", 1, 11),
     ("program", "a :- sumP{<1 : 0.5 | b(X)>} > 1.", ParseError, "<string>:1:11: ground pair conditions must be ground", 1, 11),
     ("program", "a :- sumP{<1 : 0.5 | b : P>} > 1.", ParseError, "<string>:1:11: ground pair conditions must be ground", 1, 11),
-    ("program", "a :- sumP{<1 : [0.7, 0.3] | b>} > 1.", InvalidInterval, "interval endpoints out of order: [7/10, 3/10]", None, None),
+    ("program", "a :- sumP{<1 : [0.7, 0.3] | b>} > 1.", InvalidInterval, "interval endpoints out of order: [7/10, 3/10]", 1, 16),
     ("program", "a :- sumP{X 0.5 | b(X)} > 1.", ParseError, "<string>:1:13: expected ':', found '0.5'", 1, 13),
     ("program", "a :- sumP{X : 0.5 b(X)} > 1.", ParseError, "<string>:1:19: expected '|', found 'b'", 1, 19),
     ("program", "X :- b.", ParseError, "<string>:1:1: expected an atom, found X", 1, 1),
@@ -312,8 +312,8 @@ PARSE_ERRORS = [
     ("program", "c :- a and[inc] a.", ParseError, "<string>:1:18: compound formula atoms must be distinct", 1, 18),
     ("program", "c :- a and[1] b.", ParseError, "<string>:1:12: expected a strategy name, found '1'", 1, 12),
     ("program", "c :- a and[inc b.", ParseError, "<string>:1:16: expected ']', found 'b'", 1, 16),
-    ("program", "c :- a and[nosuch] b.", UnknownStrategy, "unknown strategy 'nosuch'", None, None),
-    ("program", "c :- a or[inc] b.", UnknownStrategy, "strategy 'inc' is conjunctive, expected disjunctive", None, None),
+    ("program", "c :- a and[nosuch] b.", UnknownStrategy, "unknown strategy 'nosuch'", 1, 12),
+    ("program", "c :- a or[inc] b.", UnknownStrategy, "strategy 'inc' is conjunctive, expected disjunctive", 1, 11),
     ("program", "a :- .", ParseError, "<string>:1:6: expected a term, found '.'", 1, 6),
     ("program", "a(-X).", ParseError, "<string>:1:4: expected a number after unary minus, found 'X'", 1, 4),
     ("program", "a(b,.", ParseError, "<string>:1:5: expected a term, found '.'", 1, 5),
@@ -325,12 +325,12 @@ PARSE_ERRORS = [
     ("program", "a : -P.", ParseError, "<string>:1:6: expected a number after unary minus, found 'P'", 1, 6),
     ("program", "a : [0.2 0.3].", ParseError, "<string>:1:10: expected ',', found '0.3'", 1, 10),
     ("program", "a : [0.2, 0.3.", ParseError, "<string>:1:14: expected ']', found '.'", 1, 14),
-    ("program", "a : 1.5.", ConstantOutOfRange, "annotation constant 1.5 outside [0,1]", None, None),
-    ("program", "a : -1.", ConstantOutOfRange, "annotation constant -1 outside [0,1]", None, None),
-    ("program", "a : pcomp(0.5, 0.5).", UnknownAnnotationFunction, "annotation function 'pcomp' does not take 2 arguments", None, None),
-    ("program", "a : pmul(0.5).", UnknownAnnotationFunction, "annotation function 'pmul' does not take 1 arguments", None, None),
-    ("program", "a : [0.7, 0.3].", InvalidInterval, "interval endpoints out of order: [7/10, 3/10]", None, None),
-    ("program", "a :- b : [0.5, 0.4].", InvalidInterval, "interval endpoints out of order: [1/2, 2/5]", None, None),
+    ("program", "a : 1.5.", ConstantOutOfRange, "annotation constant 1.5 outside [0,1]", 1, 5),
+    ("program", "a : -1.", ConstantOutOfRange, "annotation constant -1 outside [0,1]", 1, 5),
+    ("program", "a : pcomp(0.5, 0.5).", UnknownAnnotationFunction, "annotation function 'pcomp' does not take 2 arguments", 1, 5),
+    ("program", "a : pmul(0.5).", UnknownAnnotationFunction, "annotation function 'pmul' does not take 1 arguments", 1, 5),
+    ("program", "a : [0.7, 0.3].", InvalidInterval, "interval endpoints out of order: [7/10, 3/10]", 1, 5),
+    ("program", "a :- b : [0.5, 0.4].", InvalidInterval, "interval endpoints out of order: [1/2, 2/5]", 1, 10),
     ("program", "a(X).", UnsafeVariable, "<string>:1:1: variable X has no positive body occurrence", 1, 1),
     ("program", "a :- not b(X).", UnsafeVariable, "<string>:1:1: variable X has no positive body occurrence", 1, 1),
     ("program", "a : P :- b.", UnsafeVariable, "<string>:1:1: variable P has no positive body occurrence", 1, 1),
@@ -339,7 +339,7 @@ PARSE_ERRORS = [
     ("formula", "a b", ParseError, "<formula>:1:3: expected end of formula, found 'b'", 1, 3),
     ("formula", "X", ParseError, "<formula>:1:1: expected an atom, found X", 1, 1),
     ("item", "0.5 0.5", ParseError, "<annotation>:1:5: expected end of annotation, found '0.5'", 1, 5),
-    ("item", "1.5", ConstantOutOfRange, "annotation constant 1.5 outside [0,1]", None, None),
+    ("item", "1.5", ConstantOutOfRange, "annotation constant 1.5 outside [0,1]", 1, 1),
     ("classical", "p(X) :- q.", ParseError, "<string>:1:1: classical atoms must be ground", 1, 1),
     ("classical", "big :- sum{3 : a} ~ 5.", ParseError, "<string>:1:19: unexpected character '~'", 1, 19),
     ("classical", "big :- sum{3 : a} foo 5.", ParseError, "<string>:1:19: expected a comparator, found 'foo'", 1, 19),

@@ -10,13 +10,14 @@ from dhpp import (
     HybridFormula,
     PInterpretation,
     ProbInterval,
+    enumerate_answer_sets,
     ground_program,
     parse_program,
     reduct,
     satisfies_program,
 )
 from dhpp.model import Num
-from dhpp.semantics import satisfies_body, satisfies_literal
+from dhpp.semantics import satisfies_literal
 from dhpp.solver import _MinimalitySearch
 from dhpp.strategies import compose_fold
 from generators import (
@@ -24,6 +25,9 @@ from generators import (
     random_interval,
     random_leq_interpretations,
     random_probability_program,
+    random_recursive_aggregate_program,
+    reference_satisfies_program,
+    satisfies_body,
 )
 
 
@@ -211,6 +215,67 @@ def test_overderived_atom_rejected():
     # 0.9 is above the only fold (0.5): clause 9 holds but nothing else forbids it
     report = satisfies_program(gp, high)
     assert report.satisfied  # p-model, just not minimal
+
+
+def judged_interpretations(gp, rng):
+    """The answer sets of gp, points of its lattice product, and
+    interpretations that give some formulae, compounds among them, a random
+    interval off the lattice."""
+    lattice = gp.value_lattice()
+    yield from enumerate_answer_sets(gp).interpretations
+    for _ in range(3):
+        yield PInterpretation.from_pairs((f, rng.choice(lattice[f])) for f in gp.relevant_formulae)
+    for _ in range(4):
+        yield PInterpretation.from_pairs(
+            (f, random_interval(rng) if rng.random() < 0.4 else rng.choice(lattice[f]))
+            for f in gp.relevant_formulae
+        )
+
+
+def condition_atoms(gp) -> set[HybridFormula]:
+    return {
+        HybridFormula.atomic(atom)
+        for rule in gp.rules
+        for item, _ in rule.pos_body + rule.neg_body
+        if isinstance(item, AggregateAtom)
+        for pair in item.pset.pairs
+        for formula, _ in pair.condition
+        for atom in formula.atoms
+    }
+
+
+def test_p_model_check_matches_the_reference():
+    # the check over rank masks against the one over PInterpretation
+    # lookups: the same verdicts, the same fired rules, the same failure,
+    # on programs and on their reducts; some judged interpretations put an
+    # aggregate's condition atom or a compound off the lattice
+    rng = random.Random(3)
+    judged = off_conditions = off_compounds = failures = 0
+    for _ in range(100):
+        for generator in (
+            random_probability_program,
+            random_aggregate_program,
+            random_recursive_aggregate_program,
+        ):
+            gp = generator(rng)
+            lattice = gp.value_lattice()
+            conditions = condition_atoms(gp)
+            for h in judged_interpretations(gp, rng):
+                want = reference_satisfies_program(gp, h)
+                got = satisfies_program(gp, h)
+                assert got.rule_verdicts == want.rule_verdicts, (str(gp), str(h))
+                assert len(got.fired) == len(want.fired)
+                assert all(a is b for a, b in zip(got.fired, want.fired)), (str(gp), str(h))
+                assert got.failure == want.failure, (str(gp), str(h))
+                red = reduct(gp, want)
+                assert satisfies_program(red, h) == reference_satisfies_program(red, h)
+                off = {f for f, v in h.entries if v not in lattice[f]}
+                off_conditions += bool(off & conditions)
+                off_compounds += any(not f.is_atomic for f in off)
+                failures += want.failure is not None
+                judged += 1
+    assert judged > 2000 and failures > 500
+    assert off_conditions > 100 and off_compounds > 100
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,9 @@ from dhpp import (
     truth_leq,
     ZERO,
 )
+from dhpp.aggregates import build_multiset
+from dhpp.grounder import GroundProgram
+from dhpp.model import AGG_FUNCS, AggregateAtom
 from dhpp.solver import (
     _closure,
     _Compiled,
@@ -48,8 +51,10 @@ from generators import (
     random_definite_program,
     random_interval,
     random_probability_program,
+    random_recursive_aggregate_program,
     reference_candidate,
     reference_closure,
+    reference_satisfies_program,
 )
 
 
@@ -217,9 +222,9 @@ def test_candidates_contradicting_their_closure_skip_the_p_model_check(monkeypat
     checked = []
     original = dhpp.solver.satisfies_program
 
-    def counting(gp, h):
+    def counting(gp, h, *point):
         checked.append(h)
-        return original(gp, h)
+        return original(gp, h, *point)
 
     monkeypatch.setattr(dhpp.solver, "satisfies_program", counting)
     _, res = solve_text("a :- not b. b :- not a. c :- not d. d :- not c. e :- a, not c.")
@@ -431,7 +436,7 @@ def smaller_models(red, h, lattice, cap: int = 4096):
         if not all(truth_leq(chosen[f], h.value(f)) for f in compounds):
             continue
         candidate = PInterpretation.from_pairs(chosen.items())
-        if candidate != h and satisfies_program(red, candidate).satisfied:
+        if candidate != h and reference_satisfies_program(red, candidate).satisfied:
             models.add(candidate)
     return models
 
@@ -497,6 +502,28 @@ def test_judging_an_answer_set_decides_each_aggregate_once(dice_solved, monkeypa
     assert len(calls) == 2
     assert not is_answer_set(dice_solved.ground, neighbour)[0]
     assert len(calls) == 3
+
+
+def test_a_reduct_builds_no_lattice_of_its_own(diet_path, monkeypatch):
+    # enumeration, a check of each answer set and of a non-minimal model all
+    # judge reducts and the minimality search's leaves over the lattice of
+    # the program they come from
+    built = []
+    original = GroundProgram.value_lattice
+
+    def recording(gp):
+        built.append(gp)
+        return original(gp)
+
+    monkeypatch.setattr(GroundProgram, "value_lattice", recording)
+    gp = ground_program(parse_program(diet_path.read_text(encoding="utf-8")))
+    found = enumerate_answer_sets(gp).interpretations
+    for h in found:
+        assert is_answer_set(gp, h) == (True, None)
+    one = ProbInterval(1, 1)
+    top = PInterpretation.from_pairs((f, one) for f in gp.relevant_formulae if f.is_atomic)
+    assert is_answer_set(gp, top)[1].startswith("not minimal")
+    assert len(found) == 4 and built and all(program is gp for program in built)
 
 
 def test_a_closure_cannot_stand_in_for_the_minimality_search():
@@ -647,6 +674,36 @@ def test_matches_brute_force_on_aggregate_programs():
         got = enumerate_answer_sets(gp)
         assert [str(h) for h in got.interpretations] == [str(h) for h in expected], str(gp)
         checked += 1
+
+
+def test_matches_brute_force_on_recursive_aggregate_programs():
+    # every one of the eleven functions, in rules whose heads feed the
+    # conditions of their own aggregates; min and max are also judged on
+    # selections that hold no member
+    rng = random.Random(2027)
+    checked = 0
+    functions = set()
+    empty_extrema = 0
+    while checked < 150:
+        gp = random_recursive_aggregate_program(rng)
+        expected = brute_force_answer_sets(gp, cap=500)
+        if expected is None:
+            continue
+        got = enumerate_answer_sets(gp)
+        assert [str(h) for h in got.interpretations] == [str(h) for h in expected], str(gp)
+        aggregates = [
+            item for rule in gp.rules for item, _ in rule.pos_body + rule.neg_body
+            if isinstance(item, AggregateAtom)
+        ]
+        functions.update(item.func for item in aggregates)
+        empty_extrema += sum(
+            item.func[:3] in ("min", "max") and build_multiset(item.pset, h) == []
+            for item in aggregates
+            for h in expected
+        )
+        checked += 1
+    assert functions == set(AGG_FUNCS)
+    assert empty_extrema > 10
 
 
 # -- metamorphic checks ------------------------------------------------------------
