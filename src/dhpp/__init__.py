@@ -38,7 +38,7 @@ from .model import (
     truth_lt,
 )
 from .strategies import PStrategy, StrategyRegistry, builtin_registry, compose_fold
-from .aggregates import UNDEFINED, EValue, PValue, build_multiset, eval_aggregate
+from .aggregates import UNDEFINED, EValue, PValue, eval_aggregate
 from .parser import parse_annotation_item, parse_formula, parse_program
 from .grounder import GroundProgram, ground_program
 from .semantics import SatisfactionReport, reduct, satisfies_program
@@ -95,7 +95,6 @@ __all__ = [
     "ValueInterval",
     "ZERO",
     "answer_set_atoms",
-    "build_multiset",
     "builtin_registry",
     "classical_oracle",
     "compose_fold",

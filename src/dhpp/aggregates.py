@@ -5,6 +5,10 @@ interpretation h the pairs whose conditions h satisfies form a multiset of
 (value, prob) entries; the eleven aggregate functions map that multiset
 either to a value interval (expectation family, suffix E) or to a pair of a
 plain value and the joint probability of the selected members (suffix P).
+build_multiset selects the pairs over the value lattice's rank masks,
+three-valued: a branch of the minimality search, where a condition atom
+may still take several values, can leave a pair open, and then the
+multiset is None.
 
 Empty multisets follow the neutral-element conventions: additive functions
 start from 0, multiplicative ones from 1, and the joint probability of no
@@ -68,39 +72,40 @@ AggregateResult = EValue | PValue | _Undefined
 Multiset = list[tuple[Term, ProbInterval]]
 
 
-def build_multiset(gset: GroundSet, h, conditions: tuple | None = None) -> Multiset | None:
-    """Collect (value, prob) from the pairs whose conditions h satisfies.
+def build_multiset(gset: GroundSet, conditions: tuple, domains, compound) -> Multiset | None:
+    """Collect (value, prob) from the pairs whose conditions hold, or None
+    while a pair is open.
 
-    None while a condition formula may take more than one value, or h
-    cannot tell (see semantics.satisfies_literal). With conditions, the
-    pairs' condition forms as _lattice._ValueLattice.rule_form makes them,
-    h is an interpretation in the value lattice's numbering
-    (_lattice._Point), and an atomic condition holds when the atom's bit is
-    in its mask.
+    conditions are the pairs' condition forms, as
+    _lattice._ValueLattice.rule_form makes them: an atomic condition is
+    (atom, mask of the ranks where it holds), read against domains[atom],
+    the mask of the ranks the atom may take; a compound one is (None,
+    (formula, ann)), read against compound(formula), its value or None
+    while it is open. A pair is in when every condition holds on its whole
+    domain, out once one fails on its whole domain, and open otherwise.
     Two distinct pairs that agree on value and probability both contribute,
     so the result is a genuine multiset.
     """
     out: Multiset = []
-    if conditions is not None:
-        domains, compounds = h.domains, h.compounds
-        for pair, condition in zip(gset.pairs, conditions):
-            for k, mask in condition:
-                if k is None:
-                    if not truth_leq(mask[1], compounds[mask[0]]):
-                        break
-                elif not domains[k] & mask:
+    for pair, condition in zip(gset.pairs, conditions):
+        holds = True
+        for k, mask in condition:
+            if k is None:
+                value = compound(mask[0])
+                if value is None:
+                    holds = None
+                elif not truth_leq(mask[1], value):
                     break
             else:
-                out.append((pair.value, pair.prob))
-        return out
-    for pair in gset.pairs:
-        holds = True
-        for f, ann in pair.condition:
-            values = h.possible(f)
-            if values is None or len(values) != 1:
+                d = domains[k]
+                m = d & mask
+                if m != d:
+                    if not m:
+                        break
+                    holds = None
+        else:
+            if holds is None:
                 return None
-            holds = holds and truth_leq(ann, values[0])
-        if holds:
             out.append((pair.value, pair.prob))
     return out
 

@@ -794,10 +794,6 @@ class PInterpretation:
     def value(self, formula: HybridFormula) -> ProbInterval:
         return self._table.get(formula, ZERO)
 
-    def possible(self, formula: HybridFormula) -> tuple[ProbInterval, ...]:
-        """The values the formula may take: here always its one value."""
-        return (self._table.get(formula, ZERO),)
-
     def support(self) -> tuple[HybridFormula, ...]:
         return tuple(f for f, _ in self.entries)
 

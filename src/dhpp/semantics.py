@@ -20,18 +20,16 @@ The check runs over the value lattice (_lattice._ValueLattice), for
 enumeration, check-model and the minimality search's leaves alike: h is
 one bit-mask domain per atom, with a bit of its own for a value off the
 lattice (_lattice._Point); formula literals and head disjuncts are decided
-by ANDing it with the masks of the lattice's rule forms, and an aggregate
-selects its pairs by their condition masks (build_multiset). Compounds
-read their values from the point, and folds and compositions go through
-compose_fold.
+by ANDing it with the masks of the lattice's rule forms. Folds and
+compositions go through compose_fold.
 
-satisfies_literal is the literal evaluator of the minimality search, which
-decides atomic formula literals over rank masks of its own and calls it
-for compound formulae and aggregates while a branch is open. It reads h
-only through h.possible(formula), the values a formula may still take
-(None while h cannot tell), and returns None while those values disagree;
-a PInterpretation allows one value per formula, so it gets plain booleans.
-Both paths evaluate an aggregate through _aggregate_holds.
+_holds is the one evaluator of the body literals that are no atomic
+formula, for the check and the minimality search alike. It reads an
+interpretation as a mask of the ranks each atom may take, and a compound's
+value, None while that is open; an aggregate selects its pairs by their
+condition masks (build_multiset). It returns None while the literal is
+open, which a point, with one bit per atom and every compound's value,
+never is.
 """
 
 from __future__ import annotations
@@ -39,13 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cache
 
-from .aggregates import EValue, PValue, UNDEFINED, build_multiset, eval_aggregate
+from .aggregates import EValue, UNDEFINED, build_multiset, eval_aggregate
 from ._lattice import _Point
 from .grounder import GroundProgram
 from .model import (
     AggregateAtom,
     Atom,
-    BuiltinComparison,
     HybridFormula,
     interval_compare,
     PInterpretation,
@@ -55,41 +52,6 @@ from .model import (
     ValueInterval,
 )
 from .strategies import compose_fold
-
-
-def _aggregate_holds(item: AggregateAtom, ann: ProbInterval, multiset) -> bool:
-    """Whether the aggregate over the selected multiset meets its guard and,
-    for the probability family, dominates ann."""
-    result = eval_aggregate(item.func, multiset)
-    if result is UNDEFINED:
-        return False
-    guard = item.guard_interval()
-    if isinstance(result, EValue):
-        return interval_compare(result.value, item.cmp, guard)
-    assert isinstance(result, PValue)
-    return interval_compare(ValueInterval.point(result.value), item.cmp, guard) and truth_leq(
-        ann, result.prob
-    )
-
-
-def satisfies_literal(h, item, ann: ProbInterval, positive: bool) -> bool | None:
-    """Whether h satisfies item:ann, or its negation unless positive; None
-    while the literal is open."""
-    if isinstance(item, HybridFormula):
-        values = h.possible(item)
-        if values is None:
-            return None
-        sat = truth_leq(ann, values[0])
-        if len(values) > 1 and any(truth_leq(ann, v) != sat for v in values[1:]):
-            return None
-    elif isinstance(item, AggregateAtom):
-        multiset = build_multiset(item.pset, h)
-        sat = None if multiset is None else _aggregate_holds(item, ann, multiset)
-    elif isinstance(item, BuiltinComparison):
-        sat = item.holds()
-    else:
-        raise AssertionError(f"unexpected body item {item!r}")
-    return sat if positive or sat is None else not sat
 
 
 @dataclass(frozen=True)
@@ -145,11 +107,12 @@ def satisfies_program(
     fired = []
     failure = None
     contributions: dict[int, list[ProbInterval]] = {}
+    compound = compounds.__getitem__
     for rule, body, head in zip(gp.rules, bodies, heads):
         ok = True
         for k, mask in body:
             if k is None:
-                if not _holds(mask, point):
+                if not _holds(mask, domains, compound):
                     break
             elif not domains[k] & mask:
                 break
@@ -186,18 +149,35 @@ def satisfies_program(
     return SatisfactionReport(tuple(verdicts), tuple(fired), failure)
 
 
-def _holds(spec: tuple, point: _Point) -> bool:
-    """Whether a body literal that is no atomic formula holds at point; spec
-    as in _ValueLattice.rule_form. An aggregate selects its pairs by their
-    condition masks."""
-    item, ann, positive = spec[0], spec[1], spec[2]
+def _holds(spec: tuple, domains: list[int], compound) -> bool | None:
+    """Whether a body literal that is no atomic formula holds, or None while
+    it is open; spec as in _ValueLattice.rule_form. domains[k] is the mask
+    of the ranks atom k may take, and compound(formula) a compound's value,
+    or None while it is open. An aggregate selects its pairs by their
+    condition masks (build_multiset)."""
+    item, ann = spec[0], spec[1]
     if isinstance(item, AggregateAtom):
-        sat = _aggregate_holds(item, ann, build_multiset(item.pset, point, spec[3]))
+        multiset = build_multiset(item.pset, spec[3], domains, compound)
+        if multiset is None:
+            return None
+        result = eval_aggregate(item.func, multiset)
+        if result is UNDEFINED:
+            sat = False
+        elif isinstance(result, EValue):
+            sat = interval_compare(result.value, item.cmp, item.guard_interval())
+        else:
+            # the probability family must also dominate ann
+            sat = interval_compare(
+                ValueInterval.point(result.value), item.cmp, item.guard_interval()
+            ) and truth_leq(ann, result.prob)
     elif isinstance(item, HybridFormula):
-        sat = truth_leq(ann, point.compounds[item])
+        value = compound(item)
+        if value is None:
+            return None
+        sat = truth_leq(ann, value)
     else:
         sat = item.holds()
-    return sat == positive
+    return sat == spec[2]
 
 
 def reduct(gp: GroundProgram, report: SatisfactionReport) -> GroundProgram:

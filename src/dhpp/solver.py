@@ -35,9 +35,10 @@ are decided. Formula literals and head disjuncts are decided by ANDing
 masks the lattice builds once per program (_lattice._ValueLattice).
 The search starts from the judged interpretation's point. Compounds,
 composed once their components are decided, and aggregates go to
-semantics.satisfies_literal, and satisfies_program judges each leaf over
-the source program's lattice, so aggregates and rule satisfaction keep one
-definition each, and a reduct builds no lattice of its own.
+semantics._holds, the p-model check's own evaluator, and satisfies_program
+judges each leaf as a point of the source program's lattice, so literals
+and rule satisfaction keep one definition each, and a reduct builds no
+lattice of its own.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .model import (
     truth_leq,
     ZERO,
 )
-from .semantics import SatisfactionReport, reduct, satisfies_literal, satisfies_program
+from .semantics import _holds, SatisfactionReport, reduct, satisfies_program
 from .strategies import compose_fold, PStrategy
 
 GuessKey = tuple[str, object, ProbInterval]
@@ -362,12 +363,13 @@ class _MinimalitySearch:
     components, so only atoms branch, in the lattice's order. A formula
     literal or head disjunct is decided by ANDing the domain with the mask
     of its satisfying values; compounds and aggregates go to
-    satisfies_literal, which reads possible(formula), so a body is decided
-    only when every completion of the branch agrees. Propagation: a rule
-    whose body is decided true must keep a satisfiable head disjunct, and
-    when only one disjunct can serve, its atom's domain shrinks to the
-    satisfying values. Each leaf is judged by satisfies_program over the
-    same lattice, its domains being the leaf's point.
+    semantics._holds with the branch's domains and compound, so a body is
+    decided only when every completion of the branch agrees. Propagation:
+    a rule whose body is decided true must keep a satisfiable head
+    disjunct, and when only one disjunct can serve, its atom's domain
+    shrinks to the satisfying values. Each leaf is judged by
+    satisfies_program over the same lattice, its domains being the leaf's
+    point.
     """
 
     def __init__(
@@ -378,20 +380,14 @@ class _MinimalitySearch:
         node_cap: int,
         point: _Point | None = None,
     ):
-        forms = None
-        if isinstance(lattice, _ValueLattice) and lattice.formulae is red.relevant_formulae:
-            point = point or lattice.point(h)[0]
-            forms = point.forms(red.rules)
-        # the tables of red's source program serve red, and judge its leaves;
-        # any other lattice (a plain mapping, one of another scope or of a
-        # program red's rules are not among) gets tables built for red, whose
-        # values need not hold red's folds, so its leaves are judged on red's
-        # own lattice
-        self.exact = forms is not None
-        if not self.exact:
+        # the tables of red's source program serve red, and judge its
+        # leaves; any other lattice (a plain mapping, one of another scope
+        # or of a program red's rules are not among) gets tables built for
+        # red once
+        if not (isinstance(lattice, _ValueLattice) and lattice.formulae is red.relevant_formulae):
             lattice = _ValueLattice(dict(lattice), red)
-            point = lattice.point(h)[0]
-            forms = point.forms(red.rules)
+            point = None
+        point = point or lattice.point(h)[0]
         self.red = red
         self.h = h
         self.node_cap = node_cap
@@ -406,7 +402,7 @@ class _MinimalitySearch:
             _below_mask(rows[k], extra[k]) | d if k in extra else lattice.below(k, d.bit_length() - 1)
             for k, d in enumerate(point.domains)
         ]
-        self.bodies, self.heads = forms
+        self.bodies, self.heads = point.forms(red.rules)
 
     def run(self) -> PInterpretation | None:
         return self._search(self.domains, 0)
@@ -418,13 +414,9 @@ class _MinimalitySearch:
                 f"minimality search exceeded {self.node_cap} nodes"
             )
 
-    def possible(self, formula: HybridFormula) -> tuple[ProbInterval, ...] | None:
-        """An atom's domain, decoded; a compound's one value once every
-        component is decided, None before."""
-        if formula.is_atomic:
-            k = self.position[formula.atoms[0]]
-            d = self.domains[k]
-            return tuple(v for r, v in enumerate(self.values[k]) if d >> r & 1)
+    def compound(self, formula: HybridFormula) -> ProbInterval | None:
+        """A compound's value, composed once every component is decided;
+        None before."""
         component = []
         for a in formula.atoms:
             k = self.position[a]
@@ -432,7 +424,7 @@ class _MinimalitySearch:
             if d & (d - 1):
                 return None
             component.append(self.values[k][d.bit_length() - 1])
-        return (compose_fold(self.red.formula_strategy(formula), component),)
+        return compose_fold(self.red.formula_strategy(formula), component)
 
     def body(self, literals: tuple) -> bool | None:
         """False when a body literal fails, True when all hold, None
@@ -442,7 +434,7 @@ class _MinimalitySearch:
         decided = True
         for k, mask in literals:
             if k is None:
-                sat = satisfies_literal(self, mask[0], mask[1], mask[2])
+                sat = _holds(mask, domains, self.compound)
                 if sat is False:
                     return False
                 if sat is None:
@@ -509,7 +501,7 @@ class _MinimalitySearch:
         entries = []
         for formula, k in zip(self.lattice.formulae, self.lattice.scope_positions):
             if k is None:
-                value = self.possible(formula)[0]
+                value = self.compound(formula)
                 if not truth_leq(value, self.point.compounds[formula]):
                     return None
                 compounds[formula] = value
@@ -520,10 +512,8 @@ class _MinimalitySearch:
         candidate = PInterpretation(tuple(entries))
         if candidate == self.h:
             return None
-        point = None
-        if self.exact:
-            forms = self.red.rules, (self.bodies, self.heads)
-            point = _Point(self.lattice, domains, compounds, self.point.extra, forms)
+        forms = self.red.rules, (self.bodies, self.heads)
+        point = _Point(self.lattice, domains, compounds, self.point.extra, forms)
         if satisfies_program(self.red, candidate, point).satisfied:
             return candidate
         return None
@@ -539,7 +529,8 @@ def find_smaller_model(
     """A p-model of red strictly below h, or None; plus nodes searched.
     lattice is the value lattice of red's source program, whose tables the
     search reads, and point h in its numbering, when the caller has it; a
-    plain mapping gets the same tables built for this call."""
+    plain mapping gets the same tables built for this call, on which the
+    leaves are judged."""
     search = _MinimalitySearch(red, h, lattice, node_cap, point)
     witness = search.run()
     return witness, search.nodes

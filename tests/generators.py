@@ -6,6 +6,10 @@ exhaustive classical oracle (translation side).  Both are deliberately
 naive; they only need to be obviously correct at toy scale.  The product
 enumeration judges p-models with reference_satisfies_program, written off
 the definition over PInterpretation lookups, not with the solver's check.
+
+The probes at the end go the other way: they judge one literal, or select
+one aggregate's pairs, through the solver's own check, for tests that pin
+its answers on hand-made interpretations.
 """
 
 from __future__ import annotations
@@ -16,19 +20,25 @@ from fractions import Fraction
 from math import prod
 
 from dhpp import (
+    ONE,
+    UNDEFINED,
     AggregateAtom,
     Atom,
     ClassicalAggregate,
     ClassicalProgram,
     ClassicalRule,
+    EValue,
+    GroundSet,
     HybridFormula,
     PInterpretation,
     ProbInterval,
     Program,
     Rule,
+    ValueInterval,
     ZERO,
     builtin_registry,
     compose_fold,
+    eval_aggregate,
     ground_program,
     interp_lt,
     parse_program,
@@ -36,8 +46,9 @@ from dhpp import (
     truth_leq,
 )
 from dhpp.grounder import GroundProgram
-from dhpp.model import AGG_FUNCS, COMPARATORS, P_FUNCS, BuiltinComparison, Num
-from dhpp.semantics import SatisfactionReport, satisfies_literal
+from dhpp.aggregates import build_multiset
+from dhpp.model import AGG_FUNCS, COMPARATORS, P_FUNCS, BuiltinComparison, interval_compare, Num
+from dhpp.semantics import SatisfactionReport, satisfies_program
 
 ANNOTATIONS = [Fraction(3, 10), Fraction(1, 2), Fraction(7, 10), Fraction(1)]
 GRID = [Fraction(0), Fraction(3, 10), Fraction(1, 2), Fraction(7, 10), Fraction(1)]
@@ -178,17 +189,38 @@ def random_recursive_aggregate_program(rng: random.Random, max_rules: int = 3) -
 # The p-model check over PInterpretation lookups
 
 
-def satisfies_body(h, rule: Rule) -> bool | None:
-    """False when a body literal fails, True when all hold, None otherwise."""
-    decided = True
-    for literals, positive in ((rule.pos_body, True), (rule.neg_body, False)):
-        for item, ann in literals:
-            sat = satisfies_literal(h, item, ann, positive)
-            if sat is False:
-                return False
-            if sat is None:
-                decided = False
-    return True if decided else None
+def reference_literal(h: PInterpretation, item, ann: ProbInterval, positive: bool) -> bool:
+    """Whether h satisfies item:ann, or its negation unless positive, read
+    off the definition through PInterpretation.value: an aggregate
+    evaluates the pairs whose every condition h satisfies."""
+    if isinstance(item, HybridFormula):
+        sat = truth_leq(ann, h.value(item))
+    elif isinstance(item, AggregateAtom):
+        selected = [
+            (pair.value, pair.prob)
+            for pair in item.pset.pairs
+            if all(truth_leq(c, h.value(f)) for f, c in pair.condition)
+        ]
+        result = eval_aggregate(item.func, selected)
+        guard = item.guard_interval()
+        if result is UNDEFINED:
+            sat = False
+        elif isinstance(result, EValue):
+            sat = interval_compare(result.value, item.cmp, guard)
+        else:
+            sat = interval_compare(
+                ValueInterval.point(result.value), item.cmp, guard
+            ) and truth_leq(ann, result.prob)
+    else:
+        sat = item.holds()
+    return sat == positive
+
+
+def satisfies_body(h: PInterpretation, rule: Rule) -> bool:
+    """Whether h satisfies every body literal of rule."""
+    return all(reference_literal(h, item, ann, True) for item, ann in rule.pos_body) and all(
+        reference_literal(h, item, ann, False) for item, ann in rule.neg_body
+    )
 
 
 def reference_satisfies_program(gp: GroundProgram, h: PInterpretation) -> SatisfactionReport:
@@ -576,3 +608,41 @@ def random_classical_aggregate_program(rng: random.Random) -> ClassicalProgram:
     if not rules:
         rules.append(ClassicalRule((atoms[0],), (), ()))
     return ClassicalProgram(rules)
+
+
+# ---------------------------------------------------------------------------
+# Probes of the solver's check
+
+
+def _one_rule_program(rule: Rule) -> GroundProgram:
+    return GroundProgram(rules=[rule], registry=builtin_registry())
+
+
+def check_literal(h: PInterpretation, item, ann: ProbInterval, positive: bool) -> bool:
+    """Whether satisfies_program finds h satisfying item:ann, or its negation
+    unless positive: whether it fires the one constraint whose body is that
+    literal."""
+    body = ((item, ann),)
+    gp = _one_rule_program(Rule((), body, ()) if positive else Rule((), (), body))
+    return satisfies_program(gp, h).fired == tuple(gp.rules)
+
+
+def check_selection(gset: GroundSet, h: PInterpretation):
+    """The multiset build_multiset selects from gset at h, in the numbering
+    of a one-rule program that reads the set."""
+    item = AggregateAtom("countP", gset, ">=", Num(0), Num(0))
+    gp = _one_rule_program(Rule((), ((item, ONE),), ()))
+    point = gp.value_lattice().point(h)[0]
+    bodies, _ = point.forms(gp.rules)
+    ((_, spec),) = bodies[0]
+    return build_multiset(gset, spec[3], point.domains, point.compounds.__getitem__)
+
+
+def search_domains(search) -> dict[HybridFormula, tuple[ProbInterval, ...]]:
+    """Each atom's domain in a minimality search's branch, decoded into the
+    values it may take."""
+    out = {}
+    for k, f in enumerate(search.atoms):
+        d = search.domains[k]
+        out[f] = tuple(v for r, v in enumerate(search.values[k]) if d >> r & 1)
+    return out

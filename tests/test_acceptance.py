@@ -20,7 +20,6 @@ from dhpp import (
     HybridFormula,
     PInterpretation,
     ProbInterval,
-    build_multiset,
     enumerate_answer_sets,
     eval_aggregate,
     ground_program,
@@ -29,10 +28,11 @@ from dhpp import (
 )
 from dhpp.classical import answer_set_atoms, classical_oracle
 from dhpp.model import AggregateAtom, Num, ValueInterval, format_rational
-from dhpp.semantics import satisfies_literal
 from dhpp.solver import pairwise_incomparable
 from generators import (
     brute_force_answer_sets,
+    check_literal,
+    check_selection,
     random_classical_program,
     random_interval,
     random_leq_interpretations,
@@ -86,10 +86,10 @@ def test_criterion_2_dice_sum_aggregate_evaluation(dice_solved):
             (HybridFormula.atomic(Atom("a", (Num(2), Num(1)))), ProbInterval("0.5", "0.5")),
         ]
     )
-    ms = build_multiset(agg.pset, h)
+    ms = check_selection(agg.pset, h)
     result = eval_aggregate("sumP", ms)
     assert result == PValue(Fraction(3), ProbInterval("0.35", "0.35"))
-    assert satisfies_literal(h, agg, ProbInterval("0.3", "0.3"), positive=True)
+    assert check_literal(h, agg, ProbInterval("0.3", "0.3"), positive=True)
 
 
 # -- criterion 3: dietary golden answer sets ----------------------------------------
@@ -181,7 +181,7 @@ def test_criterion_3_diet_golden_answer_sets(diet_solved):
     assert {a.guard_lo.value for a in aggs} == set(bounds)
     for h in result.interpretations:
         for agg in aggs:
-            supply = eval_aggregate("valE", build_multiset(agg.pset, h))
+            supply = eval_aggregate("valE", check_selection(agg.pset, h))
             assert isinstance(supply, EValue)
             assert supply.value.lo >= agg.guard_lo.value
             assert supply.value.hi >= agg.guard_lo.value
@@ -280,13 +280,13 @@ def test_criterion_8_literal_monotonicity_samples():
         h1, h2 = random_leq_interpretations(rng, formulae)
         target = rng.choice(formulae)
         ann = random_interval(rng)
-        if satisfies_literal(h1, target, ann, positive=True):
+        if check_literal(h1, target, ann, positive=True):
             armed_positive += 1
-            if not satisfies_literal(h2, target, ann, positive=True):
+            if not check_literal(h2, target, ann, positive=True):
                 violations.append(("pos", h1, h2, ann))
-        if satisfies_literal(h2, target, ann, positive=False):
+        if check_literal(h2, target, ann, positive=False):
             armed_negative += 1
-            if not satisfies_literal(h1, target, ann, positive=False):
+            if not check_literal(h1, target, ann, positive=False):
                 violations.append(("neg", h1, h2, ann))
     assert violations == []
     # the fixed seed arms both directions often enough to mean something

@@ -16,12 +16,12 @@ from dhpp import (
     PValue,
     ProbInterval,
     ValueInterval,
-    build_multiset,
     eval_aggregate,
     truth_leq,
 )
 from dhpp.model import Const, Num
 from dhpp.aggregates import joint_probability, scalar_interval_product
+from generators import check_selection
 
 
 def iv(lo, hi=None) -> ProbInterval:
@@ -56,7 +56,7 @@ DICE_SET = GroundSet(
 
 def test_multiset_selection():
     h = interp(a12="0.7", a21="0.5")
-    ms = build_multiset(DICE_SET, h)
+    ms = check_selection(DICE_SET, h)
     assert sorted((str(v), str(p)) for v, p in ms) == [
         ("1", "[0.7,0.7]"),
         ("2", "[0.5,0.5]"),
@@ -64,7 +64,7 @@ def test_multiset_selection():
 
 
 def test_multiset_empty_under_empty_interpretation():
-    assert build_multiset(DICE_SET, PInterpretation()) == []
+    assert check_selection(DICE_SET, PInterpretation()) == []
 
 
 def test_multiset_keeps_duplicate_members():
@@ -72,7 +72,7 @@ def test_multiset_keeps_duplicate_members():
         (pair("1", "0.5", "x", "0.5"), pair("1", "0.5", "y", "0.5"))
     )
     h = interp(x="0.5", y="0.5")
-    ms = build_multiset(gset, h)
+    ms = check_selection(gset, h)
     assert len(ms) == 2
     assert eval_aggregate("countP", ms) == PValue(Fraction(2), iv("0.25"))
 
@@ -80,15 +80,15 @@ def test_multiset_keeps_duplicate_members():
 def test_multiset_grows_with_interpretation():
     lower = interp(a12="0.7")
     higher = interp(a12="0.7", a21="0.5", a11="0.5")
-    ms_low = build_multiset(DICE_SET, lower)
-    ms_high = build_multiset(DICE_SET, higher)
+    ms_low = check_selection(DICE_SET, lower)
+    ms_high = check_selection(DICE_SET, higher)
     for member in ms_low:
         assert member in ms_high
 
 
 def test_sum_p_dice_value():
     h = interp(a12="0.7", a21="0.5")
-    result = eval_aggregate("sumP", build_multiset(DICE_SET, h))
+    result = eval_aggregate("sumP", check_selection(DICE_SET, h))
     assert result == PValue(Fraction(3), iv("0.35"))
 
 

@@ -15,12 +15,13 @@ from dhpp import (
     parse_program,
     reduct,
     satisfies_program,
+    truth_leq,
 )
 from dhpp.model import Num
-from dhpp.semantics import satisfies_literal
 from dhpp.solver import _MinimalitySearch
 from dhpp.strategies import compose_fold
 from generators import (
+    check_literal,
     random_aggregate_program,
     random_interval,
     random_leq_interpretations,
@@ -28,6 +29,7 @@ from generators import (
     random_recursive_aggregate_program,
     reference_satisfies_program,
     satisfies_body,
+    search_domains,
 )
 
 
@@ -59,16 +61,16 @@ def ground(text: str):
 
 def test_atom_literal_threshold():
     h = dice_interp((1, 2, "0.7"))
-    assert satisfies_literal(h, dice_atom(1, 2), iv("0.7"), positive=True)
+    assert check_literal(h, dice_atom(1, 2), iv("0.7"), positive=True)
     low = dice_interp((1, 2, "0.6"))
-    assert not satisfies_literal(low, dice_atom(1, 2), iv("0.7"), positive=True)
+    assert not check_literal(low, dice_atom(1, 2), iv("0.7"), positive=True)
 
 
 def test_naf_is_the_exact_complement():
     h = dice_interp((1, 2, "0.7"))
     for ann in (iv("0.5"), iv("0.7"), iv("0.9")):
-        pos = satisfies_literal(h, dice_atom(1, 2), ann, positive=True)
-        neg = satisfies_literal(h, dice_atom(1, 2), ann, positive=False)
+        pos = check_literal(h, dice_atom(1, 2), ann, positive=True)
+        neg = check_literal(h, dice_atom(1, 2), ann, positive=False)
         assert pos != neg
 
 
@@ -81,15 +83,15 @@ def test_p_aggregate_literal_on_dice(dice_solved):
         if isinstance(item, AggregateAtom)
     )
     h = NOT_P_MODEL  # selects 1:0.7 and 2:0.5, so x=3 and X=[0.35,0.35]
-    assert satisfies_literal(h, agg, iv("0.3"), positive=True)
-    assert not satisfies_literal(H1, agg, iv("0.3"), positive=True)  # x=2 < 3
+    assert check_literal(h, agg, iv("0.3"), positive=True)
+    assert not check_literal(H1, agg, iv("0.3"), positive=True)  # x=2 < 3
 
 
 def test_undefined_aggregate_satisfies_naf():
     empty_min = AggregateAtom("minE", GroundSet(()), "<", Num("5"), Num("5"))
     h = PInterpretation()
-    assert not satisfies_literal(h, empty_min, ONE, positive=True)
-    assert satisfies_literal(h, empty_min, ONE, positive=False)
+    assert not check_literal(h, empty_min, ONE, positive=True)
+    assert check_literal(h, empty_min, ONE, positive=False)
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +330,10 @@ def test_positive_literals_monotone_naf_antimonotone():
         h1, h2 = random_leq_interpretations(rng, formulae)
         target = rng.choice(formulae)
         ann = random_interval(rng)
-        if satisfies_literal(h1, target, ann, positive=True):
-            assert satisfies_literal(h2, target, ann, positive=True)
-        if satisfies_literal(h2, target, ann, positive=False):
-            assert satisfies_literal(h1, target, ann, positive=False)
+        if check_literal(h1, target, ann, positive=True):
+            assert check_literal(h2, target, ann, positive=True)
+        if check_literal(h2, target, ann, positive=False):
+            assert check_literal(h1, target, ann, positive=False)
 
 
 def test_reduct_keeps_the_formula_scope_of_its_source():
@@ -379,6 +381,8 @@ def branch_programs(paths):
     rng = random.Random(31)
     for _ in range(60):
         yield random_aggregate_program(rng)
+    for _ in range(60):
+        yield random_recursive_aggregate_program(rng)
 
 
 def test_decided_bodies_agree_with_every_completion_of_a_branch(dice_path, diet_path):
@@ -397,7 +401,7 @@ def test_decided_bodies_agree_with_every_completion_of_a_branch(dice_path, diet_
                 ranks = [r for r in range(d.bit_length()) if d >> r & 1]
                 keep = rng.sample(ranks, rng.randint(1, len(ranks)))
                 search.domains[i] = sum(1 << r for r in keep)
-            domains = {f: search.possible(f) for f in search.atoms}
+            domains = search_domains(search)
             for rule, literals in zip(gp.rules, search.bodies):
                 decided = search.body(literals)
                 verdicts.append(decided)
@@ -406,3 +410,26 @@ def test_decided_bodies_agree_with_every_completion_of_a_branch(dice_path, diet_
                 for h in completions(gp, domains, body_atoms(rule)):
                     assert satisfies_body(h, rule) is decided, (str(rule), str(h))
     assert {True, False, None} <= set(verdicts)
+
+
+def test_a_pair_with_one_condition_failing_on_its_whole_domain_is_out():
+    # a:0.5 fails on every value a may take, while b:0.3 is still open: the
+    # pair is out, so the aggregate literal is decided on this branch
+    gp = ground(
+        "a : 0.3.\nb : 0.3.\nb : 0.5 :- a : 0.3.\n"
+        "c :- countP{<1 : 1 | a : 0.5, b : 0.3>} >= 1.\n"
+        "d :- not countP{<1 : 1 | a : 0.5, b : 0.3>} >= 1."
+    )
+    lattice = gp.value_lattice()
+    top = PInterpretation.from_pairs((f, lattice[f][-1]) for f in gp.relevant_formulae)
+    search = _MinimalitySearch(gp, top, lattice, node_cap=1)
+    domains = search_domains(search)
+    a, b = (HybridFormula.atomic(Atom(n)) for n in "ab")
+    assert not any(truth_leq(iv("0.5"), v) for v in domains[a])
+    assert {truth_leq(iv("0.3"), v) for v in domains[b]} == {True, False}
+    positive, negative = search.bodies[3], search.bodies[4]
+    assert search.body(positive) is False
+    assert search.body(negative) is True
+    for rule, decided in ((gp.rules[3], False), (gp.rules[4], True)):
+        for h in completions(gp, domains, body_atoms(rule)):
+            assert satisfies_body(h, rule) is decided

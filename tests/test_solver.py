@@ -30,7 +30,6 @@ from dhpp import (
     truth_leq,
     ZERO,
 )
-from dhpp.aggregates import build_multiset
 from dhpp.grounder import GroundProgram
 from dhpp.model import AGG_FUNCS, AggregateAtom
 from dhpp.solver import (
@@ -44,6 +43,7 @@ from dhpp.solver import (
 from dhpp.strategies import compose_fold, DISJUNCTIVE
 from generators import (
     brute_force_answer_sets,
+    check_selection,
     definite_fixpoint,
     original_dhpp_answer_sets,
     random_aggregate_program,
@@ -55,6 +55,7 @@ from generators import (
     reference_candidate,
     reference_closure,
     reference_satisfies_program,
+    search_domains,
 )
 
 
@@ -402,8 +403,7 @@ def test_minimality_domains_are_the_values_at_or_below_the_candidate():
             )
             search = _MinimalitySearch(gp, h, lattice, node_cap=1)
             assert sorted(search.atoms, key=str) == [f for f in gp.relevant_formulae if f.is_atomic]
-            for f in search.atoms:
-                domain = search.possible(f)
+            for f, domain in search_domains(search).items():
                 assigned = h.value(f)
                 values = {v for v in lattice.get(f, (ZERO,)) if truth_leq(v, assigned)}
                 outside += assigned not in values
@@ -697,7 +697,7 @@ def test_matches_brute_force_on_recursive_aggregate_programs():
         ]
         functions.update(item.func for item in aggregates)
         empty_extrema += sum(
-            item.func[:3] in ("min", "max") and build_multiset(item.pset, h) == []
+            item.func[:3] in ("min", "max") and check_selection(item.pset, h) == []
             for item in aggregates
             for h in expected
         )
