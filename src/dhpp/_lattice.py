@@ -1,7 +1,9 @@
 """The value lattice of a ground program, as GroundProgram.value_lattice()
 returns it, with the tables that judge interpretations over it: rank masks,
-rule forms and the minimality search's branching order. An interpretation
-in the lattice's numbering is a _Point.
+fold tables, rule forms and the minimality search's branching order. The
+closure, the p-model check and the minimality search all read them, so a
+program is compiled once. An interpretation in the lattice's numbering is
+a _Point.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .model import (
     ZERO,
 )
 
-# rules' body and head forms, as _ValueLattice.rule_form makes them
+# rules' body and head forms, as _ValueLattice.rule_forms gives them
 Forms = tuple[list[tuple], list[tuple]]
 
 
@@ -34,19 +36,23 @@ class _ValueLattice(Mapping):
     the mapping lacks), numbered by rank. A set of its values is an int
     mask, bit r standing for rank r: satisfying(k, ann) is the mask of the
     values at or above ann in the truth order, below(k, r) that of the
-    values at or below rank r, kept once computed. The forms of the
-    program's rules (rule_form) and the branching order are built on first
-    use. The tables hold no reference to the program, so they die with it,
-    and a reduct shares the program's scope and rules, so they serve it
-    too.
+    values at or below rank r, kept once computed. folds[k] is atom k's
+    fold table, (rank, annotation rank) -> rank, when it has two or more
+    head occurrences (a lattice made from a plain mapping has none), and
+    non_expansive the first composition in them below one of its inputs,
+    as (strategy name, formula, value, annotation, composition), or None.
+    The forms of the program's rules (rule_forms) and
+    the branching order are built on first use. The tables hold no
+    reference to the program, so they die with it, and a reduct shares the
+    program's scope and rules, so they serve it too.
     """
 
     __slots__ = (
         "_values", "formulae", "_rules", "atoms", "position", "scope_positions",
-        "atom_values", "_offsets", "_downs", "_forms", "_order",
+        "atom_values", "folds", "non_expansive", "_offsets", "_downs", "_forms", "_order",
     )
 
-    def __init__(self, values: dict[HybridFormula, tuple[ProbInterval, ...]], program: Program):
+    def __init__(self, values: dict, program: Program, folds: dict | None = None, non_expansive=None):
         self._values = values
         self.formulae = program.relevant_formulae
         self._rules = program.rules
@@ -57,6 +63,8 @@ class _ValueLattice(Mapping):
             self.position[f.atoms[0]] if f.is_atomic else None for f in self.formulae
         )
         self.atom_values = [values.get(f, (ZERO,)) for f in self.atoms]
+        self.folds = [(folds or {}).get(f) for f in self.atoms]
+        self.non_expansive = non_expansive
         # the down-set mask of atom k's rank r is _downs[_offsets[k] + r]
         self._offsets = array('l', itertools.accumulate(map(len, self.atom_values), initial=0))
         self._downs: list[int | None] = [None] * self._offsets[-1]
@@ -131,18 +139,10 @@ class _ValueLattice(Mapping):
                 outside = (formula, value)
         return _Point(self, domains, compounds, extra), outside
 
-    def rule_form(self, rule: Rule, literal=None) -> tuple[tuple, tuple]:
-        """rule as the judge and the minimality search read it.
-
-        Its body literals, in order: (atom, mask of the values where the
-        literal holds) for an atomic formula; (None, (item, ann, positive,
-        conditions)) for an aggregate, whose conditions hold, per pair of
-        its set, the pair's condition formulae, an atomic one as (atom,
-        mask), a compound as (None, (formula, ann)); and (None, (item, ann,
-        positive)) for any other. Its head disjuncts: (atom, mask of the
-        values that satisfy it). literal(k, ann, positive) makes the pair
-        of an atomic formula, by default from satisfying."""
-        literal = literal or self._literal
+    def rule_form(self, rule: Rule, literal, disjunct) -> tuple[tuple, tuple]:
+        """rule's body and head forms (rule_forms), the pair of each atomic
+        formula made by literal(k, ann, positive) and each head disjunct by
+        disjunct(k, ann), k the atom's number."""
         position = self.position
         literals = []
         for body, positive in ((rule.pos_body, True), (rule.neg_body, False)):
@@ -160,39 +160,53 @@ class _ValueLattice(Mapping):
                     literals.append((None, (item, ann, positive, conditions)))
                 else:
                     literals.append((None, (item, ann, positive)))
-        head = tuple(literal(position[atom], ann, True) for atom, ann in rule.head)
-        return tuple(literals), head
-
-    def _literal(self, k: int, ann: ProbInterval, positive: bool) -> tuple[int, int]:
-        mask = self.satisfying(k, ann)
-        return k, mask if positive else ~mask
+        return tuple(literals), tuple(disjunct(position[atom], ann) for atom, ann in rule.head)
 
     def _build_forms(self) -> Forms:
         """The body and head forms of the program's rules."""
-        # equal literals and heads share one tuple. The memo lives for this
-        # build only, while the rules hold their annotations, so an id names
-        # one and equal annotations built apart are never compared
+        # equal literals share one tuple, and so do heads of the same
+        # disjuncts. The memo lives for this build only, while the rules hold
+        # their annotations, so an id names one and equal annotations built
+        # apart are never compared
         shared: dict[tuple, tuple] = {}
+        same_heads: dict[tuple[int, ...], tuple] = {}
 
         def literal(k: int, ann: ProbInterval, positive: bool) -> tuple[int, int]:
             key = (k, id(ann), positive)
             pair = shared.get(key)
             if pair is None:
-                pair = self._literal(k, ann, positive)
+                mask = self.satisfying(k, ann)
+                pair = (k, mask if positive else ~mask)
                 pair = shared[key] = shared.setdefault(pair, pair)
             return pair
 
+        def disjunct(k: int, ann: ProbInterval) -> tuple:
+            key = (k, id(ann), None)
+            d = shared.get(key)
+            if d is None:
+                d = shared[key] = (k, self.satisfying(k, ann), self.rank(k, ann), ann)
+            return d
+
         bodies, heads = [], []
         for rule in self._rules:
-            literals, head = self.rule_form(rule, literal)
-            bodies.append(literals)
-            heads.append(shared.setdefault(head, head))
+            body, head = self.rule_form(rule, literal, disjunct)
+            bodies.append(body)
+            heads.append(same_heads.setdefault(tuple(map(id, head)), head))
         return bodies, heads
 
     def rule_forms(self, rules: list[Rule]) -> Forms | None:
-        """The body and head forms of rules, read from those of the
-        program's rules when rules are among them in program order, as a
-        reduct's are; None when they are not."""
+        """The forms of rules, as the closure, the p-model check and the
+        minimality search read them; None unless rules are among the
+        program's in program order, as a reduct's are.
+
+        A rule's body literals, in order: (atom, mask of the values where
+        the literal holds) for an atomic formula; (None, (item, ann,
+        positive, conditions)) for an aggregate, whose conditions hold, per
+        pair of its set, the pair's condition formulae, an atomic one as
+        (atom, mask), a compound as (None, (formula, ann)); and (None,
+        (item, ann, positive)) for any other. Its head disjuncts: (atom,
+        mask of the values that satisfy it, the annotation's rank among
+        them or None, annotation)."""
         if self._forms is None:
             self._forms = self._build_forms()
         return _among(rules, self._rules, self._forms)
@@ -269,6 +283,27 @@ class _Point:
             mask |= 1 << len(self.lattice.atom_values[k])
         return k, mask if positive else ~mask
 
+    def _patched(self, rule: Rule, body: tuple, head: tuple) -> tuple[tuple, tuple]:
+        """rule's forms body and head with each pair that reads an atom off
+        the lattice made again by literal, and the others kept: rule_form
+        asks for the pairs in the order they are listed here."""
+        kept = iter([c for k, spec in body for c in (
+            [(k, spec)] if k is not None
+            else [c for pair in spec[3] for c in pair if c[0] is not None] if len(spec) == 4
+            else []
+        )])
+        heads = iter(head)
+
+        def literal(k: int, ann: ProbInterval, positive: bool) -> tuple[int, int]:
+            pair = next(kept)
+            return self.literal(k, ann, positive) if k in self.extra else pair
+
+        def disjunct(k: int, ann: ProbInterval) -> tuple:
+            d = next(heads)
+            return (*self.literal(k, ann, True), *d[2:]) if k in self.extra else d
+
+        return self.lattice.rule_form(rule, literal, disjunct)
+
     def forms(self, rules: list[Rule]) -> Forms | None:
         """The forms of rules (_ValueLattice.rule_forms), where each mask
         that reads an atom off the lattice also holds the atom's own bit
@@ -299,30 +334,7 @@ class _Point:
                     return True
             elif k in extra:
                 return True
-        return any(k in extra for k, _ in head)
-
-    def _patched(self, rule: Rule, body: tuple, head: tuple) -> tuple[tuple, tuple]:
-        """rule's forms body and head with every pair that reads an atom off
-        the lattice made again by literal."""
-        extra = self.extra
-
-        def pair(old: tuple, ann: ProbInterval, positive: bool) -> tuple:
-            return self.literal(old[0], ann, positive) if old[0] in extra else old
-
-        literals = []
-        signs = [True] * len(rule.pos_body) + [False] * len(rule.neg_body)
-        for (k, spec), (item, ann), positive in zip(body, rule.pos_body + rule.neg_body, signs):
-            if k is not None:
-                literals.append(pair((k, spec), ann, positive))
-            elif len(spec) == 4:
-                conditions = tuple(
-                    tuple(pair(c, c_ann, True) for c, (_, c_ann) in zip(condition, member.condition))
-                    for condition, member in zip(spec[3], item.pset.pairs)
-                )
-                literals.append((None, (*spec[:3], conditions)))
-            else:
-                literals.append((k, spec))
-        return tuple(literals), tuple(pair(d, ann, True) for d, (_, ann) in zip(head, rule.head))
+        return any(d[0] in extra for d in head)
 
 
 def _among(rules: list[Rule], mine: list[Rule], forms: Forms) -> Forms | None:

@@ -77,7 +77,7 @@ def build_multiset(gset: GroundSet, conditions: tuple, domains, compound) -> Mul
     while a pair is open.
 
     conditions are the pairs' condition forms, as
-    _lattice._ValueLattice.rule_form makes them: an atomic condition is
+    _lattice._ValueLattice.rule_forms gives them: an atomic condition is
     (atom, mask of the ranks where it holds), read against domains[atom],
     the mask of the ranks the atom may take; a compound one is (None,
     (formula, ann)), read against compound(formula), its value or None

@@ -87,9 +87,9 @@ def _load_model(path: str) -> PInterpretation:
             formula = parse_formula(text)
             value = ProbInterval(entry["lo"], entry["hi"])
             pairs.append((formula, value))
-    except (KeyError, TypeError, ValueError) as exc:
+        return PInterpretation.from_pairs(pairs)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DhppError(f"bad model file {path}: {exc}") from exc
-    return PInterpretation.from_pairs(pairs)
 
 
 def _run_solve(config: RunConfig, gp: GroundProgram, out: TextIO) -> int:
@@ -211,6 +211,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     seed_text = os.environ.get("DHPP_SEED")
     try:
+        seed = int(seed_text) if seed_text else None
+    except ValueError:
+        print(f"error: DHPP_SEED must be an integer, got {seed_text!r}", file=sys.stderr)
+        return 2
+    try:
         config = RunConfig(
             mode=args.mode,
             inputs=args.inputs,
@@ -219,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
             json_output=args.json,
             max_ground=args.max_ground,
             model=args.model,
-            seed=int(seed_text) if seed_text else None,
+            seed=seed,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

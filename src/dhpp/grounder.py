@@ -56,6 +56,7 @@ from .model import (
     substitute_term,
     Term,
     term_is_ground,
+    truth_leq,
     Var,
     ZERO,
 )
@@ -623,10 +624,11 @@ class GroundProgram(Program):
         annotations; compound formulae take strategy compositions over
         component values. Sorted ascending by (lo, hi). Computed once per
         program and shared read-only between callers. The mapping also
-        numbers each atom's values and keeps the rank masks, rule forms and
-        branching order of the minimality search (_lattice._ValueLattice),
-        each built on first use; they belong to this program and die with
-        it.
+        numbers each atom's values and keeps the rank masks, fold tables,
+        rule forms and branching order that the closure, the p-model check
+        and the minimality search read (_lattice._ValueLattice), the forms
+        and the order built on first use; they belong to this program and
+        die with it.
         """
         return self._lattice
 
@@ -634,23 +636,33 @@ class GroundProgram(Program):
     def _lattice(self) -> _ValueLattice:
         occurrences = self.head_annotations()
         lattice: dict[HybridFormula, tuple[ProbInterval, ...]] = {}
+        folds: dict[HybridFormula, dict[tuple[int, int], int] | None] = {}
+        offences: dict[Atom, tuple] = {}
+        # the rules hold every annotation object while this runs, so an id
+        # names one: atoms whose occurrences are the same objects in the
+        # same order under one strategy share their values and fold table,
+        # and equal fold tables are one
+        shared: dict[tuple, tuple] = {}
+        tables: dict[tuple, dict[tuple[int, int], int]] = {}
         total = 0
         for formula in self.relevant_formulae:
             if not formula.is_atomic:
                 continue
             atom = formula.atoms[0]
             strat = self.strategy_for(atom.predicate)
-            # folds of the non-empty sub-multisets, then ZERO for the empty one
-            acc: set[ProbInterval] = set()
-            for ann in occurrences.get(atom, ()):
-                acc |= {ann} | {strat.compose(v, ann) for v in acc}
-                if len(acc) + (ZERO not in acc) > LATTICE_CAP:
-                    raise UniverseOverflow(f"value lattice for {atom} exceeded {LATTICE_CAP}")
-            acc.add(ZERO)
-            total += len(acc)
+            anns = occurrences.get(atom, ())
+            key = (strat.name, *map(id, anns))
+            if key not in shared:
+                values, table, offence = _atom_lattice(atom, strat, anns)
+                if table is not None:
+                    table = tables.setdefault(tuple(table.items()), table)
+                shared[key] = values, table, offence
+            lattice[formula], folds[formula], offence = shared[key]
+            total += len(lattice[formula])
             if total > LATTICE_CAP:
                 raise UniverseOverflow(f"value lattice exceeded {LATTICE_CAP} entries")
-            lattice[formula] = tuple(sorted(acc, key=lambda v: (v.lo, v.hi)))
+            if offence is not None:
+                offences[atom] = (strat.name, formula, *offence)
         for formula in self.relevant_formulae:
             if formula.is_atomic:
                 continue
@@ -668,7 +680,42 @@ class GroundProgram(Program):
             if total > LATTICE_CAP:
                 raise UniverseOverflow(f"value lattice exceeded {LATTICE_CAP} entries")
             lattice[formula] = tuple(sorted(values, key=lambda v: (v.lo, v.hi)))
-        return _ValueLattice(lattice, self)
+        # the offence reported is that of the atom the last rule heads first
+        heads = (atom for rule in reversed(self.rules) for atom, _ in rule.head)
+        first = next((offences[atom] for atom in heads if atom in offences), None)
+        return _ValueLattice(lattice, self, folds, first)
+
+
+def _atom_lattice(atom: Atom, strategy: PStrategy, anns: list[ProbInterval]) -> tuple:
+    """ZERO and the folds of the non-empty sub-multisets of anns, an atom's
+    head annotations, sorted by (lo, hi); with two or more, also the atom's
+    fold table, (rank, annotation rank) -> rank of strategy composing each
+    value (but ZERO, unless an annotation is ZERO) with each annotation,
+    where that is a value, and the first such composition below one of its
+    inputs, as (value, annotation, composition), or None."""
+    acc: set[ProbInterval] = set()
+    for ann in anns:
+        acc |= {ann} | {strategy.compose(v, ann) for v in acc}
+        if len(acc) + (ZERO not in acc) > LATTICE_CAP:
+            raise UniverseOverflow(f"value lattice for {atom} exceeded {LATTICE_CAP}")
+    acc.add(ZERO)
+    values = tuple(sorted(acc, key=lambda v: (v.lo, v.hi)))
+    if len(anns) < 2:
+        return values, None, None
+    rank = {v: r for r, v in enumerate(values)}
+    # the annotations' ranks, from the last occurrence back, in set order:
+    # that fixes which offence is the first
+    columns = {rank[ann] for ann in reversed(anns)}
+    table, offence = {}, None
+    for r in range(0 if 0 in columns else 1, len(values)):
+        for a in columns:
+            v, ann = values[r], values[a]
+            out = strategy.compose(v, ann)
+            if offence is None and not (truth_leq(v, out) and truth_leq(ann, out)):
+                offence = (v, ann, out)
+            if out in rank:
+                table[r, a] = rank[out]
+    return values, table, offence
 
 
 def ground_program(program: Program, max_rules: int = 100_000) -> GroundProgram:

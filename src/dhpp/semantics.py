@@ -20,8 +20,10 @@ The check runs over the value lattice (_lattice._ValueLattice), for
 enumeration, check-model and the minimality search's leaves alike: h is
 one bit-mask domain per atom, with a bit of its own for a value off the
 lattice (_lattice._Point); formula literals and head disjuncts are decided
-by ANDing it with the masks of the lattice's rule forms. Folds and
-compositions go through compose_fold.
+by ANDing it with the masks of the lattice's rule forms. Contributions
+fold left, in rule order, through the fold tables the closure reads too;
+compose_fold folds only where an atom has no table (a lattice made from a
+plain mapping) or the fold leaves the lattice, and composes compounds.
 
 _holds is the one evaluator of the body literals that are no atomic
 formula, for the check and the minimality search alike. It reads an
@@ -35,7 +37,6 @@ never is.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache
 
 from .aggregates import EValue, UNDEFINED, build_multiset, eval_aggregate
 from ._lattice import _Point
@@ -46,7 +47,6 @@ from .model import (
     HybridFormula,
     interval_compare,
     PInterpretation,
-    ProbInterval,
     Rule,
     truth_leq,
     ValueInterval,
@@ -106,7 +106,7 @@ def satisfies_program(
     verdicts = []
     fired = []
     failure = None
-    contributions: dict[int, list[ProbInterval]] = {}
+    contributions: dict[int, list[tuple]] = {}
     compound = compounds.__getitem__
     for rule, body, head in zip(gp.rules, bodies, heads):
         ok = True
@@ -119,23 +119,32 @@ def satisfies_program(
         else:
             fired.append(rule)
             ok = False
-            for (k, mask), (_, ann) in zip(head, rule.head):
-                if domains[k] & mask:
+            for d in head:
+                if domains[d[0]] & d[1]:
                     ok = True
-                    contributions.setdefault(k, []).append(ann)
+                    contributions.setdefault(d[0], []).append(d)
         verdicts.append(ok)
         if not ok and failure is None:
             failure = (rule,)
     if failure is None:
         # atom k is the k-th by printed text
-        atoms = point.lattice.atoms
+        lattice = point.lattice
+        atoms = lattice.atoms
         worst = len(atoms)
-        strategy_for = cache(gp.strategy_for)
-        for k, anns in contributions.items():
+        for k, disjuncts in contributions.items():
+            # a lone contribution is its own fold, and its mask held
+            if len(disjuncts) == 1 or k > worst:
+                continue
+            table, r = lattice.folds[k], disjuncts[0][2]
+            for d in disjuncts[1:]:
+                r = table.get((r, d[2])) if table and r is not None else None
             atom = atoms[k].atoms[0]
-            folded = compose_fold(strategy_for(atom.predicate), anns)
+            if r is None:
+                folded = compose_fold(gp.strategy_for(atom.predicate), [d[3] for d in disjuncts])
+            else:
+                folded = lattice.atom_values[k][r]
             assigned = point.value(k)
-            if not truth_leq(folded, assigned) and k < worst:
+            if not truth_leq(folded, assigned):
                 failure, worst = (atom, folded, assigned), k
     if failure is None:
         position = point.lattice.position
@@ -151,7 +160,7 @@ def satisfies_program(
 
 def _holds(spec: tuple, domains: list[int], compound) -> bool | None:
     """Whether a body literal that is no atomic formula holds, or None while
-    it is open; spec as in _ValueLattice.rule_form. domains[k] is the mask
+    it is open; spec as in _ValueLattice.rule_forms. domains[k] is the mask
     of the ranks atom k may take, and compound(formula) a compound's value,
     or None while it is open. An aggregate selects its pairs by their
     condition masks (build_multiset)."""

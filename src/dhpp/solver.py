@@ -11,20 +11,22 @@ over their components. Constraints (headless rules) take no part in
 generation.
 
 Every value the closure can reach is an entry of the program's value
-lattice, so each enumeration first compiles the program into integer
-tables over lattice ranks (_Compiled) and closes candidates over tuples of
-ranks; an interpretation is built only for a closure not seen before.
-Compiling folds each atom's head annotations into one table, and checks
-on it that no disjunctive strategy in use folds them below one of them: the
-closure is complete then, and otherwise NonExpansiveStrategy says so.
+lattice, so each enumeration compiles the program on the lattice's
+numbering (_Compiled), a value being one bit of its lattice rank, and
+closes candidates over the lattice's rule forms and fold tables; an
+interpretation is built only for a closure not seen before. The lattice
+records a disjunctive strategy in use that folds an atom's head
+annotations below one of them: without one the closure is complete, and
+with one enumeration raises NonExpansiveStrategy.
 
 Every candidate that agrees with its own `not` guesses is then checked
 exactly: it must be a p-model of the program, which no candidate violating
 a constraint is, and a minimal p-model of its own reduct. The reduct is the
 rules that fired in that p-model check, read from its report. The closure's
-ranks are lattice ranks, so the candidate goes to the check as they give
-it, one bit per atom (_Compiled.point); check-model and is_answer_set
-number their interpretation once, on the same lattice (_judge).
+atom bits are the point's domains, so the candidate goes to the check as
+they give it (_Compiled.point); check-model and is_answer_set number their
+interpretation once, on the same lattice (_judge), and judge it whatever
+the strategies.
 
 Minimality runs as a DFS for a p-model of the reduct strictly below the
 candidate. An atom's domain is a mask over its lattice ranks at or below
@@ -62,7 +64,7 @@ from .model import (
     ZERO,
 )
 from .semantics import _holds, SatisfactionReport, reduct, satisfies_program
-from .strategies import compose_fold, PStrategy
+from .strategies import compose_fold
 
 GuessKey = tuple[str, object, ProbInterval]
 
@@ -106,97 +108,72 @@ def _guess_keys(gp: GroundProgram) -> list[GuessKey]:
 
 
 class _Compiled:
-    """The ground program as integer tables over its value lattice.
+    """The ground program as integer tables on its value lattice's numbering.
 
-    Formula i is gp.relevant_formulae[i], already sorted as PInterpretation
-    sorts its entries; its value is a rank in values[i], its lattice tuple,
-    where ZERO is rank 0. A literal's table maps each rank to whether the
-    literal holds there. A candidate index is bits * choice_total + choice:
+    Index k < n is the lattice's atom k, and n + j the scope's j-th
+    compound. A value is one bit, that of its rank in its lattice row, so
+    atom k's bit is its domain in the lattice's _Point. A literal is
+    (index, mask of the values where it holds), as the lattice's rule forms
+    give an atomic one. A candidate index is bits * choice_total + choice:
     guess key k is bit len(keys) - 1 - k of bits, and the disjunct choices
     are the mixed-radix digits of choice, the first disjunctive rule's most
     significant.
 
     rules holds each rule with a head that can fire, as (need, want, pos,
     head, place, radix): it is live when bits & need == want; it fires once
-    every (formula, table) in pos holds; it chooses the disjunct
-    head[choice // place % radix], each disjunct being (atom, annotation
-    rank, table), where a rule of one disjunct needs no table.
-
-    folds[i] maps (rank, annotation rank) to the rank of their composition
-    for an atom with two or more head occurrences, and is None for the
-    others, which the closure never folds; building it raises
-    NonExpansiveStrategy when the closure could miss answer sets
-    (_fold_table). Compositions of compound values are memoised on ranks.
+    every literal in pos holds; it chooses the lattice's head disjunct
+    head[choice // place % radix]. compounds holds each compound as (index,
+    formula, values, strategy, atoms); compositions are memoised on bits.
     """
 
-    def __init__(
-        self,
-        gp: GroundProgram,
-        lattice: _ValueLattice,
-        keys: list[GuessKey],
-    ):
-        self.gp = gp
-        self.formulae = gp.relevant_formulae
-        self.values = [lattice[f] for f in self.formulae]
-        position = {f: i for i, f in enumerate(self.formulae)}
-        bits = {key: len(keys) - 1 - k for k, key in enumerate(keys)}
-        # rules share equal tables, literals and disjuncts
-        shared: dict[tuple, tuple] = {}
-
-        def share(t: tuple) -> tuple:
-            return shared.setdefault(t, t)
-
-        # gp holds every annotation object while this runs, so an id names
-        # one: literals sharing an annotation object share a table without
-        # hashing or comparing its fractions again
-        tables: dict[tuple[int, int], tuple[bool, ...]] = {}
-        disjuncts: dict[tuple[int, int, bool], tuple] = {}
-
-        def table(i: int, ann: ProbInterval) -> tuple[bool, ...]:
-            key = (i, id(ann))
-            t = tables.get(key)
-            if t is None:
-                values = self.values[i]
-                t = tables[key] = share(tuple(truth_leq(ann, v) for v in values))
-            return t
-
-        def disjunct(i: int, ann: ProbInterval, read: bool) -> tuple:
-            key = (i, id(ann), read)
-            d = disjuncts.get(key)
-            if d is None:
-                rank = self.values[i].index(ann)
-                d = disjuncts[key] = share((i, rank, table(i, ann) if read else None))
-            return d
-
-        # (bit, formula, table) of every `not` literal guessed
-        self.naf = [
-            (bits[key], position[key[1]], table(position[key[1]], key[2]))
-            for key in keys
-            if key[0] == "naf"
+    def __init__(self, gp: GroundProgram, lattice: _ValueLattice, keys: list[GuessKey]):
+        self.lattice = lattice
+        self.n = n = len(lattice.atoms)
+        compounds = [f for f, k in zip(lattice.formulae, lattice.scope_positions) if k is None]
+        index = {f: k for k, f in enumerate(lattice.atoms + tuple(compounds))}
+        self.compounds = [
+            (index[f], f, lattice[f], gp.formula_strategy(f), tuple(lattice.position[a] for a in f.atoms))
+            for f in compounds
         ]
-        occurrences: dict[int, list[ProbInterval]] = {}
+        self.compounds_of: dict[int, list[int]] = {}
+        for c, *_, atoms in self.compounds:
+            for k in atoms:
+                self.compounds_of.setdefault(k, []).append(c)
+        self._compositions: dict[tuple[int, tuple[int, ...]], int] = {}
+        # per formula of the scope, in order: formula, index, values
+        self.scope = [(f, index[f], lattice[f]) for f in lattice.formulae]
+
+        def literal(item: HybridFormula, ann: ProbInterval) -> tuple[int, int]:
+            return index[item], sum(1 << r for r, v in enumerate(lattice[item]) if truth_leq(ann, v))
+
+        bits = {key: len(keys) - 1 - k for k, key in enumerate(keys)}
+        # (bit, index, mask) of every `not` literal guessed
+        self.naf = [(bits[key], *literal(key[1], key[2])) for key in keys if key[0] == "naf"]
+        bodies, heads = lattice.rule_forms(gp.rules)
         self.choice_total = 1
         self.rules = []
-        for rule in reversed(gp.rules):
-            if not rule.head:
+        for p in range(len(gp.rules) - 1, -1, -1):
+            rule, head = gp.rules[p], heads[p]
+            if not head:
                 continue
-            radix, place = len(rule.head), self.choice_total
+            radix, place = len(head), self.choice_total
             self.choice_total *= radix
-            head = []
-            for atom, ann in rule.head:
-                i = position[HybridFormula.atomic(atom)]
-                occurrences.setdefault(i, []).append(ann)
-                head.append(disjunct(i, ann, radix > 1))
             need_true = need_false = 0
-            pos = []
+            # a body of positive atomic literals alone is the lattice's own
+            pos = bodies[p][:len(rule.pos_body)]
             holds = True
-            for item, ann in rule.pos_body:
-                if isinstance(item, HybridFormula):
-                    pos.append(share((position[item], table(position[item], ann))))
-                elif isinstance(item, AggregateAtom):
-                    need_true |= 1 << bits[("agg", item, ann)]
-                else:
-                    holds = holds and item.holds()
+            if any(k is None for k, _ in pos):
+                pos = []
+                for pair, (item, ann) in zip(bodies[p], rule.pos_body):
+                    if pair[0] is not None:
+                        pos.append(pair)
+                    elif isinstance(item, HybridFormula):
+                        pos.append(literal(item, ann))
+                    elif isinstance(item, AggregateAtom):
+                        need_true |= 1 << bits[("agg", item, ann)]
+                    else:
+                        holds = holds and item.holds()
+                pos = tuple(pos)
             for item, ann in rule.neg_body:
                 if isinstance(item, AggregateAtom):
                     need_false |= 1 << bits[("agg", item, ann)]
@@ -204,98 +181,38 @@ class _Compiled:
                     need_false |= 1 << bits[("naf", item, ann)]
             if holds and not need_true & need_false:
                 need = need_true | need_false
-                self.rules.append((need, need_true, tuple(pos), share(tuple(head)), place, radix))
+                self.rules.append((need, need_true, pos, head, place, radix))
         self.rules.reverse()
-        self.components: dict[int, tuple[int, ...]] = {}
-        self.compounds_of: dict[int, list[int]] = {}
-        for c, f in enumerate(self.formulae):
-            if not f.is_atomic:
-                self.components[c] = tuple(position[HybridFormula.atomic(a)] for a in f.atoms)
-                for i in self.components[c]:
-                    self.compounds_of.setdefault(i, []).append(c)
-        self._compositions: dict[tuple[int, tuple[int, ...]], int] = {}
-        # the value lattice numbers atoms apart from compounds: its atom k is
-        # formula atom_slots[k] here, with the same values, so a rank here
-        # is a rank there
-        self.lattice = lattice
-        self.atom_slots = [i for i, k in enumerate(lattice.scope_positions) if k is not None]
-        # gp holds every annotation object while this runs, so atoms whose
-        # occurrences are the same objects under one strategy share a table
-        self.folds: list[dict[tuple[int, int], int] | None] = [None] * len(self.formulae)
-        fold_tables: dict[tuple, dict[tuple[int, int], int]] = {}
-        for i, anns in occurrences.items():
-            if len(anns) > 1:
-                signature = (self.strategy(i).name, *sorted(map(id, anns)))
-                if signature not in fold_tables:
-                    fold_tables[signature] = self._fold_table(i, anns)
-                self.folds[i] = fold_tables[signature]
 
-    def strategy(self, i: int) -> PStrategy:
-        """Formula i's strategy: its predicate's for an atom, its own for a compound."""
-        f = self.formulae[i]
-        if f.is_atomic:
-            return self.gp.strategy_for(f.atoms[0].predicate)
-        return self.gp.formula_strategy(f)
-
-    def _fold_table(self, i: int, anns: list[ProbInterval]) -> dict[tuple[int, int], int]:
-        """Atom i's strategy composing each fold of a non-empty sub-multiset
-        of its head annotations anns with each of anns, as (rank, annotation
-        rank) -> rank. GroundProgram._lattice builds those folds: they are
-        the lattice values but ZERO, which is one only when it is in anns.
-        A result outside the lattice uses an occurrence twice, which the
-        closure never does. Raises NonExpansiveStrategy unless every result
-        lies at or above both inputs: then the closure's values only grow,
-        towards every answer set."""
-        strategy = self.strategy(i)
-        values = self.values[i]
-        rank = {v: r for r, v in enumerate(values)}
-        columns = {rank[ann] for ann in anns}
-        table = {}
-        for r in range(0 if 0 in columns else 1, len(values)):
-            for a in columns:
-                v, ann = values[r], values[a]
-                out = strategy.compose(v, ann)
-                if not (truth_leq(v, out) and truth_leq(ann, out)):
-                    raise NonExpansiveStrategy(
-                        f"strategy {strategy.name} is not expansive on {self.formulae[i]}: "
-                        f"it composes {v} and {ann} to {out}, so the solver could miss answer sets"
-                    )
-                if out in rank:
-                    table[r, a] = rank[out]
-        return table
-
-    def compose(self, c: int, ranks: tuple[int, ...]) -> int:
-        """The rank of compound c's strategy composing its components' ranks."""
-        key = (c, ranks)
+    def compose(self, c: int, bits: tuple[int, ...]) -> int:
+        """The bit of compound c's strategy composing its atoms' bits."""
+        key = (c, bits)
         out = self._compositions.get(key)
         if out is None:
-            component = [self.values[i][r] for i, r in zip(self.components[c], ranks)]
-            value = compose_fold(self.strategy(c), component)
-            out = self._compositions[key] = self.values[c].index(value)
+            _, _, row, strategy, atoms = self.compounds[c - self.n]
+            component = [self.lattice.atom_values[k][b.bit_length() - 1] for k, b in zip(atoms, bits)]
+            out = self._compositions[key] = 1 << row.index(compose_fold(strategy, component))
         return out
 
-    def contradicts(self, index: int, ranks: tuple[int, ...]) -> bool:
+    def contradicts(self, index: int, values: tuple[int, ...]) -> bool:
         """Whether a `not` guess of the candidate disagrees with its closure."""
         bits = index // self.choice_total
-        return any((bits >> bit & 1) != t[ranks[i]] for bit, i, t in self.naf)
+        return any((bits >> bit & 1) == (not values[i] & mask) for bit, i, mask in self.naf)
 
-    def interpretation(self, ranks: tuple[int, ...]) -> PInterpretation:
+    def interpretation(self, values: tuple[int, ...]) -> PInterpretation:
         return PInterpretation(
-            tuple((f, v[r]) for f, v, r in zip(self.formulae, self.values, ranks) if r)
+            tuple((f, row[values[i].bit_length() - 1]) for f, i, row in self.scope if values[i] != 1)
         )
 
-    def point(self, ranks: tuple[int, ...]) -> _Point:
-        """The interpretation of ranks in the lattice's numbering."""
-        return _Point(
-            self.lattice,
-            [1 << ranks[i] for i in self.atom_slots],
-            {self.formulae[c]: self.values[c][ranks[c]] for c in self.components},
-            {},
-        )
+    def point(self, values: tuple[int, ...]) -> _Point:
+        """The interpretation of values in the lattice's numbering."""
+        compounds = {f: row[values[c].bit_length() - 1] for c, f, row, *_ in self.compounds}
+        return _Point(self.lattice, list(values[:self.n]), compounds, {})
 
 
 def _closure(cp: _Compiled, index: int) -> tuple[int, ...]:
-    """The ranks a candidate closes to, from the empty interpretation.
+    """The values a candidate closes to, from the empty interpretation, as
+    one bit per formula in cp's numbering.
 
     Rules whose guessed literals the candidate's bits deny never fire. The
     others fire once their positive formula literals hold. This is not the
@@ -305,32 +222,34 @@ def _closure(cp: _Compiled, index: int) -> tuple[int, ...]:
     disjunct contributes its annotation, and so does any other disjunct
     already satisfied by the current values. Each round reads the values
     at its start. An atom's value is the fold of its contributions, read
-    from cp.folds: each contribution is an occurrence outside the fold so
-    far, so the fold table holds the result. A compound's value is the
-    composition of its components.
+    from the lattice's fold table: each contribution is an occurrence
+    outside the fold so far, so the table holds the result. A compound's
+    value is the composition of its components.
 
     Why a candidate that contradicts its own closure (cp.contradicts) can
     be skipped unchecked: the closure is complete when every disjunctive
-    strategy in use is expansive on the program (_Compiled._fold_table),
-    so each answer set h is the closure of the candidate whose guesses are
-    h's own truth values and whose choices are disjuncts h satisfies, and
-    that candidate agrees with its own closure. Skipping the ones that disagree
-    loses no answer set. It can change which answer set a seeded limit
-    query meets first, never what a full enumeration returns.
+    strategy in use is expansive on the program (no non_expansive
+    composition on the lattice), so each answer set h is the closure of
+    the candidate whose guesses are h's own truth values and whose choices
+    are disjuncts h satisfies, and that candidate agrees with its own
+    closure. Skipping the ones that disagree loses no answer set. It can
+    change which answer set a seeded limit query meets first, never what a
+    full enumeration returns.
     """
     bits, choice = divmod(index, cp.choice_total)
-    ranks = [0] * len(cp.formulae)
-    started = bytearray(len(ranks))
+    folds = cp.lattice.folds
+    values = [1] * (cp.n + len(cp.compounds))
+    ranks = [-1] * cp.n  # each atom's rank, -1 before its first contribution
     waiting = [rule for rule in cp.rules if bits & rule[0] == rule[1]]
     watching: list = []  # unchosen disjuncts of fired rules, not yet contributed
     while True:
-        adds = [d for d in watching if d[2][ranks[d[0]]]]
+        adds = [d for d in watching if values[d[0]] & d[1]]
         if adds:
-            watching = [d for d in watching if not d[2][ranks[d[0]]]]
+            watching = [d for d in watching if not values[d[0]] & d[1]]
         still = []
         for rule in waiting:
-            for i, t in rule[2]:
-                if not t[ranks[i]]:
+            for k, mask in rule[2]:
+                if not values[k] & mask:
                     still.append(rule)
                     break
             else:
@@ -338,16 +257,17 @@ def _closure(cp: _Compiled, index: int) -> tuple[int, ...]:
                 c = choice // place % radix
                 adds.append(head[c])
                 for d in head[:c] + head[c + 1:]:
-                    (adds if d[2][ranks[d[0]]] else watching).append(d)
+                    (adds if values[d[0]] & d[1] else watching).append(d)
         if not adds:
-            return tuple(ranks)
+            return tuple(values)
         waiting = still
-        for i, ann, _ in adds:
-            ranks[i] = cp.folds[i][ranks[i], ann] if started[i] else ann
-            started[i] = 1
-        if cp.components:
-            for c in {c for i, _, _ in adds for c in cp.compounds_of.get(i, ())}:
-                ranks[c] = cp.compose(c, tuple(ranks[i] for i in cp.components[c]))
+        for k, _, a, _ in adds:
+            r = ranks[k]
+            ranks[k] = r = a if r < 0 else folds[k][r, a]
+            values[k] = 1 << r
+        if cp.compounds:
+            for c in {c for d in adds for c in cp.compounds_of.get(d[0], ())}:
+                values[c] = cp.compose(c, tuple(values[k] for k in cp.compounds[c - cp.n][4]))
 
 
 # -- minimality ---------------------------------------------------------------
@@ -429,7 +349,7 @@ class _MinimalitySearch:
     def body(self, literals: tuple) -> bool | None:
         """False when a body literal fails, True when all hold, None
         otherwise, in the current branch; literals as in
-        _ValueLattice.rule_form."""
+        _ValueLattice.rule_forms."""
         domains = self.domains
         decided = True
         for k, mask in literals:
@@ -457,11 +377,11 @@ class _MinimalitySearch:
                 if self.body(literals) is not True:
                     continue
                 serving = 0
-                for k, mask in head:
-                    ok = domains[k] & mask
+                for d in head:
+                    ok = domains[d[0]] & d[1]
                     if ok:
                         serving += 1
-                        only, narrowed = k, ok
+                        only, narrowed = d[0], ok
                 if not serving:
                     return False
                 if serving == 1 and narrowed != domains[only]:
@@ -628,18 +548,24 @@ def enumerate_answer_sets(
             "the program has too many independent guesses"
         )
     lattice = gp.value_lattice()
+    if lattice.non_expansive is not None:
+        name, formula, v, ann, out = lattice.non_expansive
+        raise NonExpansiveStrategy(
+            f"strategy {name} is not expansive on {formula}: "
+            f"it composes {v} and {ann} to {out}, so the solver could miss answer sets"
+        )
     cp = _Compiled(gp, lattice, keys)
 
     seen: set[tuple[int, ...]] = set()
     found: list[tuple[PInterpretation, Certificate]] = []
     truncated = False
     for index in _candidate_order(total, seed):
-        ranks = _closure(cp, index)
-        if ranks in seen or cp.contradicts(index, ranks):
+        values = _closure(cp, index)
+        if values in seen or cp.contradicts(index, values):
             continue
-        seen.add(ranks)
-        h = cp.interpretation(ranks)
-        certificate = _judge(gp, h, lattice, node_cap, cp.point(ranks))[2]
+        seen.add(values)
+        h = cp.interpretation(values)
+        certificate = _judge(gp, h, lattice, node_cap, cp.point(values))[2]
         if certificate is None:
             continue
         found.append((h, certificate))

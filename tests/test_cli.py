@@ -5,9 +5,13 @@ from pathlib import Path
 
 import pytest
 
+import dhpp.grounder
+import dhpp.parser
 from dhpp import (
     ONE,
     PInterpretation,
+    ProbInterval,
+    builtin_registry,
     answer_set_atoms,
     classical_oracle,
     enumerate_answer_sets,
@@ -16,6 +20,7 @@ from dhpp import (
     parse_program,
 )
 from dhpp.cli import MODES, RunConfig, main, run
+from dhpp.strategies import DISJUNCTIVE
 from generators import random_classical_aggregate_program, random_classical_program
 
 
@@ -278,6 +283,30 @@ def test_check_model_bad_file(tmp_path, dice_path):
 
 
 @pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"formulae": ["a(1,1)"]}, "'str' object has no attribute 'get'"),
+        (
+            {"formulae": [
+                {"formula": "a(1,1)", "lo": "0.5", "hi": "0.5"},
+                {"formula": "a(1,1)", "lo": "1", "hi": "1"},
+            ]},
+            "conflicting values for a(1,1)",
+        ),
+    ],
+    ids=["entry-not-an-object", "conflicting-values"],
+)
+def test_check_model_reports_a_malformed_model_file(tmp_path, dice_path, payload, message):
+    # neither may crash with a traceback and exit 1, which reads as "not an
+    # answer set"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = invoke(inputs=[str(dice_path)], mode="check-model", model=str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: bad model file {path}: {message}\n"
+
+
+@pytest.mark.parametrize(
     "lo, hi, code",
     [("0.1", "1/10", 0), (0.1, 0.1, 2), (True, True, 2), (0, 0, 1), (1, 1, 1)],
     ids=["strings", "floats", "bools", "int-zero", "int-one"],
@@ -420,6 +449,35 @@ def test_main_reads_seed_from_environment(dice_path, monkeypatch, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["count"] == 3
+
+
+def test_main_names_a_seed_that_is_no_integer(dice_path, monkeypatch, capsys):
+    monkeypatch.setenv("DHPP_SEED", "x")
+    code = main([str(dice_path)])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: DHPP_SEED must be an integer, got 'x'\n")
+
+
+def test_check_model_judges_under_a_non_expansive_strategy(tmp_path, monkeypatch, capsys):
+    # the console script registers no strategy of its own, so mn joins the
+    # built-in ones here. The lattice records that mn folds a's head
+    # annotations below one of them: solving refuses, checking judges
+    def registry():
+        registry = builtin_registry()
+        registry.register(
+            "mn", DISJUNCTIVE, lambda x, y: ProbInterval(min(x.lo, y.lo), min(x.hi, y.hi))
+        )
+        return registry
+
+    monkeypatch.setattr(dhpp.parser, "builtin_registry", registry)
+    monkeypatch.setattr(dhpp.grounder, "builtin_registry", registry)
+    program = tmp_path / "mn.dhpp"
+    program.write_text("#default_tau(mn). a. a : 0.5.")
+    model = write_model(tmp_path, [{"formula": "a", "lo": "1", "hi": "1"}])
+    assert main([str(program), "--mode", "check-model", "--model", model]) == 0
+    assert capsys.readouterr() == ("rules satisfied: 2/2\np-model: yes\nanswer set: yes\n", "")
+    assert main([str(program)]) == 2
+    assert capsys.readouterr().err.startswith("error: strategy mn is not expansive on a:")
 
 
 def test_main_rejects_bad_limit(dice_path, capsys):

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import dhpp.semantics
 from dhpp import (
     ONE,
     AggregateAtom,
@@ -12,6 +13,7 @@ from dhpp import (
     ProbInterval,
     enumerate_answer_sets,
     ground_program,
+    is_answer_set,
     parse_program,
     reduct,
     satisfies_program,
@@ -175,6 +177,27 @@ def test_first_failure_order():
     assert _report(compound, ("a", "0.75"), ("t", "1"), ("c", "1")) == (
         "composition [0.75,0.75] for a and[inc] t exceeds assigned [0,0]"
     )
+
+
+def test_three_contributions_fold_through_the_lattice_table(monkeypatch):
+    # a takes three contributions under ind, 1 - 0.5^3 = 0.875 above its
+    # 0.5; the fold reads the lattice's fold table and composes nothing
+    text = "#default_tau(ind).\na : 0.5.\na : 0.5 :- t.\na : 0.5 :- u.\nt.\nu.\n"
+    failure = "fold [0.875,0.875] of derived annotations for a exceeds assigned [0.5,0.5]"
+    folds = []
+
+    def counting(strategy, intervals):
+        folds.append(intervals)
+        return compose_fold(strategy, intervals)
+
+    monkeypatch.setattr(dhpp.semantics, "compose_fold", counting)
+    assert _report(text, ("a", "0.5"), ("t", "1"), ("u", "1")) == failure
+    h = PInterpretation.from_pairs(
+        (HybridFormula.atomic(Atom(name)), iv(v)) for name, v in (("a", "0.5"), ("t", "1"), ("u", "1"))
+    )
+    assert is_answer_set(ground(text), h) == (False, failure)
+    assert _report(text, ("a", "0.875"), ("t", "1"), ("u", "1")) is None
+    assert folds == []
 
 
 def test_p_model_check_builds_no_formula_per_lookup(dice_solved, monkeypatch):

@@ -198,6 +198,9 @@ def closure_corpus(dice_solved, diet_solved):
         yield random_probability_program(rng)
     for _ in range(50):
         yield ground_program(translate_dlp(random_classical_program(rng)))
+    # compound conditions and all eleven aggregate functions
+    for _ in range(100):
+        yield random_recursive_aggregate_program(rng)
 
 
 def test_compiled_closure_matches_the_reference(dice_solved, diet_solved):
@@ -253,6 +256,31 @@ def test_non_expansive_strategy_is_reported():
         enumerate_answer_sets(gp)
     top = PInterpretation.from_pairs([(HybridFormula.atomic(Atom("a")), ProbInterval(1, 1))])
     assert is_answer_set(gp, top) == (True, None)
+
+
+def test_non_expansiveness_is_data_on_the_lattice():
+    # the lattice records the offending composition and judges on; only
+    # enumeration, whose closure it would make incomplete, refuses
+    gp = ground_program(parse_program("#default_tau(mn). a. a : 0.5.", registry=min_registry()))
+    a, half, one = HybridFormula.atomic(Atom("a")), ProbInterval("0.5", "0.5"), ProbInterval(1, 1)
+    lattice = gp.value_lattice()
+    assert lattice.non_expansive == ("mn", a, half, one, half)
+    assert lattice[a] == (ZERO, half, one)
+    with pytest.raises(NonExpansiveStrategy) as raised:
+        enumerate_answer_sets(gp)
+    assert str(raised.value) == (
+        "strategy mn is not expansive on a: it composes [0.5,0.5] and [1,1] to [0.5,0.5], "
+        "so the solver could miss answer sets"
+    )
+    assert is_answer_set(gp, PInterpretation.from_pairs([(a, one)])) == (True, None)
+
+
+def test_the_non_expansive_atom_reported_is_the_one_the_last_rule_heads_first():
+    # c offends, and so does a; c heads the last rule
+    text = "#default_tau(mn). a : 0.5. a. b : 0.9 :- a. c. c : 0.2 :- a."
+    gp = ground_program(parse_program(text, registry=min_registry()))
+    with pytest.raises(NonExpansiveStrategy, match=r"^strategy mn is not expansive on c: it composes \[0.2,0.2\] and \[1,1\]"):
+        enumerate_answer_sets(gp)
 
 
 @pytest.mark.parametrize(

@@ -14,17 +14,23 @@ from dhpp import enumerate_answer_sets, ground_program, is_answer_set, parse_pro
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
+# atoms fold through the value lattice's fold tables, so strategy
+# compositions are traced where a compound formula is composed
+COMPOUND = "x : 0.5. y : 0.4. z :- x and[pcc] y : 0.3."
+
+
 def test_tracer_hooks_every_layer_of_a_solve_and_a_check(dice_path, monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     tracer = importlib.import_module("spans").Tracer()
     tracer.install()
     try:
         with tracer.span("round"):
-            tracer.phase = "solve"
-            gp = ground_program(parse_program(dice_path.read_text(encoding="utf-8")))
-            result = enumerate_answer_sets(gp)
-            tracer.phase = "check"
-            assert is_answer_set(gp, result.interpretations[0]) == (True, None)
+            for text in (dice_path.read_text(encoding="utf-8"), COMPOUND):
+                tracer.phase = "solve"
+                gp = ground_program(parse_program(text))
+                result = enumerate_answer_sets(gp)
+                tracer.phase = "check"
+                assert is_answer_set(gp, result.interpretations[0]) == (True, None)
     finally:
         tracer.uninstall()
     assert tracer.absent == []
