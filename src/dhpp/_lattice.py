@@ -1,6 +1,8 @@
 """The value lattice of a ground program, as GroundProgram.value_lattice()
 returns it, with the tables that judge interpretations over it: rank masks,
-fold tables, rule forms and the minimality search's branching order. The
+fold tables, rule forms and the minimality search's branching order. This
+module builds them all from the program, _ValueLattice(program) being the
+one way to make a lattice, and a reduct reads its source program's. The
 closure, the p-model check and the minimality search all read them, so a
 program is compiled once. An interpretation in the lattice's numbering is
 a _Point.
@@ -9,19 +11,28 @@ a _Point.
 from __future__ import annotations
 
 import itertools
+import math
 from array import array
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
+from .errors import UniverseOverflow
 from .model import (
     AggregateAtom,
+    Atom,
     HybridFormula,
     PInterpretation,
     ProbInterval,
-    Program,
     Rule,
     truth_leq,
     ZERO,
 )
+from .strategies import compose_fold, PStrategy
+
+if TYPE_CHECKING:
+    from .grounder import GroundProgram
+
+# most values the lattice of one ground program may hold
+LATTICE_CAP = 200_000
 
 # rules' body and head forms, as _ValueLattice.rule_forms gives them
 Forms = tuple[list[tuple], list[tuple]]
@@ -31,20 +42,23 @@ class _ValueLattice(Mapping):
     """A read-only formula -> sorted values mapping that also numbers the
     values and keeps the tables that judge interpretations over them.
 
-    Atom k is atoms[k], the k-th atomic formula of the program's scope in
-    printed order, with the values atom_values[k] (ZERO alone for an atom
-    the mapping lacks), numbered by rank. A set of its values is an int
-    mask, bit r standing for rank r: satisfying(k, ann) is the mask of the
-    values at or above ann in the truth order, below(k, r) that of the
-    values at or below rank r, kept once computed. folds[k] is atom k's
-    fold table, (rank, annotation rank) -> rank, when it has two or more
-    head occurrences (a lattice made from a plain mapping has none), and
-    non_expansive the first composition in them below one of its inputs,
-    as (strategy name, formula, value, annotation, composition), or None.
-    The forms of the program's rules (rule_forms) and
-    the branching order are built on first use. The tables hold no
-    reference to the program, so they die with it, and a reduct shares the
-    program's scope and rules, so they serve it too.
+    Per formula of the program's scope, every value an answer set could
+    assign it, sorted by (lo, hi): an atom takes ZERO and the folds of the
+    non-empty sub-multisets of its head annotations, a compound the
+    compositions of its components' values, and ZERO.
+
+    Atom k is atoms[k], the k-th atomic formula of the scope in printed
+    order, with the values atom_values[k], numbered by rank. A set of its
+    values is an int mask, bit r standing for rank r: satisfying(k, ann) is
+    the mask of the values at or above ann in the truth order, below(k, r)
+    that of the values at or below rank r, kept once computed. folds[k] is
+    atom k's fold table, (rank, annotation rank) -> rank, when it has two
+    or more head occurrences, and non_expansive the first composition in
+    them below one of its inputs, as (strategy name, formula, value,
+    annotation, composition), or None. The forms of the program's rules
+    (rule_forms) and the branching order are built on first use. The
+    tables hold no reference to the program, so they die with it, and a
+    reduct's scope and rules are its source's, so they serve it too.
     """
 
     __slots__ = (
@@ -52,8 +66,7 @@ class _ValueLattice(Mapping):
         "atom_values", "folds", "non_expansive", "_offsets", "_downs", "_forms", "_order",
     )
 
-    def __init__(self, values: dict, program: Program, folds: dict | None = None, non_expansive=None):
-        self._values = values
+    def __init__(self, program: GroundProgram):
         self.formulae = program.relevant_formulae
         self._rules = program.rules
         self.atoms = tuple(f for f in self.formulae if f.is_atomic)
@@ -62,9 +75,58 @@ class _ValueLattice(Mapping):
         self.scope_positions = tuple(
             self.position[f.atoms[0]] if f.is_atomic else None for f in self.formulae
         )
-        self.atom_values = [values.get(f, (ZERO,)) for f in self.atoms]
-        self.folds = [(folds or {}).get(f) for f in self.atoms]
-        self.non_expansive = non_expansive
+        self._values: dict[HybridFormula, tuple[ProbInterval, ...]] = {}
+        self.atom_values: list[tuple[ProbInterval, ...]] = []
+        self.folds: list[dict[tuple[int, int], int] | None] = []
+        # the annotation of every head occurrence, one entry per occurrence
+        occurrences: dict[Atom, list[ProbInterval]] = {}
+        for rule in program.rules:
+            for atom, ann in rule.head:
+                occurrences.setdefault(atom, []).append(ann)
+        offences: dict[Atom, tuple] = {}
+        # the rules hold every annotation object while this runs, so an id
+        # names one: atoms whose occurrences are the same objects in the
+        # same order under one strategy share their values and fold table,
+        # and equal fold tables are one
+        shared: dict[tuple, tuple] = {}
+        tables: dict[tuple, dict[tuple[int, int], int]] = {}
+        total = 0
+        for formula in self.atoms:
+            atom = formula.atoms[0]
+            strat = program.strategy_for(atom.predicate)
+            anns = occurrences.get(atom, ())
+            key = (strat.name, *map(id, anns))
+            if key not in shared:
+                values, table, offence = _atom_lattice(atom, strat, anns)
+                if table is not None:
+                    table = tables.setdefault(tuple(table.items()), table)
+                shared[key] = values, table, offence
+            values, table, offence = shared[key]
+            self._values[formula] = values
+            self.atom_values.append(values)
+            self.folds.append(table)
+            total += len(values)
+            if total > LATTICE_CAP:
+                raise UniverseOverflow(f"value lattice exceeded {LATTICE_CAP} entries")
+            if offence is not None:
+                offences[atom] = (strat.name, formula, *offence)
+        for formula, k in zip(self.formulae, self.scope_positions):
+            if k is not None:
+                continue
+            strat = program.formula_strategy(formula)
+            component = [self.atom_values[self.position[a]] for a in formula.atoms]
+            if math.prod(map(len, component)) > LATTICE_CAP:
+                raise UniverseOverflow(f"value lattice for {formula} exceeded {LATTICE_CAP}")
+            values = {ZERO}
+            for combo in itertools.product(*component):
+                values.add(compose_fold(strat, combo))
+            total += len(values)
+            if total > LATTICE_CAP:
+                raise UniverseOverflow(f"value lattice exceeded {LATTICE_CAP} entries")
+            self._values[formula] = tuple(sorted(values, key=lambda v: (v.lo, v.hi)))
+        # the offence reported is that of the atom the last rule heads first
+        heads = (atom for rule in reversed(program.rules) for atom, _ in rule.head)
+        self.non_expansive = next((offences[atom] for atom in heads if atom in offences), None)
         # the down-set mask of atom k's rank r is _downs[_offsets[k] + r]
         self._offsets = array('l', itertools.accumulate(map(len, self.atom_values), initial=0))
         self._downs: list[int | None] = [None] * self._offsets[-1]
@@ -194,10 +256,10 @@ class _ValueLattice(Mapping):
             heads.append(same_heads.setdefault(tuple(map(id, head)), head))
         return bodies, heads
 
-    def rule_forms(self, rules: list[Rule]) -> Forms | None:
+    def rule_forms(self, rules: list[Rule]) -> Forms:
         """The forms of rules, as the closure, the p-model check and the
-        minimality search read them; None unless rules are among the
-        program's in program order, as a reduct's are.
+        minimality search read them; rules are among the program's, in
+        program order, as a reduct's are.
 
         A rule's body literals, in order: (atom, mask of the values where
         the literal holds) for an atomic formula; (None, (item, ann,
@@ -209,7 +271,18 @@ class _ValueLattice(Mapping):
         them or None, annotation)."""
         if self._forms is None:
             self._forms = self._build_forms()
-        return _among(rules, self._rules, self._forms)
+        if rules is self._rules:
+            return self._forms
+        bodies, heads = self._forms
+        out: Forms = ([], [])
+        j = 0
+        for rule in rules:
+            while self._rules[j] is not rule:
+                j += 1
+            out[0].append(bodies[j])
+            out[1].append(heads[j])
+            j += 1
+        return out
 
     @property
     def order(self) -> tuple[int, ...]:
@@ -304,19 +377,14 @@ class _Point:
 
         return self.lattice.rule_form(rule, literal, disjunct)
 
-    def forms(self, rules: list[Rule]) -> Forms | None:
+    def forms(self, rules: list[Rule]) -> Forms:
         """The forms of rules (_ValueLattice.rule_forms), where each mask
         that reads an atom off the lattice also holds the atom's own bit
-        when its value satisfies the mask's annotation; None when rules are
-        not among the lattice program's. The forms last made are kept, and
-        read again for rules among theirs, as a reduct's are."""
-        if self._forms is not None:
-            forms = _among(rules, *self._forms)
-            if forms is not None:
-                return forms
+        when its value satisfies the mask's annotation. The forms last made
+        are kept, and read again for the same rules."""
+        if self._forms is not None and self._forms[0] is rules:
+            return self._forms[1]
         forms = self.lattice.rule_forms(rules)
-        if forms is None:
-            return None
         if self.extra:
             bodies, heads = list(forms[0]), list(forms[1])
             for p, rule in enumerate(rules):
@@ -337,23 +405,36 @@ class _Point:
         return any(d[0] in extra for d in head)
 
 
-def _among(rules: list[Rule], mine: list[Rule], forms: Forms) -> Forms | None:
-    """The forms of rules, read from forms, those of the rules mine, when
-    rules are among mine in their order; None when they are not."""
-    bodies, heads = forms
-    if rules is mine:
-        return forms
-    out: Forms = ([], [])
-    j = 0
-    for rule in rules:
-        while j < len(mine) and mine[j] is not rule:
-            j += 1
-        if j == len(mine):
-            return None
-        out[0].append(bodies[j])
-        out[1].append(heads[j])
-        j += 1
-    return out
+def _atom_lattice(atom: Atom, strategy: PStrategy, anns: list[ProbInterval]) -> tuple:
+    """ZERO and the folds of the non-empty sub-multisets of anns, an atom's
+    head annotations, sorted by (lo, hi); with two or more, also the atom's
+    fold table, (rank, annotation rank) -> rank of strategy composing each
+    value (but ZERO, unless an annotation is ZERO) with each annotation,
+    where that is a value, and the first such composition below one of its
+    inputs, as (value, annotation, composition), or None. Compositions are
+    taken in ascending order of the value's rank, and for one value in
+    ascending order of the annotation's rank."""
+    acc: set[ProbInterval] = set()
+    for ann in anns:
+        acc |= {ann} | {strategy.compose(v, ann) for v in acc}
+        if len(acc) + (ZERO not in acc) > LATTICE_CAP:
+            raise UniverseOverflow(f"value lattice for {atom} exceeded {LATTICE_CAP}")
+    acc.add(ZERO)
+    values = tuple(sorted(acc, key=lambda v: (v.lo, v.hi)))
+    if len(anns) < 2:
+        return values, None, None
+    rank = {v: r for r, v in enumerate(values)}
+    columns = sorted({rank[ann] for ann in anns})
+    table, offence = {}, None
+    for r in range(0 if columns[0] == 0 else 1, len(values)):
+        for a in columns:
+            v, ann = values[r], values[a]
+            out = strategy.compose(v, ann)
+            if offence is None and not (truth_leq(v, out) and truth_leq(ann, out)):
+                offence = (v, ann, out)
+            if out in rank:
+                table[r, a] = rank[out]
+    return values, table, offence
 
 
 def _below_mask(values: tuple[ProbInterval, ...], top: ProbInterval) -> int:

@@ -78,11 +78,20 @@ def _interval_json(formula, value: ProbInterval) -> dict:
     }
 
 
+# what each entry of a model file's "formulae" list must be
+_ENTRY = 'an object with "formula" or "text", "lo" and "hi"'
+
+
 def _load_model(path: str) -> PInterpretation:
     pairs = []
     try:
         data = json.loads(_read(path))
-        for entry in data["formulae"]:
+        entries = data.get("formulae") if isinstance(data, dict) else None
+        if not isinstance(entries, list):
+            raise ValueError(f'"formulae" must be a list, each entry {_ENTRY}')
+        for n, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise ValueError(f"formulae[{n}] must be {_ENTRY}")
             text = entry.get("text") or entry["formula"]
             formula = parse_formula(text)
             value = ProbInterval(entry["lo"], entry["hi"])
@@ -126,7 +135,7 @@ def _run_check(config: RunConfig, gp: GroundProgram, out: TextIO) -> int:
     if not config.model:
         raise DhppError("check-model needs --model FILE")
     h = _load_model(config.model)
-    report, rejection, _ = _judge(gp, h, gp.value_lattice())
+    report, rejection, _ = _judge(gp, h)
     reason = _reason(report, rejection)
     verdict = reason is None
     if config.json_output:

@@ -22,6 +22,10 @@ compound formulae) stay free and surface as UnboundAnnotationVariable.
 
 A body literal with the constant annotation [0,0] is satisfied vacuously, so
 its arguments are enumerated over the universe instead of the index.
+
+A GroundProgram builds its value lattice (_lattice._ValueLattice) once, on
+first use. A reduct names the program it was made from as its source, and
+shares that program's formula scope and value lattice.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
 
 from ._lattice import _ValueLattice
 from .errors import UniverseOverflow, UnsupportedConstruct
@@ -56,7 +59,6 @@ from .model import (
     substitute_term,
     Term,
     term_is_ground,
-    truth_leq,
     Var,
     ZERO,
 )
@@ -65,14 +67,9 @@ from .strategies import (
     DISJUNCTIVE,
     PStrategy,
     builtin_registry,
-    compose_fold,
 )
 
 Env = dict[str, Term]
-
-# most values the lattice of one ground program may hold
-LATTICE_CAP = 200_000
-
 
 # -- universe ----------------------------------------------------------------
 
@@ -570,8 +567,9 @@ def ground_rule(
 class GroundProgram(Program):
     """A fully ground program; every rule is variable-free."""
 
-    # the formula scope, when given: a reduct keeps its source's
-    scope: tuple[HybridFormula, ...] | None = field(default=None, compare=False, repr=False)
+    # the program a reduct was made from, whose formula scope and value
+    # lattice it shares; None for a program ground from rules
+    source: GroundProgram | None = field(default=None, compare=False, repr=False)
 
     def strategy_for(self, predicate: str) -> PStrategy:
         return self.registry.get_kind(self.tau_name(predicate), DISJUNCTIVE)
@@ -586,9 +584,9 @@ class GroundProgram(Program):
     def relevant_formulae(self) -> tuple[HybridFormula, ...]:
         """Every formula whose value an interpretation of this program can
         constrain: head atoms, body formulae and their component atoms, and
-        formulae inside aggregate pair conditions; or the scope given."""
-        if self.scope is not None:
-            return self.scope
+        formulae inside aggregate pair conditions; a reduct's source's."""
+        if self.source is not None:
+            return self.source.relevant_formulae
         seen: set[HybridFormula] = set()
 
         def add_formula(f: HybridFormula) -> None:
@@ -609,113 +607,16 @@ class GroundProgram(Program):
                             add_formula(formula)
         return tuple(sorted(seen, key=str))
 
-    def head_annotations(self) -> dict[Atom, list[ProbInterval]]:
-        """Annotation of every head occurrence, one entry per occurrence."""
-        out: dict[Atom, list[ProbInterval]] = {}
-        for rule in self.rules:
-            for atom, ann in rule.head:
-                out.setdefault(atom, []).append(ann)
-        return out
-
-    def value_lattice(self) -> Mapping[HybridFormula, tuple[ProbInterval, ...]]:
-        """Per formula, every value an answer set could assign it.
-
-        Atoms take fold values over sub-multisets of their head-occurrence
-        annotations; compound formulae take strategy compositions over
-        component values. Sorted ascending by (lo, hi). Computed once per
-        program and shared read-only between callers. The mapping also
-        numbers each atom's values and keeps the rank masks, fold tables,
-        rule forms and branching order that the closure, the p-model check
-        and the minimality search read (_lattice._ValueLattice), the forms
-        and the order built on first use; they belong to this program and
-        die with it.
-        """
-        return self._lattice
+    def value_lattice(self) -> _ValueLattice:
+        """Per formula, every value an answer set could assign it, sorted
+        ascending by (lo, hi), with the tables that judge interpretations
+        over them (_lattice._ValueLattice). Computed once per program and
+        shared read-only between callers; a reduct returns its source's."""
+        return (self.source or self)._lattice
 
     @cached_property
     def _lattice(self) -> _ValueLattice:
-        occurrences = self.head_annotations()
-        lattice: dict[HybridFormula, tuple[ProbInterval, ...]] = {}
-        folds: dict[HybridFormula, dict[tuple[int, int], int] | None] = {}
-        offences: dict[Atom, tuple] = {}
-        # the rules hold every annotation object while this runs, so an id
-        # names one: atoms whose occurrences are the same objects in the
-        # same order under one strategy share their values and fold table,
-        # and equal fold tables are one
-        shared: dict[tuple, tuple] = {}
-        tables: dict[tuple, dict[tuple[int, int], int]] = {}
-        total = 0
-        for formula in self.relevant_formulae:
-            if not formula.is_atomic:
-                continue
-            atom = formula.atoms[0]
-            strat = self.strategy_for(atom.predicate)
-            anns = occurrences.get(atom, ())
-            key = (strat.name, *map(id, anns))
-            if key not in shared:
-                values, table, offence = _atom_lattice(atom, strat, anns)
-                if table is not None:
-                    table = tables.setdefault(tuple(table.items()), table)
-                shared[key] = values, table, offence
-            lattice[formula], folds[formula], offence = shared[key]
-            total += len(lattice[formula])
-            if total > LATTICE_CAP:
-                raise UniverseOverflow(f"value lattice exceeded {LATTICE_CAP} entries")
-            if offence is not None:
-                offences[atom] = (strat.name, formula, *offence)
-        for formula in self.relevant_formulae:
-            if formula.is_atomic:
-                continue
-            strat = self.formula_strategy(formula)
-            component = [lattice[HybridFormula.atomic(a)] for a in formula.atoms]
-            size = 1
-            for c in component:
-                size *= len(c)
-            if size > LATTICE_CAP:
-                raise UniverseOverflow(f"value lattice for {formula} exceeded {LATTICE_CAP}")
-            values = {ZERO}
-            for combo in itertools.product(*component):
-                values.add(compose_fold(strat, combo))
-            total += len(values)
-            if total > LATTICE_CAP:
-                raise UniverseOverflow(f"value lattice exceeded {LATTICE_CAP} entries")
-            lattice[formula] = tuple(sorted(values, key=lambda v: (v.lo, v.hi)))
-        # the offence reported is that of the atom the last rule heads first
-        heads = (atom for rule in reversed(self.rules) for atom, _ in rule.head)
-        first = next((offences[atom] for atom in heads if atom in offences), None)
-        return _ValueLattice(lattice, self, folds, first)
-
-
-def _atom_lattice(atom: Atom, strategy: PStrategy, anns: list[ProbInterval]) -> tuple:
-    """ZERO and the folds of the non-empty sub-multisets of anns, an atom's
-    head annotations, sorted by (lo, hi); with two or more, also the atom's
-    fold table, (rank, annotation rank) -> rank of strategy composing each
-    value (but ZERO, unless an annotation is ZERO) with each annotation,
-    where that is a value, and the first such composition below one of its
-    inputs, as (value, annotation, composition), or None."""
-    acc: set[ProbInterval] = set()
-    for ann in anns:
-        acc |= {ann} | {strategy.compose(v, ann) for v in acc}
-        if len(acc) + (ZERO not in acc) > LATTICE_CAP:
-            raise UniverseOverflow(f"value lattice for {atom} exceeded {LATTICE_CAP}")
-    acc.add(ZERO)
-    values = tuple(sorted(acc, key=lambda v: (v.lo, v.hi)))
-    if len(anns) < 2:
-        return values, None, None
-    rank = {v: r for r, v in enumerate(values)}
-    # the annotations' ranks, from the last occurrence back, in set order:
-    # that fixes which offence is the first
-    columns = {rank[ann] for ann in reversed(anns)}
-    table, offence = {}, None
-    for r in range(0 if 0 in columns else 1, len(values)):
-        for a in columns:
-            v, ann = values[r], values[a]
-            out = strategy.compose(v, ann)
-            if offence is None and not (truth_leq(v, out) and truth_leq(ann, out)):
-                offence = (v, ann, out)
-            if out in rank:
-                table[r, a] = rank[out]
-    return values, table, offence
+        return _ValueLattice(self)
 
 
 def ground_program(program: Program, max_rules: int = 100_000) -> GroundProgram:

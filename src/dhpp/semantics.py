@@ -17,13 +17,14 @@ text only when asked (first_failure). The reduct by h is those fired rules
 (the FLP reduct), so each body is decided once.
 
 The check runs over the value lattice (_lattice._ValueLattice), for
-enumeration, check-model and the minimality search's leaves alike: h is
-one bit-mask domain per atom, with a bit of its own for a value off the
-lattice (_lattice._Point); formula literals and head disjuncts are decided
-by ANDing it with the masks of the lattice's rule forms. Contributions
-fold left, in rule order, through the fold tables the closure reads too;
-compose_fold folds only where an atom has no table (a lattice made from a
-plain mapping) or the fold leaves the lattice, and composes compounds.
+enumeration, check-model and the minimality search's leaves alike; a
+reduct carries its source program and judges over the source's lattice.
+h is one bit-mask domain per atom, with a bit of its own for a value off
+the lattice (_lattice._Point); formula literals and head disjuncts are
+decided by ANDing it with the masks of the lattice's rule forms.
+Contributions fold left, in rule order, through the fold tables the
+closure reads too; compose_fold folds only where a registered strategy's
+fold leaves the lattice, and composes compounds.
 
 _holds is the one evaluator of the body literals that are no atomic
 formula, for the check and the minimality search alike. It reads an
@@ -94,10 +95,9 @@ def satisfies_program(
     atom by printed text is reported); once every fold holds, so must each
     compound's composition of its components, in scope order.
 
-    Rules are decided over the value lattice's rule forms, with h in the
-    lattice's numbering: point when the caller has it, which numbers h on
-    gp's lattice or, for a reduct, on its source's; else gp's own lattice
-    numbers h."""
+    Rules are decided over the rule forms of gp's value lattice, a
+    reduct's source's, with h in its numbering: point when the caller has
+    it, else the lattice numbers h."""
     if point is None:
         point = gp.value_lattice().point(h)[0]
     domains = point.domains
@@ -137,7 +137,7 @@ def satisfies_program(
                 continue
             table, r = lattice.folds[k], disjuncts[0][2]
             for d in disjuncts[1:]:
-                r = table.get((r, d[2])) if table and r is not None else None
+                r = table.get((r, d[2])) if r is not None else None
             atom = atoms[k].atoms[0]
             if r is None:
                 folded = compose_fold(gp.strategy_for(atom.predicate), [d[3] for d in disjuncts])
@@ -191,5 +191,6 @@ def _holds(spec: tuple, domains: list[int], compound) -> bool | None:
 
 def reduct(gp: GroundProgram, report: SatisfactionReport) -> GroundProgram:
     """The reduct of gp by the interpretation that report judged: its fired
-    rules, kept verbatim, in gp's formula scope. No body is decided again."""
-    return replace(gp, rules=list(report.fired), scope=gp.relevant_formulae)
+    rules, kept verbatim. Its source is gp's source, or gp, whose formula
+    scope and value lattice it shares. No body is decided again."""
+    return replace(gp, rules=list(report.fired), source=gp.source or gp)

@@ -38,9 +38,10 @@ masks the lattice builds once per program (_lattice._ValueLattice).
 The search starts from the judged interpretation's point. Compounds,
 composed once their components are decided, and aggregates go to
 semantics._holds, the p-model check's own evaluator, and satisfies_program
-judges each leaf as a point of the source program's lattice, so literals
-and rule satisfaction keep one definition each, and a reduct builds no
-lattice of its own.
+judges each leaf as a point of the same lattice, so literals and rule
+satisfaction keep one definition each. A reduct's value lattice is its
+source program's, so no caller hands the search a lattice, and a reduct
+builds none of its own.
 """
 
 from __future__ import annotations
@@ -49,10 +50,10 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .errors import NonExpansiveStrategy, SearchSpaceOverflow
-from ._lattice import _below_mask, _Point, _ValueLattice
+from ._lattice import _below_mask, _Point
 from .grounder import GroundProgram
 from .model import (
     AggregateAtom,
@@ -126,8 +127,8 @@ class _Compiled:
     formula, values, strategy, atoms); compositions are memoised on bits.
     """
 
-    def __init__(self, gp: GroundProgram, lattice: _ValueLattice, keys: list[GuessKey]):
-        self.lattice = lattice
+    def __init__(self, gp: GroundProgram, keys: list[GuessKey]):
+        self.lattice = lattice = gp.value_lattice()
         self.n = n = len(lattice.atoms)
         compounds = [f for f, k in zip(lattice.formulae, lattice.scope_positions) if k is None]
         index = {f: k for k, f in enumerate(lattice.atoms + tuple(compounds))}
@@ -289,25 +290,14 @@ class _MinimalitySearch:
     disjunct, and when only one disjunct can serve, its atom's domain
     shrinks to the satisfying values. Each leaf is judged by
     satisfies_program over the same lattice, its domains being the leaf's
-    point.
+    point. The lattice is point's, h in the numbering of the value lattice
+    red shares with its source program, or, without point, that lattice's.
     """
 
-    def __init__(
-        self,
-        red: GroundProgram,
-        h: PInterpretation,
-        lattice: Mapping[HybridFormula, tuple[ProbInterval, ...]],
-        node_cap: int,
-        point: _Point | None = None,
-    ):
-        # the tables of red's source program serve red, and judge its
-        # leaves; any other lattice (a plain mapping, one of another scope
-        # or of a program red's rules are not among) gets tables built for
-        # red once
-        if not (isinstance(lattice, _ValueLattice) and lattice.formulae is red.relevant_formulae):
-            lattice = _ValueLattice(dict(lattice), red)
-            point = None
-        point = point or lattice.point(h)[0]
+    def __init__(self, red: GroundProgram, h: PInterpretation, node_cap: int, point: _Point | None):
+        if point is None:
+            point = red.value_lattice().point(h)[0]
+        lattice = point.lattice
         self.red = red
         self.h = h
         self.node_cap = node_cap
@@ -442,16 +432,15 @@ class _MinimalitySearch:
 def find_smaller_model(
     red: GroundProgram,
     h: PInterpretation,
-    lattice: Mapping[HybridFormula, tuple[ProbInterval, ...]],
+    *,
     node_cap: int = 500_000,
     point: _Point | None = None,
 ) -> tuple[PInterpretation | None, int]:
     """A p-model of red strictly below h, or None; plus nodes searched.
-    lattice is the value lattice of red's source program, whose tables the
-    search reads, and point h in its numbering, when the caller has it; a
-    plain mapping gets the same tables built for this call, on which the
-    leaves are judged."""
-    search = _MinimalitySearch(red, h, lattice, node_cap, point)
+    The search reads the tables of red's value lattice, its source
+    program's for a reduct, and point is h in that lattice's numbering,
+    when the caller has it."""
+    search = _MinimalitySearch(red, h, node_cap, point)
     witness = search.run()
     return witness, search.nodes
 
@@ -459,7 +448,6 @@ def find_smaller_model(
 def _judge(
     gp: GroundProgram,
     h: PInterpretation,
-    lattice: _ValueLattice,
     node_cap: int = 500_000,
     point: _Point | None = None,
 ) -> tuple[SatisfactionReport, tuple | None, Certificate | None]:
@@ -468,18 +456,18 @@ def _judge(
     failure is left in the report, a formula outside the program's scope,
     as (formula, value), and minimality against the reduct, as (witness,),
     a smaller p-model of the reduct. _reason renders them. point is h in
-    the numbering of lattice, gp's value lattice; without it, one walk of
-    h's entries numbers h and finds a formula outside the scope."""
+    the numbering of gp's value lattice; without it, one walk of h's
+    entries numbers h and finds a formula outside the scope."""
     outside = None
     if point is None:
-        point, outside = lattice.point(h)
+        point, outside = gp.value_lattice().point(h)
     report = satisfies_program(gp, h, point)
     if not report.satisfied:
         return report, None, None
     if outside is not None:
         return report, outside, None
     red = reduct(gp, report)
-    witness, nodes = find_smaller_model(red, h, lattice, node_cap, point)
+    witness, nodes = find_smaller_model(red, h, node_cap=node_cap, point=point)
     if witness is not None:
         return report, (witness,), None
     return report, None, Certificate(len(red.rules), nodes)
@@ -502,7 +490,7 @@ def is_answer_set(
     node_cap: int = 500_000,
 ) -> tuple[bool, str | None]:
     """Exact check with a human-readable reason on rejection."""
-    report, rejection, _ = _judge(gp, h, gp.value_lattice(), node_cap)
+    report, rejection, _ = _judge(gp, h, node_cap)
     reason = _reason(report, rejection)
     return reason is None, reason
 
@@ -547,14 +535,13 @@ def enumerate_answer_sets(
             f"candidate space of {total} exceeds {max_candidates}; "
             "the program has too many independent guesses"
         )
-    lattice = gp.value_lattice()
-    if lattice.non_expansive is not None:
-        name, formula, v, ann, out = lattice.non_expansive
+    cp = _Compiled(gp, keys)
+    if cp.lattice.non_expansive is not None:
+        name, formula, v, ann, out = cp.lattice.non_expansive
         raise NonExpansiveStrategy(
             f"strategy {name} is not expansive on {formula}: "
             f"it composes {v} and {ann} to {out}, so the solver could miss answer sets"
         )
-    cp = _Compiled(gp, lattice, keys)
 
     seen: set[tuple[int, ...]] = set()
     found: list[tuple[PInterpretation, Certificate]] = []
@@ -565,7 +552,7 @@ def enumerate_answer_sets(
             continue
         seen.add(values)
         h = cp.interpretation(values)
-        certificate = _judge(gp, h, lattice, node_cap, cp.point(values))[2]
+        certificate = _judge(gp, h, node_cap, cp.point(values))[2]
         if certificate is None:
             continue
         found.append((h, certificate))

@@ -285,7 +285,26 @@ def test_check_model_bad_file(tmp_path, dice_path):
 @pytest.mark.parametrize(
     "payload, message",
     [
-        ({"formulae": ["a(1,1)"]}, "'str' object has no attribute 'get'"),
+        (
+            {"formulae": ["a(1,1)"]},
+            'formulae[0] must be an object with "formula" or "text", "lo" and "hi"',
+        ),
+        (
+            {"formulae": [{"formula": "a(1,1)", "lo": "1", "hi": "1"}, ["a(1,1)", "1", "1"]]},
+            'formulae[1] must be an object with "formula" or "text", "lo" and "hi"',
+        ),
+        (
+            {"model": []},
+            '"formulae" must be a list, each entry an object with "formula" or "text", "lo" and "hi"',
+        ),
+        (
+            {"formulae": {"formula": "a(1,1)", "lo": "1", "hi": "1"}},
+            '"formulae" must be a list, each entry an object with "formula" or "text", "lo" and "hi"',
+        ),
+        (
+            [],
+            '"formulae" must be a list, each entry an object with "formula" or "text", "lo" and "hi"',
+        ),
         (
             {"formulae": [
                 {"formula": "a(1,1)", "lo": "0.5", "hi": "0.5"},
@@ -294,10 +313,17 @@ def test_check_model_bad_file(tmp_path, dice_path):
             "conflicting values for a(1,1)",
         ),
     ],
-    ids=["entry-not-an-object", "conflicting-values"],
+    ids=[
+        "entry-not-an-object",
+        "second-entry-not-an-object",
+        "formulae-missing",
+        "formulae-not-a-list",
+        "file-not-an-object",
+        "conflicting-values",
+    ],
 )
 def test_check_model_reports_a_malformed_model_file(tmp_path, dice_path, payload, message):
-    # neither may crash with a traceback and exit 1, which reads as "not an
+    # none may crash with a traceback and exit 1, which reads as "not an
     # answer set"
     path = tmp_path / "model.json"
     path.write_text(json.dumps(payload))

@@ -419,7 +419,7 @@ def test_decided_bodies_agree_with_every_completion_of_a_branch(dice_path, diet_
                 for f in gp.relevant_formulae
                 if f.is_atomic
             )
-            search = _MinimalitySearch(gp, top, lattice, node_cap=1)
+            search = _MinimalitySearch(gp, top, node_cap=1, point=None)
             for i, d in enumerate(search.domains):
                 ranks = [r for r in range(d.bit_length()) if d >> r & 1]
                 keep = rng.sample(ranks, rng.randint(1, len(ranks)))
@@ -445,7 +445,7 @@ def test_a_pair_with_one_condition_failing_on_its_whole_domain_is_out():
     )
     lattice = gp.value_lattice()
     top = PInterpretation.from_pairs((f, lattice[f][-1]) for f in gp.relevant_formulae)
-    search = _MinimalitySearch(gp, top, lattice, node_cap=1)
+    search = _MinimalitySearch(gp, top, node_cap=1, point=None)
     domains = search_domains(search)
     a, b = (HybridFormula.atomic(Atom(n)) for n in "ab")
     assert not any(truth_leq(iv("0.5"), v) for v in domains[a])

@@ -171,7 +171,7 @@ def test_find_smaller_model_returns_witness():
     gp, _ = solve_text("a : 0.5.")
     a = HybridFormula.atomic(Atom("a"))
     top = PInterpretation.from_pairs([(a, ProbInterval(1, 1))])
-    witness, nodes = find_smaller_model(gp, top, gp.value_lattice())
+    witness, nodes = find_smaller_model(gp, top)
     assert witness is not None
     assert witness.value(a) == ProbInterval("0.5", "0.5")
     assert nodes >= 1
@@ -181,7 +181,7 @@ def test_find_smaller_model_none_at_bottom():
     gp, _ = solve_text("a : 0.5.")
     a = HybridFormula.atomic(Atom("a"))
     exact = PInterpretation.from_pairs([(a, ProbInterval("0.5", "0.5"))])
-    witness, _ = find_smaller_model(gp, exact, gp.value_lattice())
+    witness, _ = find_smaller_model(gp, exact)
     assert witness is None
 
 
@@ -207,7 +207,7 @@ def test_compiled_closure_matches_the_reference(dice_solved, diet_solved):
     closed = 0
     for gp in closure_corpus(dice_solved, diet_solved):
         keys = _guess_keys(gp)
-        compiled = _Compiled(gp, gp.value_lattice(), keys)
+        compiled = _Compiled(gp, keys)
         total = 2 ** len(keys) * compiled.choice_total
         if total > 256:
             continue
@@ -281,6 +281,24 @@ def test_the_non_expansive_atom_reported_is_the_one_the_last_rule_heads_first():
     gp = ground_program(parse_program(text, registry=min_registry()))
     with pytest.raises(NonExpansiveStrategy, match=r"^strategy mn is not expansive on c: it composes \[0.2,0.2\] and \[1,1\]"):
         enumerate_answer_sets(gp)
+
+
+def test_the_non_expansive_composition_reported_is_the_first_in_rank_order():
+    # avg composes 0.2, the least value but ZERO, below each larger
+    # annotation; the composition named is that with the least annotation
+    # rank, 0.4, whatever order the occurrences come in
+    registry = builtin_registry()
+    registry.register(
+        "avg", DISJUNCTIVE, lambda x, y: ProbInterval((x.lo + y.lo) / 2, (x.hi + y.hi) / 2)
+    )
+    text = "#default_tau(avg). a : 0.2 :- t0. t0. a : 0.8 :- t1. t1. a : 0.6 :- t2. t2. a : 0.4 :- t3. t3."
+    gp = ground_program(parse_program(text, registry=registry))
+    with pytest.raises(NonExpansiveStrategy) as raised:
+        enumerate_answer_sets(gp)
+    assert str(raised.value) == (
+        "strategy avg is not expansive on a: it composes [0.2,0.2] and [0.4,0.4] to [0.3,0.3], "
+        "so the solver could miss answer sets"
+    )
 
 
 @pytest.mark.parametrize(
@@ -417,23 +435,22 @@ def test_enumeration_renders_no_minimality_witness(monkeypatch):
 def test_minimality_domains_are_the_values_at_or_below_the_candidate():
     # a domain is every lattice value at or below the candidate's value,
     # plus that value itself, sorted by (lo, hi); some values lie outside
-    # the lattice and some formulae have no lattice entry
+    # the lattice
     rng = random.Random(17)
     checked = outside = 0
     for n in range(80):
         gp = (random_aggregate_program if n % 2 else random_probability_program)(rng)
-        full = gp.value_lattice()
+        lattice = gp.value_lattice()
         for _ in range(4):
-            lattice = {f: v for f, v in full.items() if rng.random() < 0.8}
             h = PInterpretation.from_pairs(
-                (f, rng.choice(full[f]) if rng.random() < 0.6 else random_interval(rng))
+                (f, rng.choice(lattice[f]) if rng.random() < 0.6 else random_interval(rng))
                 for f in gp.relevant_formulae
             )
-            search = _MinimalitySearch(gp, h, lattice, node_cap=1)
+            search = _MinimalitySearch(gp, h, node_cap=1, point=None)
             assert sorted(search.atoms, key=str) == [f for f in gp.relevant_formulae if f.is_atomic]
             for f, domain in search_domains(search).items():
                 assigned = h.value(f)
-                values = {v for v in lattice.get(f, (ZERO,)) if truth_leq(v, assigned)}
+                values = {v for v in lattice[f] if truth_leq(v, assigned)}
                 outside += assigned not in values
                 values.add(assigned)
                 assert domain == tuple(sorted(values, key=lambda v: (v.lo, v.hi)))
@@ -451,7 +468,7 @@ def smaller_models(red, h, lattice, cap: int = 4096):
     domains = []
     for f in atoms:
         top = h.value(f)
-        below = [v for v in lattice.get(f, (ZERO,)) if truth_leq(v, top)]
+        below = [v for v in lattice[f] if truth_leq(v, top)]
         domains.append(below + [top] * (top not in below))
     if prod(len(d) for d in domains) > cap:
         return None
@@ -470,27 +487,22 @@ def smaller_models(red, h, lattice, cap: int = 4096):
 
 
 def test_find_smaller_model_matches_brute_force():
-    # h mixes lattice values with intervals off the lattice, and the search
-    # reads either the program's own lattice or a partial plain mapping
+    # h mixes lattice values with intervals off the lattice
     rng = random.Random(29)
     judged = found = 0
     for n in range(160):
         gp = (random_aggregate_program if n % 2 else random_probability_program)(rng)
-        full = gp.value_lattice()
+        lattice = gp.value_lattice()
         for _ in range(3):
-            if rng.random() < 0.5:
-                lattice = full
-            else:
-                lattice = {f: v for f, v in full.items() if rng.random() < 0.8}
             h = PInterpretation.from_pairs(
-                (f, rng.choice(full[f]) if rng.random() < 0.6 else random_interval(rng))
+                (f, rng.choice(lattice[f]) if rng.random() < 0.6 else random_interval(rng))
                 for f in gp.relevant_formulae
             )
             red = reduct(gp, satisfies_program(gp, h))
             models = smaller_models(red, h, lattice)
             if models is None:
                 continue
-            witness, _ = find_smaller_model(red, h, lattice)
+            witness, _ = find_smaller_model(red, h)
             assert (witness is not None) == bool(models), (str(gp), str(h))
             if witness is not None:
                 assert witness in models
@@ -554,6 +566,23 @@ def test_a_reduct_builds_no_lattice_of_its_own(diet_path, monkeypatch):
     assert len(found) == 4 and built and all(program is gp for program in built)
 
 
+def test_a_reduct_shares_the_tables_of_its_source():
+    # a reduct, and a reduct of a reduct, read the scope and the value
+    # lattice of the program they come from, and no caller hands the search
+    # a lattice
+    gp = ground_program(parse_program("a : 0.5. b :- a : 0.5. c :- not b."))
+    one = ProbInterval(1, 1)
+    h = PInterpretation.from_pairs((f, one) for f in gp.relevant_formulae)
+    red = reduct(gp, satisfies_program(gp, h))
+    again = reduct(red, satisfies_program(red, h))
+    for program in (red, again):
+        assert program.value_lattice() is gp.value_lattice()
+        assert program.relevant_formulae is gp.relevant_formulae
+    assert find_smaller_model(again, h)[0] is not None
+    with pytest.raises(TypeError):
+        find_smaller_model(red, h, gp.value_lattice())
+
+
 def test_a_closure_cannot_stand_in_for_the_minimality_search():
     # {a, b} is a p-model whose reduct keeps both rules; its smaller p-model
     # {b} is unsupported, so no closure of the reduct reaches it, and only a
@@ -568,7 +597,7 @@ def test_a_closure_cannot_stand_in_for_the_minimality_search():
     ok, reason = is_answer_set(gp, h)
     assert not ok and reason.startswith("not minimal")
     red = reduct(gp, report)
-    witness, _ = find_smaller_model(red, h, gp.value_lattice())
+    witness, _ = find_smaller_model(red, h)
     assert witness is not None
     assert interp_lt(witness, h)
     assert satisfies_program(red, witness).satisfied
@@ -600,7 +629,7 @@ def test_non_minimal_diet_models_are_rejected_within_a_small_node_cap(diet_solve
         ok, reason = is_answer_set(gp, h, node_cap=2_000)
         assert not ok and reason.startswith("not minimal")
         red = reduct(gp, report)
-        witness, nodes = find_smaller_model(red, h, gp.value_lattice(), node_cap=2_000)
+        witness, nodes = find_smaller_model(red, h, node_cap=2_000)
         assert witness is not None and nodes <= 2_000
         assert interp_lt(witness, h)
         assert satisfies_program(red, witness).satisfied
