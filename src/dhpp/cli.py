@@ -90,9 +90,9 @@ def _load_model(path: str) -> PInterpretation:
         if not isinstance(entries, list):
             raise ValueError(f'"formulae" must be a list, each entry {_ENTRY}')
         for n, entry in enumerate(entries):
-            if not isinstance(entry, dict):
+            text = (entry.get("text") or entry.get("formula")) if isinstance(entry, dict) else None
+            if text is None or not {"lo", "hi"} <= entry.keys():
                 raise ValueError(f"formulae[{n}] must be {_ENTRY}")
-            text = entry.get("text") or entry["formula"]
             formula = parse_formula(text)
             value = ProbInterval(entry["lo"], entry["hi"])
             pairs.append((formula, value))

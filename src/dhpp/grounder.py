@@ -23,6 +23,16 @@ compound formulae) stay free and surface as UnboundAnnotationVariable.
 A body literal with the constant annotation [0,0] is satisfied vacuously, so
 its arguments are enumerated over the universe instead of the index.
 
+Every ground atom is one object. The index (AtomIndex) makes each ground
+atom once, from its predicate and arguments, with its one atomic formula,
+whether a head derives it or it occurs only in a body: under `not`, in a
+vacuous literal or in a set member's condition. Heads, body formulae,
+compound components and aggregate pair conditions all hold these objects,
+and GroundProgram.relevant_formulae takes an atom's formula from the rules,
+so the formula scope, the value lattice and the interpretations the solver
+builds share them too, and a lookup keyed by an atom or an atomic formula
+hits on identity. An atom holds no reference to its formula.
+
 A GroundProgram builds its value lattice (_lattice._ValueLattice) once, on
 first use. A reduct names the program it was made from as its source, and
 shares that program's formula scope and value lattice.
@@ -132,37 +142,55 @@ def collect_universe(program: Program) -> tuple[Term, ...]:
 
 
 class AtomIndex:
-    """Ground atoms with the annotation values they can be derived at.
+    """Every ground atom made while grounding, one object each, with the
+    annotation values it can be derived at.
 
-    Atoms are listed in insertion order per predicate, and again per
-    argument position and ground term, so a join looks up a bound argument
-    instead of scanning the predicate."""
+    formulae maps an atom's predicate and arguments to its one atomic
+    formula, whose atom is the object every rule shares, and the values it
+    is derived at, an empty set for an atom made only in a body. values maps
+    each derived atom to that set. Derived atoms are listed in insertion
+    order per predicate, and again per argument position and ground term,
+    so a join looks up a bound argument instead of scanning the predicate.
+    size counts the (atom, value) entries, and only grows."""
 
     def __init__(self, max_entries: int):
+        self.formulae: dict[tuple[str, tuple[Term, ...]], tuple[HybridFormula, set[ProbInterval]]] = {}
         self.values: dict[Atom, set[ProbInterval]] = {}
         self.by_pred: dict[tuple[str, int], list[Atom]] = {}
         self.by_arg: dict[tuple[str, int, int, Term], list[Atom]] = {}
         self.max_entries = max_entries
         self.size = 0
 
-    def add(self, atom: Atom, value: ProbInterval) -> bool:
-        known = self.values.get(atom)
-        if known is None:
-            known = set()
+    def _entry(self, predicate: str, args: tuple[Term, ...]) -> tuple[HybridFormula, set[ProbInterval]]:
+        key = predicate, args
+        entry = self.formulae.get(key)
+        if entry is None:
+            entry = self.formulae[key] = (HybridFormula.atomic(Atom(predicate, args)), set())
+        return entry
+
+    def formula(self, predicate: str, args: tuple[Term, ...]) -> HybridFormula:
+        """The one atomic formula of the atom, made the first time it is
+        asked for."""
+        return self._entry(predicate, args)[0]
+
+    def add(self, predicate: str, args: tuple[Term, ...], value: ProbInterval) -> Atom:
+        """Index the atom at value, and return its one object."""
+        formula, known = self._entry(predicate, args)
+        atom = formula.atoms[0]
+        if not known:
             self.values[atom] = known
-            arity = len(atom.args)
-            self.by_pred.setdefault((atom.predicate, arity), []).append(atom)
-            for i, term in enumerate(atom.args):
-                self.by_arg.setdefault((atom.predicate, arity, i, term), []).append(atom)
-        if value in known:
-            return False
-        known.add(value)
-        self.size += 1
-        if self.size > self.max_entries:
-            raise UniverseOverflow(
-                f"derivable-atom index exceeded {self.max_entries} entries"
-            )
-        return True
+            arity = len(args)
+            self.by_pred.setdefault((predicate, arity), []).append(atom)
+            for i, term in enumerate(args):
+                self.by_arg.setdefault((predicate, arity, i, term), []).append(atom)
+        if value not in known:
+            known.add(value)
+            self.size += 1
+            if self.size > self.max_entries:
+                raise UniverseOverflow(
+                    f"derivable-atom index exceeded {self.max_entries} entries"
+                )
+        return atom
 
     def lookup(self, atom: Atom, env: Env) -> list[Atom]:
         """Every indexed atom that can unify with atom under env, and maybe
@@ -391,29 +419,33 @@ def rule_bindings(
 # -- applying a substitution ----------------------------------------------------
 
 
-def substitute_atom(atom: Atom, env: Env) -> Atom | None:
+def _ground_args(atom: Atom, env: Env) -> tuple[Term, ...] | None:
+    """atom's arguments under env, or None when one does not ground; the
+    index makes the atom they ground (AtomIndex.formula, AtomIndex.add)."""
     args = []
     for a in atom.args:
         t = substitute_term(a, env)
         if t is None or not term_is_ground(t):
             return None
         args.append(t)
-    return Atom(atom.predicate, tuple(args))
+    return tuple(args)
 
 
-def substitute_formula(formula: HybridFormula, env: Env) -> HybridFormula | None:
+def substitute_formula(formula: HybridFormula, env: Env, index: AtomIndex) -> HybridFormula | None:
+    """formula under env, its atoms the index's, and an atomic one the
+    index's own formula; None when it does not ground."""
     atoms = []
     for atom in formula.atoms:
-        ga = substitute_atom(atom, env)
-        if ga is None:
+        args = _ground_args(atom, env)
+        if args is None:
             return None
-        atoms.append(ga)
+        atoms.append(index.formula(atom.predicate, args))
     if formula.is_atomic:
-        return HybridFormula.atomic(atoms[0])
+        return atoms[0]
     if len(set(atoms)) != len(atoms):
         # distinctness can collapse under substitution; no such ground formula
         return None
-    return HybridFormula(tuple(atoms), formula.connective, formula.strategy)
+    return HybridFormula(tuple(f.atoms[0] for f in atoms), formula.connective, formula.strategy)
 
 
 def ground_symbolic_set(
@@ -430,23 +462,29 @@ def ground_symbolic_set(
         value = substitute_term(pset.value, e)
         if value is None or not term_is_ground(value):
             continue
-        prob = evaluate_annotation(pset.prob, e)
-        condition = []
-        ok = True
-        for formula, ann in pset.condition:
-            gf = substitute_formula(formula, e)
-            if gf is None:
-                ok = False
-                break
-            condition.append((gf, evaluate_annotation(ann, e)))
-        if not ok:
+        condition = _ground_condition(pset.condition, e, index)
+        if condition is None:
             continue
-        pair = GroundPair(value, prob, tuple(condition))
+        pair = GroundPair(value, evaluate_annotation(pset.prob, e), condition)
         if pair not in seen:
             seen.add(pair)
             pairs.append(pair)
     pairs.sort(key=str)
     return GroundSet(tuple(pairs))
+
+
+def _ground_condition(
+    condition: tuple[BodyLiteral, ...], env: Env, index: AtomIndex
+) -> tuple[tuple[HybridFormula, ProbInterval], ...] | None:
+    """A set member's condition under env, or None when a formula does not
+    ground."""
+    out = []
+    for formula, ann in condition:
+        gf = substitute_formula(formula, env, index)
+        if gf is None:
+            return None
+        out.append((gf, evaluate_annotation(ann, env)))
+    return tuple(out)
 
 
 def _ground_guard(term: Term, env: Env) -> Term:
@@ -465,7 +503,7 @@ def _ground_literal(
     budget: _Budget,
 ) -> BodyLiteral | None:
     if isinstance(item, HybridFormula):
-        gf = substitute_formula(item, env)
+        gf = substitute_formula(item, env, index)
         if gf is None:
             return None
         return gf, evaluate_annotation(ann, env)
@@ -473,7 +511,11 @@ def _ground_literal(
         if isinstance(item.pset, ProbabilitySet):
             gset = ground_symbolic_set(item.pset, env, index, universe, budget)
         else:
-            gset = item.pset
+            # a ground pair's condition grounds as it is, on the index's atoms
+            gset = GroundSet(tuple(
+                GroundPair(pair.value, pair.prob, _ground_condition(pair.condition, env, index))
+                for pair in item.pset.pairs
+            ))
         atom = AggregateAtom(
             item.func,
             gset,
@@ -501,18 +543,19 @@ def _ground_builtins(rule: Rule, env: Env) -> list[BodyLiteral] | None:
     return out
 
 
-def _ground_head(rule: Rule, env: Env) -> tuple[HeadLiteral, ...] | None:
-    """The rule's head under env, or None when a builtin comparison fails or
-    a head atom does not ground: a head is derived whole or not at all."""
+def _ground_head(rule: Rule, env: Env, index: AtomIndex) -> tuple[HeadLiteral, ...] | None:
+    """The rule's head under env, each atom added to the index, or None
+    when a builtin comparison fails or a head atom does not ground: a head
+    is derived whole or not at all."""
     if _ground_builtins(rule, env) is None:
         return None
-    head = []
+    grounded = []
     for atom, ann in rule.head:
-        ga = substitute_atom(atom, env)
-        if ga is None:
+        args = _ground_args(atom, env)
+        if args is None:
             return None
-        head.append((ga, evaluate_annotation(ann, env)))
-    return tuple(head)
+        grounded.append((atom.predicate, args, evaluate_annotation(ann, env)))
+    return tuple((index.add(predicate, args, value), value) for predicate, args, value in grounded)
 
 
 def _ground_body(
@@ -584,20 +627,25 @@ class GroundProgram(Program):
     def relevant_formulae(self) -> tuple[HybridFormula, ...]:
         """Every formula whose value an interpretation of this program can
         constrain: head atoms, body formulae and their component atoms, and
-        formulae inside aggregate pair conditions; a reduct's source's."""
+        formulae inside aggregate pair conditions; a reduct's source's.
+        An atom's formula is the one the rules hold, if any does, so a
+        ground program's scope shares the grounder's objects."""
         if self.source is not None:
             return self.source.relevant_formulae
-        seen: set[HybridFormula] = set()
+        atomic: dict[Atom, HybridFormula] = {}
+        compounds: set[HybridFormula] = set()
+        # atoms that need a formula of their own where no rule holds one
+        bare: list[Atom] = []
 
         def add_formula(f: HybridFormula) -> None:
-            seen.add(f)
-            if not f.is_atomic:
-                for atom in f.atoms:
-                    seen.add(HybridFormula.atomic(atom))
+            if f.is_atomic:
+                atomic.setdefault(f.atoms[0], f)
+            else:
+                compounds.add(f)
+                bare.extend(f.atoms)
 
         for rule in self.rules:
-            for atom, _ in rule.head:
-                seen.add(HybridFormula.atomic(atom))
+            bare.extend(atom for atom, _ in rule.head)
             for item, _ in rule.pos_body + rule.neg_body:
                 if isinstance(item, HybridFormula):
                     add_formula(item)
@@ -605,7 +653,10 @@ class GroundProgram(Program):
                     for pair in item.pset.pairs:
                         for formula, _ in pair.condition:
                             add_formula(formula)
-        return tuple(sorted(seen, key=str))
+        for atom in bare:
+            if atom not in atomic:
+                atomic[atom] = HybridFormula.atomic(atom)
+        return tuple(sorted([*atomic.values(), *compounds], key=str))
 
     def value_lattice(self) -> _ValueLattice:
         """Per formula, every value an answer set could assign it, sorted
@@ -626,19 +677,16 @@ def ground_program(program: Program, max_rules: int = 100_000) -> GroundProgram:
     index = AtomIndex(max_rules)
     budget = _Budget(max(max_rules * 50, 1_000_000), "grounding work")
 
-    changed = True
-    while changed:
-        changed = False
+    size = -1
+    while index.size != size:
+        size = index.size
         instances = []
         for rule in program.rules:
             made = []
             for env in rule_bindings(rule, index, universe, budget):
-                head = _ground_head(rule, env)
-                if head is None:
-                    continue
-                made.append((env, head))
-                for atom, value in head:
-                    changed |= index.add(atom, value)
+                head = _ground_head(rule, env, index)
+                if head is not None:
+                    made.append((env, head))
             instances.append(made)
 
     # the last pass added nothing, so it bound every rule against the final

@@ -78,8 +78,9 @@ class _HashOnce:
 
 
 def _value_class(cls):
-    """A frozen slotted dataclass whose hash is computed once, lazily:
-    many values the grounder builds are never hashed at all."""
+    """A frozen slotted dataclass whose hash is computed on first use and
+    kept: a value that keys no map is never hashed, and one that keys many,
+    as each ground atom does, made once by the grounder, is hashed once."""
     cls = dataclass(frozen=True, slots=True)(cls)
     key = attrgetter(*(f.name for f in fields(cls)))
 

@@ -50,6 +50,16 @@ from dhpp.aggregates import build_multiset
 from dhpp.model import AGG_FUNCS, COMPARATORS, P_FUNCS, BuiltinComparison, interval_compare, Num
 from dhpp.semantics import SatisfactionReport, satisfies_program
 
+# a three-layer DAG with the two path rules of the benchmark's reach workload;
+# edges below 0.5 do not fire the recursive rule
+PATH_PROGRAM = (
+    "edge(a1,b1) : 0.5. edge(a1,b2) : 0.3. edge(a2,b2) : 0.7. edge(a2,b3) : 0.5.\n"
+    "edge(a3,b3). edge(b1,c1) : 0.5. edge(b2,c1) : 0.5. edge(b2,c3) : 0.4.\n"
+    "edge(b3,c2) : 0.9. edge(b3,c3) : 0.5.\n"
+    "path(X,Y) :- edge(X,Y) : 0.5.\n"
+    "path(X,Z) :- path(X,Y), edge(Y,Z) : 0.5.\n"
+)
+
 ANNOTATIONS = [Fraction(3, 10), Fraction(1, 2), Fraction(7, 10), Fraction(1)]
 GRID = [Fraction(0), Fraction(3, 10), Fraction(1, 2), Fraction(7, 10), Fraction(1)]
 

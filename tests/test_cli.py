@@ -21,7 +21,7 @@ from dhpp import (
 )
 from dhpp.cli import MODES, RunConfig, main, run
 from dhpp.strategies import DISJUNCTIVE
-from generators import random_classical_aggregate_program, random_classical_program
+from generators import PATH_PROGRAM, random_classical_aggregate_program, random_classical_program
 
 
 def invoke(**kwargs):
@@ -136,15 +136,6 @@ def test_ground_only_round_trips(dice_path):
     ]
 
 
-# a three-layer DAG with the two path rules of the benchmark's reach workload;
-# edges below 0.5 do not fire the recursive rule
-PATH_PROGRAM = (
-    "edge(a1,b1) : 0.5. edge(a1,b2) : 0.3. edge(a2,b2) : 0.7. edge(a2,b3) : 0.5.\n"
-    "edge(a3,b3). edge(b1,c1) : 0.5. edge(b2,c1) : 0.5. edge(b2,c3) : 0.4.\n"
-    "edge(b3,c2) : 0.9. edge(b3,c3) : 0.5.\n"
-    "path(X,Y) :- edge(X,Y) : 0.5.\n"
-    "path(X,Z) :- path(X,Y), edge(Y,Z) : 0.5.\n"
-)
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -312,6 +303,17 @@ def test_check_model_bad_file(tmp_path, dice_path):
             ]},
             "conflicting values for a(1,1)",
         ),
+        (
+            {"formulae": [{"formula": "a(1,1)", "lo": "1"}]},
+            'formulae[0] must be an object with "formula" or "text", "lo" and "hi"',
+        ),
+        (
+            {"formulae": [
+                {"formula": "a(1,1)", "lo": "1", "hi": "1"},
+                {"text": "", "lo": "1", "hi": "1"},
+            ]},
+            'formulae[1] must be an object with "formula" or "text", "lo" and "hi"',
+        ),
     ],
     ids=[
         "entry-not-an-object",
@@ -320,6 +322,8 @@ def test_check_model_bad_file(tmp_path, dice_path):
         "formulae-not-a-list",
         "file-not-an-object",
         "conflicting-values",
+        "entry-missing-hi",
+        "entry-missing-formula",
     ],
 )
 def test_check_model_reports_a_malformed_model_file(tmp_path, dice_path, payload, message):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,10 +11,22 @@ from dhpp import (
     UniverseOverflow,
     enumerate_answer_sets,
     ground_program,
+    is_answer_set,
+    parse_classical,
     parse_program,
+    translate_dlp,
 )
 from dhpp.model import ZERO, HybridFormula, Num
-from generators import naive_ground, random_nonground_program, random_probability_program, rule_text
+from generators import (
+    PATH_PROGRAM,
+    naive_ground,
+    random_nonground_program,
+    random_probability_program,
+    random_recursive_aggregate_program,
+    rule_text,
+)
+
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
 
 def ground(text: str, **kwargs):
@@ -236,3 +249,67 @@ def test_compound_lattice_composes_components():
     product = ProbInterval(Fraction(1, 5), Fraction(1, 5))  # 0.5 * 0.4
     assert product in lattice[compound]
     assert ZERO in lattice[compound]
+
+
+def shared_atom_programs():
+    for path in sorted(PROGRAMS.glob("*.dhpp")):
+        yield path.name, ground(path.read_text())
+    yield "path", ground(PATH_PROGRAM)
+    # a compound, and atoms no head derives: under `not`, in a vacuous
+    # literal and in a condition that never matches a set member
+    yield "outside", ground(
+        "a : 0.5.\nb : 0.4.\nc :- a and[inc] b : 0.2, not d(1).\n"
+        "p(X) :- q(X) : 0.\nq(1).\nr(2).\n"
+        "s :- sumP{<1 : 0.5 | t(1) : 0.5>} >= 0 : 0, sumP{X : P | u(X) : P} >= 0 : 0."
+    )
+    yield "translated", ground_program(
+        translate_dlp(parse_classical("a | b.  c :- a, not d.  big :- sum{3 : a, 4 : c} >= 5."))
+    )
+    rng = random.Random(19)
+    for n in range(30):
+        yield f"recursive {n}", random_recursive_aggregate_program(rng)
+
+
+def test_rules_share_the_atoms_of_the_value_lattice():
+    # one object per ground atom, and per atom one atomic formula, so every
+    # lookup the lattice build and the judging make hits on identity
+    for name, gp in shared_atom_programs():
+        lattice = gp.value_lattice()
+        scope = {f: f for f in gp.relevant_formulae}
+
+        def shared_atom(atom):
+            assert lattice.atoms[lattice.position[atom]].atoms[0] is atom, (name, str(atom))
+
+        def shared_formula(formula):
+            if formula.is_atomic:
+                assert scope[formula] is formula, (name, str(formula))
+            for atom in formula.atoms:
+                shared_atom(atom)
+
+        for rule in gp.rules:
+            for atom, _ in rule.head:
+                shared_atom(atom)
+            for item, _ in rule.pos_body + rule.neg_body:
+                if isinstance(item, HybridFormula):
+                    shared_formula(item)
+                elif isinstance(item, AggregateAtom):
+                    for pair in item.pset.pairs:
+                        for formula, _ in pair.condition:
+                            shared_formula(formula)
+
+
+def test_solving_and_judging_compare_no_two_equal_atoms(monkeypatch):
+    gp = ground(PATH_PROGRAM)
+    eq = Atom.__eq__
+    calls = 0
+
+    def counting(self, other):
+        nonlocal calls
+        calls += self is not other
+        return eq(self, other)
+
+    monkeypatch.setattr(Atom, "__eq__", counting)
+    answer_sets = enumerate_answer_sets(gp).interpretations
+    assert len(answer_sets) == 1
+    assert all(is_answer_set(gp, h) for h in answer_sets)
+    assert calls == 0
