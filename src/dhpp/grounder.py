@@ -23,15 +23,13 @@ compound formulae) stay free and surface as UnboundAnnotationVariable.
 A body literal with the constant annotation [0,0] is satisfied vacuously, so
 its arguments are enumerated over the universe instead of the index.
 
-Every ground atom is one object. The index (AtomIndex) makes each ground
-atom once, from its predicate and arguments, with its one atomic formula,
-whether a head derives it or it occurs only in a body: under `not`, in a
-vacuous literal or in a set member's condition. Heads, body formulae,
-compound components and aggregate pair conditions all hold these objects,
-and GroundProgram.relevant_formulae takes an atom's formula from the rules,
-so the formula scope, the value lattice and the interpretations the solver
-builds share them too, and a lookup keyed by an atom or an atomic formula
-hits on identity. An atom holds no reference to its formula.
+Every ground atom is one object: the index (AtomIndex) makes it once, with
+its one atomic formula, whether a head derives it or it occurs only in a
+body. Every rule holds these objects, and GroundProgram.relevant_formulae
+takes an atom's formula from the rules, so the formula scope, the value
+lattice and the solver's interpretations share them, and a lookup keyed by
+an atom or an atomic formula hits on identity. An atom holds no reference
+to its formula.
 
 A GroundProgram builds its value lattice (_lattice._ValueLattice) once, on
 first use. A reduct names the program it was made from as its source, and
@@ -145,16 +143,16 @@ class AtomIndex:
     """Every ground atom made while grounding, one object each, with the
     annotation values it can be derived at.
 
-    formulae maps an atom's predicate and arguments to its one atomic
-    formula, whose atom is the object every rule shares, and the values it
-    is derived at, an empty set for an atom made only in a body. values maps
-    each derived atom to that set. Derived atoms are listed in insertion
+    entries maps an atom's predicate and arguments to its one atomic
+    formula, whose atom every rule shares, and the set of values it is
+    derived at, empty for an atom made only in a body; values maps each
+    derived atom to that set. Derived atoms are listed in insertion
     order per predicate, and again per argument position and ground term,
     so a join looks up a bound argument instead of scanning the predicate.
     size counts the (atom, value) entries, and only grows."""
 
     def __init__(self, max_entries: int):
-        self.formulae: dict[tuple[str, tuple[Term, ...]], tuple[HybridFormula, set[ProbInterval]]] = {}
+        self.entries: dict[tuple[str, tuple[Term, ...]], tuple[HybridFormula, set[ProbInterval]]] = {}
         self.values: dict[Atom, set[ProbInterval]] = {}
         self.by_pred: dict[tuple[str, int], list[Atom]] = {}
         self.by_arg: dict[tuple[str, int, int, Term], list[Atom]] = {}
@@ -163,9 +161,9 @@ class AtomIndex:
 
     def _entry(self, predicate: str, args: tuple[Term, ...]) -> tuple[HybridFormula, set[ProbInterval]]:
         key = predicate, args
-        entry = self.formulae.get(key)
+        entry = self.entries.get(key)
         if entry is None:
-            entry = self.formulae[key] = (HybridFormula.atomic(Atom(predicate, args)), set())
+            entry = self.entries[key] = (HybridFormula.atomic(Atom(predicate, args)), set())
         return entry
 
     def formula(self, predicate: str, args: tuple[Term, ...]) -> HybridFormula:
