@@ -158,6 +158,8 @@ class AtomIndex:
         self.by_arg: dict[tuple[str, int, int, Term], list[Atom]] = {}
         self.max_entries = max_entries
         self.size = 0
+        # each ground set written in a rule, by id, on the index's atoms
+        self._sets: dict[int, GroundSet] = {}
 
     def _entry(self, predicate: str, args: tuple[Term, ...]) -> tuple[HybridFormula, set[ProbInterval]]:
         key = predicate, args
@@ -189,6 +191,18 @@ class AtomIndex:
                     f"derivable-atom index exceeded {self.max_entries} entries"
                 )
         return atom
+
+    def ground_set(self, gset: GroundSet) -> GroundSet:
+        """gset, a ground set written in a rule, with its conditions on the
+        index's atoms: made once for all the rule's instances. The program
+        holds gset while it grounds, so its id names it."""
+        out = self._sets.get(id(gset))
+        if out is None:
+            out = self._sets[id(gset)] = GroundSet(tuple(
+                GroundPair(pair.value, pair.prob, _ground_condition(pair.condition, {}, self))
+                for pair in gset.pairs
+            ))
+        return out
 
     def lookup(self, atom: Atom, env: Env) -> list[Atom]:
         """Every indexed atom that can unify with atom under env, and maybe
@@ -509,11 +523,7 @@ def _ground_literal(
         if isinstance(item.pset, ProbabilitySet):
             gset = ground_symbolic_set(item.pset, env, index, universe, budget)
         else:
-            # a ground pair's condition grounds as it is, on the index's atoms
-            gset = GroundSet(tuple(
-                GroundPair(pair.value, pair.prob, _ground_condition(pair.condition, env, index))
-                for pair in item.pset.pairs
-            ))
+            gset = index.ground_set(item.pset)
         atom = AggregateAtom(
             item.func,
             gset,
