@@ -158,7 +158,6 @@ class AtomIndex:
         self.by_arg: dict[tuple[str, int, int, Term], list[Atom]] = {}
         self.max_entries = max_entries
         self.size = 0
-        # each ground set written in a rule, by id, on the index's atoms
         self._sets: dict[int, GroundSet] = {}
 
     def _entry(self, predicate: str, args: tuple[Term, ...]) -> tuple[HybridFormula, set[ProbInterval]]:
