@@ -10,6 +10,14 @@ over the contributed annotations, compound values are strategy compositions
 over their components. Constraints (headless rules) take no part in
 generation.
 
+The candidates are not walked one by one. A depth-first search keeps one
+closure, growing along its path and undone on backtracking (_leaves), and
+makes a choice only where the closure needs it: a guess when a rule that
+needs it is ready to fire, a disjunct when its rule fires. A leaf stands
+for every candidate that extends its choices, since the others cannot
+change its closure, and a guess that a `not` literal holds ends its branch
+once the closure satisfies the literal it negates.
+
 Every value the closure can reach is an entry of the program's value
 lattice, so each enumeration compiles the program on the lattice's
 numbering (_Compiled), a value being one bit of its lattice rank, and
@@ -19,7 +27,7 @@ records a disjunctive strategy in use that folds an atom's head
 annotations below one of them: without one the closure is complete, and
 with one enumeration raises NonExpansiveStrategy.
 
-Every candidate that agrees with its own `not` guesses is then checked
+Every leaf that agrees with its own `not` guesses is then checked
 exactly: it must be a p-model of the program, which no candidate violating
 a constraint is, and a minimal p-model of its own reduct. The reduct is the
 rules that fired in that p-model check, read from its report. The closure's
@@ -47,7 +55,6 @@ builds none of its own.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from typing import Iterator
@@ -88,26 +95,6 @@ class AnswerSetResult:
 # -- candidate generation -------------------------------------------------------
 
 
-def _guess_keys(gp: GroundProgram) -> list[GuessKey]:
-    # Headless rules add nothing to the closure, so guessing their literals
-    # would only split candidates that close to the same interpretation; the
-    # p-model check still rejects every one that violates a constraint. This
-    # holds whatever the strategies, because it never changes a closure.
-    keys: set[GuessKey] = set()
-    for rule in gp.rules:
-        if not rule.head:
-            continue
-        for item, ann in rule.pos_body:
-            if isinstance(item, AggregateAtom):
-                keys.add(("agg", item, ann))
-        for item, ann in rule.neg_body:
-            if isinstance(item, AggregateAtom):
-                keys.add(("agg", item, ann))
-            elif isinstance(item, HybridFormula):
-                keys.add(("naf", item, ann))
-    return sorted(keys, key=lambda k: (k[0], str(k[1]), str(k[2])))
-
-
 class _Compiled:
     """The ground program as integer tables on its value lattice's numbering.
 
@@ -115,19 +102,30 @@ class _Compiled:
     compound. A value is one bit, that of its rank in its lattice row, so
     atom k's bit is its domain in the lattice's _Point. A literal is
     (index, mask of the values where it holds), as the lattice's rule forms
-    give an atomic one. A candidate index is bits * choice_total + choice:
-    guess key k is bit len(keys) - 1 - k of bits, and the disjunct choices
-    are the mixed-radix digits of choice, the first disjunctive rule's most
-    significant.
+    give an atomic one.
 
-    rules holds each rule with a head that can fire, as (need, want, pos,
-    head, place, radix): it is live when bits & need == want; it fires once
-    every literal in pos holds; it chooses the lattice's head disjunct
-    head[choice // place % radix]. compounds holds each compound as (index,
-    formula, values, strategy, atoms); compositions are memoised on bits.
+    keys numbers the guesses, in the order the rules first mention them:
+    every distinct aggregate literal and every distinct negated literal in
+    the rules with a head. A guess is 1 when the aggregate, or the formula
+    literal under `not`, holds. Headless rules add nothing to the closure,
+    so guessing their literals would only split candidates that close to
+    the same interpretation; the p-model check still rejects every one that
+    violates a constraint. This holds whatever the strategies, because it
+    never changes a closure. naf maps each `not` key to its literal, and
+    naf_on[i] holds the (key, mask) of those on atom i.
+
+    rules holds each rule with a head that can fire, in program order, as
+    (needs, pos, head, first): needs the guesses it needs, as (key, wanted
+    guess) pairs; pos the literals that must hold for it to fire; head the
+    lattice's head disjuncts; first the number of head[0] among all rules'
+    disjuncts, of which there are disjuncts. readers[i] lists the rules
+    whose pos reads index i, and on[i] each disjunct on atom i of a rule
+    with two or more, as (rule, number, disjunct). compounds holds each
+    compound as (index, formula, values, strategy, atoms); compositions are
+    memoised on bits.
     """
 
-    def __init__(self, gp: GroundProgram, keys: list[GuessKey]):
+    def __init__(self, gp: GroundProgram):
         self.lattice = lattice = gp.value_lattice()
         self.n = n = len(lattice.atoms)
         compounds = [f for f, k in zip(lattice.formulae, lattice.scope_positions) if k is None]
@@ -143,47 +141,81 @@ class _Compiled:
         self._compositions: dict[tuple[int, tuple[int, ...]], int] = {}
         # per formula of the scope, in order: formula, index, values
         self.scope = [(f, index[f], lattice[f]) for f in lattice.formulae]
+        # the text of a scope entry at a value, keyed (scope position, bit)
+        self._texts: dict[tuple[int, int], str] = {}
+
+        self.keys: list[GuessKey] = []
+        number: dict[GuessKey, int] = {}
+        self.naf: dict[int, tuple[int, int]] = {}
+        self.naf_on: list[list[tuple[int, int]]] = [[] for _ in index]
 
         def literal(item: HybridFormula, ann: ProbInterval) -> tuple[int, int]:
             return index[item], sum(1 << r for r, v in enumerate(lattice[item]) if truth_leq(ann, v))
 
-        bits = {key: len(keys) - 1 - k for k, key in enumerate(keys)}
-        # (bit, index, mask) of every `not` literal guessed
-        self.naf = [(bits[key], *literal(key[1], key[2])) for key in keys if key[0] == "naf"]
+        def guess(kind: str, item, ann: ProbInterval) -> int:
+            key = (kind, item, ann)
+            j = number.get(key)
+            if j is None:
+                j = number[key] = len(self.keys)
+                self.keys.append(key)
+                if kind == "naf":
+                    k, mask = self.naf[j] = literal(item, ann)
+                    self.naf_on[k].append((j, mask))
+            return j
+
         bodies, heads = lattice.rule_forms(gp.rules)
-        self.choice_total = 1
-        self.rules = []
-        for p in range(len(gp.rules) - 1, -1, -1):
-            rule, head = gp.rules[p], heads[p]
+        self.rules = rules = []
+        self.readers = readers = [[] for _ in index]
+        self.on = on = [[] for _ in index]
+        disjuncts = 0
+        for rule, body, head in zip(gp.rules, bodies, heads):
             if not head:
                 continue
-            radix, place = len(head), self.choice_total
-            self.choice_total *= radix
-            need_true = need_false = 0
             # a body of positive atomic literals alone is the lattice's own
-            pos = bodies[p][:len(rule.pos_body)]
+            pos = body[:len(rule.pos_body)]
+            needs: tuple[tuple[int, int], ...] = ()
             holds = True
-            if any(k is None for k, _ in pos):
+            if rule.neg_body or any(k is None for k, _ in pos):
+                wanted: dict[int, int] = {}
                 pos = []
-                for pair, (item, ann) in zip(bodies[p], rule.pos_body):
+                for pair, (item, ann) in zip(body, rule.pos_body):
                     if pair[0] is not None:
                         pos.append(pair)
                     elif isinstance(item, HybridFormula):
                         pos.append(literal(item, ann))
                     elif isinstance(item, AggregateAtom):
-                        need_true |= 1 << bits[("agg", item, ann)]
+                        wanted[guess("agg", item, ann)] = 1
                     else:
                         holds = holds and item.holds()
                 pos = tuple(pos)
-            for item, ann in rule.neg_body:
-                if isinstance(item, AggregateAtom):
-                    need_false |= 1 << bits[("agg", item, ann)]
-                elif isinstance(item, HybridFormula):
-                    need_false |= 1 << bits[("naf", item, ann)]
-            if holds and not need_true & need_false:
-                need = need_true | need_false
-                self.rules.append((need, need_true, pos, head, place, radix))
-        self.rules.reverse()
+                for item, ann in rule.neg_body:
+                    if isinstance(item, AggregateAtom):
+                        j = guess("agg", item, ann)
+                    elif isinstance(item, HybridFormula):
+                        j = guess("naf", item, ann)
+                    else:
+                        continue
+                    holds = holds and not wanted.setdefault(j, 0)
+                needs = tuple(sorted(wanted.items()))
+            if not holds:
+                continue
+            q = len(rules)
+            rules.append((needs, pos, head, disjuncts))
+            for k, _ in pos:
+                readers[k].append(q)
+            if len(head) > 1:
+                for i, d in enumerate(head):
+                    on[d[0]].append((q, disjuncts + i, d))
+            disjuncts += len(head)
+        self.disjuncts = disjuncts
+
+    def index_order(self) -> list[int]:
+        """The decisions (_leaves) as digits of a candidate index, most
+        significant first: the guess keys ordered by their text, then the
+        disjuncts of the rules with two or more, in program order."""
+        texts = [(kind, str(item), str(ann)) for kind, item, ann in self.keys]
+        keys = sorted(range(len(texts)), key=texts.__getitem__)
+        return keys + [len(self.keys) + q for q, rule in enumerate(self.rules) if len(rule[2]) > 1]
 
     def compose(self, c: int, bits: tuple[int, ...]) -> int:
         """The bit of compound c's strategy composing its atoms' bits."""
@@ -195,15 +227,23 @@ class _Compiled:
             out = self._compositions[key] = 1 << row.index(compose_fold(strategy, component))
         return out
 
-    def contradicts(self, index: int, values: tuple[int, ...]) -> bool:
-        """Whether a `not` guess of the candidate disagrees with its closure."""
-        bits = index // self.choice_total
-        return any((bits >> bit & 1) == (not values[i] & mask) for bit, i, mask in self.naf)
-
     def interpretation(self, values: tuple[int, ...]) -> PInterpretation:
         return PInterpretation(
             tuple((f, row[values[i].bit_length() - 1]) for f, i, row in self.scope if values[i] != 1)
         )
+
+    def text(self, values: tuple[int, ...]) -> str:
+        """str(self.interpretation(values)), each entry rendered once."""
+        texts = self._texts
+        parts = []
+        for s, (f, i, row) in enumerate(self.scope):
+            bit = values[i]
+            if bit != 1:
+                part = texts.get((s, bit))
+                if part is None:
+                    part = texts[s, bit] = f"{f}:{row[bit.bit_length() - 1]}"
+                parts.append(part)
+        return "{" + ", ".join(parts) + "}"
 
     def point(self, values: tuple[int, ...]) -> _Point:
         """The interpretation of values in the lattice's numbering."""
@@ -211,64 +251,210 @@ class _Compiled:
         return _Point(self.lattice, list(values[:self.n]), compounds, {})
 
 
-def _closure(cp: _Compiled, index: int) -> tuple[int, ...]:
-    """The values a candidate closes to, from the empty interpretation, as
-    one bit per formula in cp's numbering.
+def _leaves(
+    cp: _Compiled, rng: random.Random | None = None, order: list[int] | None = None
+) -> Iterator[tuple[int, ...] | None]:
+    """Depth-first search over the candidates, on one incremental closure
+    from the empty interpretation: yields each leaf's values, as one bit
+    per formula in cp's numbering, or None for a leaf that contradicts one
+    of its own `not` guesses.
 
-    Rules whose guessed literals the candidate's bits deny never fire. The
-    others fire once their positive formula literals hold. This is not the
-    p-model check's body test: aggregates and negated literals need not grow
-    with the closure's values, so they read their guessed final truth,
-    which the p-model check confirms. When a rule fires, its chosen
-    disjunct contributes its annotation, and so does any other disjunct
-    already satisfied by the current values. Each round reads the values
-    at its start. An atom's value is the fold of its contributions, read
-    from the lattice's fold table: each contribution is an occurrence
-    outside the fold so far, so the table holds the result. A compound's
-    value is the composition of its components.
+    The closure runs in rounds, each reading the values at its start. A
+    rule is ready once its positive formula literals hold; only a rule
+    that reads an index the last round changed is looked at again. A ready
+    rule's guesses are decided then, branching on each not yet decided,
+    and a rule they deny never fires. This is not the p-model check's body
+    test: aggregates and negated literals need not grow with the closure's
+    values, so they read their guessed final truth, which the p-model check
+    confirms. When a rule fires, it branches on its disjunct; the chosen
+    one contributes its annotation, and so does any other disjunct the
+    current values satisfy, or once they do. An atom's value is the fold of
+    its contributions, read from the lattice's fold table: each
+    contribution is an occurrence outside the fold so far, so the table
+    holds the result. A compound's value is the composition of its
+    components. A round that contributes nothing ends at a leaf. Every
+    change made while a branch point is open goes on a trail, as (list,
+    index, old value), and backtracking undoes it; nothing undoes a change
+    made before the first.
 
-    Why a candidate that contradicts its own closure (cp.contradicts) can
-    be skipped unchecked: the closure is complete when every disjunctive
-    strategy in use is expansive on the program (no non_expansive
-    composition on the lattice), so each answer set h is the closure of
-    the candidate whose guesses are h's own truth values and whose choices
-    are disjuncts h satisfies, and that candidate agrees with its own
-    closure. Skipping the ones that disagree loses no answer set. It can
-    change which answer set a seeded limit query meets first, never what a
-    full enumeration returns.
+    A decision is decided[v]: the guess of key v < len(cp.keys), or the
+    disjunct of rule q at v = len(cp.keys) + q. Each branch point tries
+    guess 0 and disjunct 0 first; with rng, its alternatives are rotated
+    by a draw. With order, a list of decisions, a branch point decides the
+    first undecided one in it instead, so the decided ones are always a
+    prefix of order. Read order as the digits of a candidate index, the
+    first most significant: each leaf's candidates are then a run of
+    consecutive indices, and the leaves come in ascending order of them,
+    so the closures agreeing with their guesses come in the order in
+    which an ascending walk over the index meets them first.
+
+    Why this loses no answer set: the closure is complete when every
+    disjunctive strategy in use is expansive on the program (no
+    non_expansive composition on the lattice), so each answer set h is the
+    closure of the candidate whose guesses are h's own truth values and
+    whose choices are disjuncts h satisfies, and that candidate agrees
+    with its own closure. A leaf stands for every candidate that extends
+    its decisions: a guess no ready rule needed, or the disjunct of a rule
+    that never fired, cannot change the closure, so the leaf takes the
+    undecided guesses as its closure gives them and agrees with them. A
+    leaf that contradicts a decided `not` guess is yielded as None, and
+    skipping it loses nothing: it can change which answer set a seeded
+    limit query meets first, never what a full enumeration returns. The
+    branch is cut earlier, without a leaf, when a decided guess that `not
+    F:mu` holds, F atomic, meets a closure that satisfies F:mu: atom values
+    only grow under expansive strategies, and a satisfied F:mu stays
+    satisfied as they grow, so every leaf below would contradict it. A
+    compound's composition need not be monotone, so a `not` guess on a
+    compound is checked at the leaf only.
     """
-    bits, choice = divmod(index, cp.choice_total)
-    folds = cp.lattice.folds
-    values = [1] * (cp.n + len(cp.compounds))
-    ranks = [-1] * cp.n  # each atom's rank, -1 before its first contribution
-    waiting = [rule for rule in cp.rules if bits & rule[0] == rule[1]]
-    watching: list = []  # unchosen disjuncts of fired rules, not yet contributed
-    while True:
-        adds = [d for d in watching if values[d[0]] & d[1]]
-        if adds:
-            watching = [d for d in watching if not values[d[0]] & d[1]]
-        still = []
-        for rule in waiting:
-            for k, mask in rule[2]:
-                if not values[k] & mask:
-                    still.append(rule)
+    rules, readers, on, naf, naf_on, n = cp.rules, cp.readers, cp.on, cp.naf, cp.naf_on, cp.n
+    folds, compounds_of, compounds = cp.lattice.folds, cp.compounds_of, cp.compounds
+    keys = len(cp.keys)
+    values = [1] * (n + len(compounds))
+    ranks = [-1] * n  # each atom's rank, -1 before its first contribution
+    status = [0] * len(rules)  # 0 waiting, 1 fired, 2 denied by its guesses
+    given = [False] * cp.disjuncts  # whether a fired rule's disjunct contributed
+    decided = [-1] * (keys + len(rules))
+    trail: list[tuple[list, int, object]] = []
+    # branch points: [trail mark, ready, cursor, adds, len(adds), decision,
+    # alternatives, next alternative]
+    stack: list[list] = []
+
+    def holding(waiting) -> list[int]:
+        """The rules of waiting that have not fired and whose positive
+        literals hold."""
+        out = []
+        for q in waiting:
+            if status[q]:
+                continue
+            for k, m in rules[q][1]:
+                if not values[k] & m:
                     break
             else:
-                _, _, _, head, place, radix = rule
-                c = choice // place % radix
-                adds.append(head[c])
-                for d in head[:c] + head[c + 1:]:
-                    (adds if values[d[0]] & d[1] else watching).append(d)
+                out.append(q)
+        return out
+
+    ready = holding(range(len(rules)))
+    cursor = 0
+    adds: list[tuple] = []
+
+    while True:
+        # decide and fire the round's ready rules, from cursor on
+        v = -1
+        while cursor < len(ready):
+            q = ready[cursor]
+            needs, _, head, first = rules[q]
+            for j, want in needs:
+                g = decided[j]
+                if g < 0:
+                    v = j
+                    break
+                if g != want:
+                    if stack:
+                        trail.append((status, q, 0))
+                    status[q] = 2
+                    break
+            else:
+                if len(head) == 1:
+                    if stack:
+                        trail.append((status, q, 0))
+                    status[q] = 1
+                    adds.append(head[0])
+                elif decided[keys + q] < 0:
+                    v = keys + q
+                else:
+                    if stack:
+                        trail.append((status, q, 0))
+                    status[q] = 1
+                    c = decided[keys + q]
+                    for i, d in enumerate(head):
+                        if i == c or values[d[0]] & d[1]:
+                            adds.append(d)
+                            if stack:
+                                trail.append((given, first + i, False))
+                            given[first + i] = True
+            if v >= 0:
+                break
+            cursor += 1
+        if v >= 0:
+            if order is not None:
+                v = next(u for u in order if decided[u] < 0)
+            if v >= keys:
+                alternatives = list(range(len(rules[v - keys][2])))
+            elif v in naf and naf[v][0] < n and values[naf[v][0]] & naf[v][1]:
+                # a guess that `not F:mu` holds, F atomic, is dead on arrival
+                # once the closure satisfies F:mu
+                alternatives = [1]
+            else:
+                alternatives = [0, 1]
+            if rng is not None:
+                r = int(rng.random() * len(alternatives))
+                alternatives = alternatives[r:] + alternatives[:r]
+            if len(alternatives) > 1:
+                stack.append([len(trail), ready, cursor, adds, len(adds), v, alternatives, 1])
+            if stack:
+                trail.append((decided, v, -1))
+            decided[v] = alternatives[0]
+            continue
         if not adds:
-            return tuple(values)
-        waiting = still
-        for k, _, a, _ in adds:
-            r = ranks[k]
-            ranks[k] = r = a if r < 0 else folds[k][r, a]
-            values[k] = 1 << r
-        if cp.compounds:
-            for c in {c for d in adds for c in cp.compounds_of.get(d[0], ())}:
-                values[c] = cp.compose(c, tuple(values[k] for k in cp.compounds[c - cp.n][4]))
+            yield tuple(values) if not naf or all(
+                decided[j] < 0 or decided[j] == (values[i] & mask != 0) for j, (i, mask) in naf.items()
+            ) else None
+        else:
+            # the round's contributions, all read against its start
+            changed = []
+            for k, _, a, _ in adds:
+                r = ranks[k]
+                s = a if r < 0 else folds[k][r, a]
+                if s != r:
+                    if stack:
+                        trail.append((ranks, k, r))
+                    ranks[k] = s
+                    if values[k] != 1 << s:
+                        if stack:
+                            trail.append((values, k, values[k]))
+                        values[k] = 1 << s
+                        changed.append(k)
+            if compounds_of:
+                for c in {c for d in adds for c in compounds_of.get(d[0], ())}:
+                    bit = cp.compose(c, tuple(values[k] for k in compounds[c - n][4]))
+                    if bit != values[c]:
+                        if stack:
+                            trail.append((values, c, values[c]))
+                        values[c] = bit
+                        changed.append(c)
+            if not naf or not any(
+                decided[j] == 0 and values[k] & mask for k in changed for j, mask in naf_on[k]
+            ):
+                adds = []
+                waiting = set()
+                for k in changed:
+                    for q, g, d in on[k]:
+                        if status[q] == 1 and not given[g] and values[k] & d[1]:
+                            adds.append(d)
+                            if stack:
+                                trail.append((given, g, False))
+                            given[g] = True
+                    waiting.update(readers[k])
+                ready = holding(sorted(waiting))
+                cursor = 0
+                continue
+        # backtrack to the last branch point with an alternative left
+        if not stack:
+            return
+        frame = stack[-1]
+        mark, ready, cursor, adds, count, v, alternatives, nxt = frame
+        for array, i, old in reversed(trail[mark:]):
+            array[i] = old
+        del trail[mark:]
+        del adds[count:]
+        if nxt + 1 == len(alternatives):
+            stack.pop()
+        else:
+            frame[7] = nxt + 1
+        if stack:
+            trail.append((decided, v, -1))
+        decided[v] = alternatives[nxt]
 
 
 # -- minimality ---------------------------------------------------------------
@@ -498,21 +684,6 @@ def is_answer_set(
 # -- enumeration ------------------------------------------------------------------
 
 
-def _candidate_order(total: int, seed: int | None) -> Iterator[int]:
-    """Each candidate index below total once: ascending, or under a seed
-    the walk start, start + step, ... mod total, whose step is coprime to
-    total. Either way nothing is held per candidate."""
-    start, step = 0, 1
-    if seed is not None:
-        rng = random.Random(seed)
-        start = rng.randrange(total)
-        step = rng.randrange(1, total + 1)
-        while math.gcd(step, total) != 1:
-            step = rng.randrange(1, total + 1)
-    for k in range(total):
-        yield (start + k * step) % total
-
-
 def enumerate_answer_sets(
     gp: GroundProgram,
     limit: int | None = None,
@@ -522,20 +693,18 @@ def enumerate_answer_sets(
 ) -> AnswerSetResult:
     """All probability answer sets, canonically sorted.
 
-    A candidate is an index in mixed radix, most significant digit first:
-    one binary digit per guess key, then one digit per disjunctive rule
-    naming its chosen disjunct. The seed permutes candidate order, which
-    can only matter for which models are found before a limit cuts
-    enumeration short.
+    Candidates are the leaves of a depth-first search (_leaves) that
+    branches on a guess only when a rule that needs it is ready, and on a
+    rule's disjunct only when the rule fires; max_candidates bounds the
+    leaves visited. The seed rotates the alternatives of every branch
+    point by a draw, which can only matter for which models are found
+    before a limit cuts enumeration short. Unseeded, a limited query
+    decides in the order of the candidate index (_Compiled.index_order),
+    so it meets answer sets in that order whatever the rules' order.
     """
-    keys = _guess_keys(gp)
-    total = 2 ** len(keys) * math.prod(len(rule.head) for rule in gp.rules if rule.head)
-    if total > max_candidates:
-        raise SearchSpaceOverflow(
-            f"candidate space of {total} exceeds {max_candidates}; "
-            "the program has too many independent guesses"
-        )
-    cp = _Compiled(gp, keys)
+    if limit is not None and limit <= 0:
+        raise ValueError("limit must be positive")
+    cp = _Compiled(gp)
     if cp.lattice.non_expansive is not None:
         name, formula, v, ann, out = cp.lattice.non_expansive
         raise NonExpansiveStrategy(
@@ -544,25 +713,38 @@ def enumerate_answer_sets(
         )
 
     seen: set[tuple[int, ...]] = set()
-    found: list[tuple[PInterpretation, Certificate]] = []
+    found: list[tuple[tuple[int, ...], PInterpretation, Certificate]] = []
     truncated = False
-    for index in _candidate_order(total, seed):
-        values = _closure(cp, index)
-        if values in seen or cp.contradicts(index, values):
+    leaves = 0
+    rng = order = None
+    if seed is not None:
+        rng = random.Random(seed)
+    elif limit is not None:
+        order = cp.index_order()
+    for values in _leaves(cp, rng, order):
+        if leaves == max_candidates:
+            raise SearchSpaceOverflow(
+                f"search exceeded {max_candidates} leaves: {leaves} visited, "
+                f"{len(found)} answer sets found"
+            )
+        leaves += 1
+        if values is None or values in seen:
             continue
         seen.add(values)
         h = cp.interpretation(values)
         certificate = _judge(gp, h, node_cap, cp.point(values))[2]
         if certificate is None:
             continue
-        found.append((h, certificate))
+        found.append((values, h, certificate))
         if limit is not None and len(found) >= limit:
             truncated = True
             break
-    found.sort(key=lambda pair: str(pair[0]))
+    if len(found) > 1:
+        # cp.text(values) is str(h), so this is the order of str(h)
+        found.sort(key=lambda entry: cp.text(entry[0]))
     return AnswerSetResult(
-        interpretations=[h for h, _ in found],
-        certificates=[c for _, c in found],
+        interpretations=[h for _, h, _ in found],
+        certificates=[c for _, _, c in found],
         truncated=truncated,
     )
 

@@ -139,16 +139,31 @@ def test_ground_only_round_trips(dice_path):
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-@pytest.mark.parametrize("name", ["dice", "diet", "path"])
-def test_ground_only_output_is_pinned(name, tmp_path, capsys):
-    # rule order decides candidate order, so the bytes are pinned, not the set
+def golden_source(name: str, tmp_path: Path) -> Path:
+    """The program a golden file was made from: programs/NAME.dhpp, or the
+    path program."""
     if name == "path":
         source = tmp_path / "path.dhpp"
         source.write_text(PATH_PROGRAM)
-    else:
-        source = Path(__file__).resolve().parent.parent / "programs" / f"{name}.dhpp"
-    assert main([str(source), "--mode", "ground-only"]) == 0
+        return source
+    return Path(__file__).resolve().parent.parent / "programs" / f"{name}.dhpp"
+
+
+@pytest.mark.parametrize("name", ["dice", "diet", "path"])
+def test_ground_only_output_is_pinned(name, tmp_path, capsys):
+    # rule order decides candidate order, so the bytes are pinned, not the set
+    assert main([str(golden_source(name, tmp_path)), "--mode", "ground-only"]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.ground").read_text()
+
+
+@pytest.mark.parametrize("json_output", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("name", ["dice", "diet", "path"])
+def test_solve_output_is_pinned(name, json_output, tmp_path, capsys):
+    # the answer sets, their order and every byte of their rendering
+    args = [str(golden_source(name, tmp_path))] + (["--json"] if json_output else [])
+    assert main(args) == 0
+    suffix = ".json.solve" if json_output else ".solve"
+    assert capsys.readouterr().out == (GOLDEN / f"{name}{suffix}").read_text()
 
 
 def test_ground_only_keeps_constraints_headless(tmp_path):

@@ -33,9 +33,8 @@ from dhpp import (
 from dhpp.grounder import GroundProgram
 from dhpp.model import AGG_FUNCS, AggregateAtom
 from dhpp.solver import (
-    _closure,
     _Compiled,
-    _guess_keys,
+    _leaves,
     _MinimalitySearch,
     find_smaller_model,
     pairwise_incomparable,
@@ -204,18 +203,29 @@ def closure_corpus(dice_solved, diet_solved):
 
 
 def test_compiled_closure_matches_the_reference(dice_solved, diet_solved):
+    # the search's leaves that agree with their own guesses are exactly the
+    # distinct closures of the candidates of the product that do, in any
+    # branching order: rule order, a seeded rotation, or the index's
     closed = 0
+    rng = random.Random(37)
     for gp in closure_corpus(dice_solved, diet_solved):
-        keys = _guess_keys(gp)
-        compiled = _Compiled(gp, keys)
-        total = 2 ** len(keys) * compiled.choice_total
+        compiled = _Compiled(gp)
+        keys = compiled.keys
+        total = 2 ** len(keys) * prod(len(rule.head) for rule in gp.rules if rule.head)
         if total > 256:
             continue
+        expected = set()
         for index in range(total):
             guesses, choices = reference_candidate(keys, gp, index)
-            got = compiled.interpretation(_closure(compiled, index))
-            assert got == reference_closure(gp, guesses, choices), (str(gp), index)
+            h = reference_closure(gp, guesses, choices)
+            if all(
+                guesses[key] == truth_leq(key[2], h.value(key[1])) for key in keys if key[0] == "naf"
+            ):
+                expected.add(h)
             closed += 1
+        for leaves in (_leaves(compiled), _leaves(compiled, rng), _leaves(compiled, order=compiled.index_order())):
+            got = {compiled.interpretation(values) for values in leaves if values is not None}
+            assert got == expected, str(gp)
     assert closed > 2000
 
 
@@ -342,6 +352,55 @@ def test_generous_limit_is_not_truncation(dice_solved):
     res = enumerate_answer_sets(dice_solved.ground, limit=50)
     assert len(res.interpretations) == 3
     assert not res.truncated
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_limit_must_be_positive(dice_solved, limit):
+    with pytest.raises(ValueError, match="^limit must be positive$"):
+        enumerate_answer_sets(dice_solved.ground, limit=limit)
+
+
+def index_order_answer_sets(gp, limit: int) -> list[str]:
+    """The first limit answer sets of a walk over the candidate index in
+    ascending order, guess keys ordered by their text and most significant
+    first, that judges each closure agreeing with its candidate's guesses
+    once; sorted."""
+    keys = sorted(_Compiled(gp).keys, key=lambda k: (k[0], str(k[1]), str(k[2])))
+    total = 2 ** len(keys) * prod(len(rule.head) for rule in gp.rules if rule.head)
+    seen, found = set(), []
+    for index in range(total):
+        guesses, choices = reference_candidate(keys, gp, index)
+        h = reference_closure(gp, guesses, choices)
+        if h in seen or any(
+            guesses[key] != truth_leq(key[2], h.value(key[1])) for key in keys if key[0] == "naf"
+        ):
+            continue
+        seen.add(h)
+        if is_answer_set(gp, h)[0]:
+            found.append(str(h))
+            if len(found) == limit:
+                break
+    return sorted(found)
+
+
+def test_unseeded_limit_meets_answer_sets_in_candidate_index_order():
+    # a limited query without a seed returns the answer sets an ascending
+    # walk over the candidate index meets first, whatever the rules' order
+    rng = random.Random(43)
+    programs = [random_aggregate_program(rng) for _ in range(40)]
+    programs += [random_probability_program(rng) for _ in range(40)]
+    programs += [ground_program(translate_dlp(random_classical_program(rng))) for _ in range(40)]
+    compared = 0
+    for gp in programs:
+        keys = _Compiled(gp).keys
+        if 2 ** len(keys) * prod(len(rule.head) for rule in gp.rules if rule.head) > 256:
+            continue
+        everything = interp_strings(enumerate_answer_sets(gp))
+        for limit in (1, 2):
+            got = interp_strings(enumerate_answer_sets(gp, limit=limit))
+            assert got == index_order_answer_sets(gp, limit), str(gp)
+            compared += len(everything) > limit
+    assert compared > 20
 
 
 def test_enumeration_is_deterministic(dice_solved):
@@ -513,8 +572,18 @@ def test_find_smaller_model_matches_brute_force():
 
 
 def test_candidate_cap_overflows(dice_solved):
-    with pytest.raises(SearchSpaceOverflow):
+    # the cap bounds the leaves visited, and the error says how far the
+    # search got
+    with pytest.raises(SearchSpaceOverflow, match=r"^search exceeded 1 leaves: 1 visited, [01] answer sets found$"):
         enumerate_answer_sets(dice_solved.ground, max_candidates=1)
+
+
+def test_rules_that_never_fire_add_no_leaves():
+    # 2**20 disjunct choices, but no rule fires, so the search has one leaf
+    text = "".join(f"a{i} | b{i} :- c.\n" for i in range(20))
+    res = enumerate_answer_sets(ground_program(parse_program(text)), max_candidates=1)
+    assert interp_strings(res) == ["{}"]
+    assert not res.truncated
 
 
 def test_judging_an_answer_set_decides_each_aggregate_once(dice_solved, monkeypatch):
