@@ -112,7 +112,8 @@ class _Compiled:
     the same interpretation; the p-model check still rejects every one that
     violates a constraint. This holds whatever the strategies, because it
     never changes a closure. naf maps each `not` key to its literal, and
-    naf_on[i] holds the (key, mask) of those on atom i.
+    naf_on[i] holds the (key, mask) of those on atom i; a compound's list
+    stays empty, as its composition need not be monotone (_leaves).
 
     rules holds each rule with a head that can fire, in program order, as
     (needs, pos, head, first): needs the guesses it needs, as (key, wanted
@@ -160,7 +161,8 @@ class _Compiled:
                 self.keys.append(key)
                 if kind == "naf":
                     k, mask = self.naf[j] = literal(item, ann)
-                    self.naf_on[k].append((j, mask))
+                    if k < n:
+                        self.naf_on[k].append((j, mask))
             return j
 
         bodies, heads = lattice.rule_forms(gp.rules)
@@ -209,14 +211,6 @@ class _Compiled:
             disjuncts += len(head)
         self.disjuncts = disjuncts
 
-    def index_order(self) -> list[int]:
-        """The decisions (_leaves) as digits of a candidate index, most
-        significant first: the guess keys ordered by their text, then the
-        disjuncts of the rules with two or more, in program order."""
-        texts = [(kind, str(item), str(ann)) for kind, item, ann in self.keys]
-        keys = sorted(range(len(texts)), key=texts.__getitem__)
-        return keys + [len(self.keys) + q for q, rule in enumerate(self.rules) if len(rule[2]) > 1]
-
     def compose(self, c: int, bits: tuple[int, ...]) -> int:
         """The bit of compound c's strategy composing its atoms' bits."""
         key = (c, bits)
@@ -251,9 +245,7 @@ class _Compiled:
         return _Point(self.lattice, list(values[:self.n]), compounds, {})
 
 
-def _leaves(
-    cp: _Compiled, rng: random.Random | None = None, order: list[int] | None = None
-) -> Iterator[tuple[int, ...] | None]:
+def _leaves(cp: _Compiled, rng: random.Random | None = None) -> Iterator[tuple[int, ...] | None]:
     """Depth-first search over the candidates, on one incremental closure
     from the empty interpretation: yields each leaf's values, as one bit
     per formula in cp's numbering, or None for a leaf that contradicts one
@@ -280,13 +272,7 @@ def _leaves(
     A decision is decided[v]: the guess of key v < len(cp.keys), or the
     disjunct of rule q at v = len(cp.keys) + q. Each branch point tries
     guess 0 and disjunct 0 first; with rng, its alternatives are rotated
-    by a draw. With order, a list of decisions, a branch point decides the
-    first undecided one in it instead, so the decided ones are always a
-    prefix of order. Read order as the digits of a candidate index, the
-    first most significant: each leaf's candidates are then a run of
-    consecutive indices, and the leaves come in ascending order of them,
-    so the closures agreeing with their guesses come in the order in
-    which an ascending walk over the index meets them first.
+    by a draw.
 
     Why this loses no answer set: the closure is complete when every
     disjunctive strategy in use is expansive on the program (no
@@ -298,8 +284,8 @@ def _leaves(
     that never fired, cannot change the closure, so the leaf takes the
     undecided guesses as its closure gives them and agrees with them. A
     leaf that contradicts a decided `not` guess is yielded as None, and
-    skipping it loses nothing: it can change which answer set a seeded
-    limit query meets first, never what a full enumeration returns. The
+    skipping it loses nothing: it can change which answer set a limit
+    query meets first, never what a full enumeration returns. The
     branch is cut earlier, without a leaf, when a decided guess that `not
     F:mu` holds, F atomic, meets a closure that satisfies F:mu: atom values
     only grow under expansive strategies, and a satisfied F:mu stays
@@ -377,8 +363,6 @@ def _leaves(
                 break
             cursor += 1
         if v >= 0:
-            if order is not None:
-                v = next(u for u in order if decided[u] < 0)
             if v >= keys:
                 alternatives = list(range(len(rules[v - keys][2])))
             elif v in naf and naf[v][0] < n and values[naf[v][0]] & naf[v][1]:
@@ -423,6 +407,7 @@ def _leaves(
                             trail.append((values, c, values[c]))
                         values[c] = bit
                         changed.append(c)
+            # a decided guess that `not F:mu` holds, F atomic, dies once F:mu does
             if not naf or not any(
                 decided[j] == 0 and values[k] & mask for k in changed for j, mask in naf_on[k]
             ):
@@ -698,9 +683,7 @@ def enumerate_answer_sets(
     rule's disjunct only when the rule fires; max_candidates bounds the
     leaves visited. The seed rotates the alternatives of every branch
     point by a draw, which can only matter for which models are found
-    before a limit cuts enumeration short. Unseeded, a limited query
-    decides in the order of the candidate index (_Compiled.index_order),
-    so it meets answer sets in that order whatever the rules' order.
+    before a limit cuts enumeration short.
     """
     if limit is not None and limit <= 0:
         raise ValueError("limit must be positive")
@@ -716,12 +699,8 @@ def enumerate_answer_sets(
     found: list[tuple[tuple[int, ...], PInterpretation, Certificate]] = []
     truncated = False
     leaves = 0
-    rng = order = None
-    if seed is not None:
-        rng = random.Random(seed)
-    elif limit is not None:
-        order = cp.index_order()
-    for values in _leaves(cp, rng, order):
+    rng = random.Random(seed) if seed is not None else None
+    for values in _leaves(cp, rng):
         if leaves == max_candidates:
             raise SearchSpaceOverflow(
                 f"search exceeded {max_candidates} leaves: {leaves} visited, "
