@@ -6,13 +6,17 @@ everything any interpretation of interest can support. Variables that remain
 free after matching (guard-only or comparison-only occurrences) are
 enumerated over the universe of ground terms seen in the program.
 
-The index grows in passes. Each pass binds every rule against the index,
-keeps the bindings whose builtin comparisons hold and whose head atoms all
-ground, and indexes each such head whole: a head with an atom that does not
-ground (p(X+1) under X = a) adds none of its atoms. The pass that adds
-nothing has bound every rule against the final index, so its instances are
-the ones instantiated: ground_rule grounds their bodies, with no second
-binding pass.
+The index grows in passes over the rules in program order. A pass binds a
+rule against the index the first time, and again only when a predicate its
+plain positive literals read has gained an entry since; when only its first
+literal's predicate did, with new atoms, it makes just the bindings that
+match those (_RuleInstances). It keeps the bindings whose builtin
+comparisons hold and whose head atoms all ground, and indexes each such
+head whole, once per distinct binding: a head with an atom that does not
+ground (p(X+1) under X = a) adds none of its atoms. When a pass adds
+nothing, every rule holds the instances that binding it against the final
+index would make, in the same order, and those are instantiated:
+ground_rule grounds their bodies, with no second binding pass.
 
 Annotation variables bind positionally: matching a literal annotated [P1,P2]
 against an indexed entry with value [l,u] binds P1 to l and P2 to u; the
@@ -149,7 +153,10 @@ class AtomIndex:
     derived atom to that set. Derived atoms are listed in insertion
     order per predicate, and again per argument position and ground term,
     so a join looks up a bound argument instead of scanning the predicate.
-    size counts the (atom, value) entries, and only grows."""
+    size counts the (atom, value) entries, and only grows. grown maps each
+    predicate to the size just after it last gained an entry, and widened
+    to the size just after one of its atoms gained a second or later value,
+    which can reorder that atom's set of values."""
 
     def __init__(self, max_entries: int):
         self.entries: dict[tuple[str, tuple[Term, ...]], tuple[HybridFormula, set[ProbInterval]]] = {}
@@ -158,6 +165,8 @@ class AtomIndex:
         self.by_arg: dict[tuple[str, int, int, Term], list[Atom]] = {}
         self.max_entries = max_entries
         self.size = 0
+        self.grown: dict[str, int] = {}
+        self.widened: dict[str, int] = {}
         self._sets: dict[int, GroundSet] = {}
 
     def _entry(self, predicate: str, args: tuple[Term, ...]) -> tuple[HybridFormula, set[ProbInterval]]:
@@ -183,8 +192,11 @@ class AtomIndex:
             for i, term in enumerate(args):
                 self.by_arg.setdefault((predicate, arity, i, term), []).append(atom)
         if value not in known:
+            if known:
+                self.widened[predicate] = self.size + 1
             known.add(value)
             self.size += 1
+            self.grown[predicate] = self.size
             if self.size > self.max_entries:
                 raise UniverseOverflow(
                     f"derivable-atom index exceeded {self.max_entries} entries"
@@ -344,6 +356,18 @@ def _match_atom(atom: Atom, env: Env, index: AtomIndex, budget: _Budget):
             yield nxt
 
 
+def _match_facts(atom: Atom, ann: AnnotationLike, facts, env: Env, index: AtomIndex, budget: _Budget):
+    """Envs extending env under which atom, annotated ann, matches one of
+    facts at one of its indexed values."""
+    for fact in facts:
+        nxt = unify_atom(atom, fact, env)
+        if nxt is None:
+            continue
+        for value in index.values[fact]:
+            budget.spend()
+            yield from annotation_bindings(ann, value, nxt)
+
+
 def match_conjunct(
     formula: HybridFormula,
     ann: AnnotationLike,
@@ -366,13 +390,7 @@ def match_conjunct(
         return
     if formula.is_atomic:
         atom = formula.atoms[0]
-        for fact in index.lookup(atom, env):
-            nxt = unify_atom(atom, fact, env)
-            if nxt is None:
-                continue
-            for value in index.values[fact]:
-                budget.spend()
-                yield from annotation_bindings(ann, value, nxt)
+        yield from _match_facts(atom, ann, index.lookup(atom, env), env, index, budget)
         return
     yield from _join(formula.atoms, env, lambda a, e: _match_atom(a, e, index, budget))
 
@@ -415,16 +433,106 @@ def rule_bindings(
     index: AtomIndex,
     universe: tuple[Term, ...],
     budget: _Budget,
+    since: int = 0,
 ) -> list[Env]:
     """Ground substitutions for a rule's object and annotation variables:
     its plain positive literals joined against the index, then guard-only
-    or comparison-only variables bound over the universe."""
+    or comparison-only variables bound over the universe. With since, only
+    those whose first literal, which must be atomic, matches an atom at
+    position since or later of its predicate's list."""
     needed = _rule_object_vars(rule)
-    return [
-        out
-        for env in _join(_plain_literals(rule), {}, _literal_matcher(index, universe, budget))
-        for out in _enumerate(needed, env, universe, budget)
-    ]
+    literals = _plain_literals(rule)
+    match = _literal_matcher(index, universe, budget)
+    if since:
+        (formula, ann), *literals = literals
+        atom = formula.atoms[0]
+        facts = index.by_pred[atom.predicate, len(atom.args)][since:]
+        envs = [
+            out
+            for env in _match_facts(atom, ann, facts, {}, index, budget)
+            for out in _join(literals, env, match)
+        ]
+    else:
+        envs = _join(literals, {}, match)
+    return [out for env in envs for out in _enumerate(needed, env, universe, budget)]
+
+
+class _RuleInstances:
+    """A rule's instances in the index fixpoint, each a binding and the
+    head it grounds, bound again only when an index entry its joins read
+    is new.
+
+    Bindings are made in the order of the entries they match, so binding
+    the rule against an index whose entries for the predicates it reads
+    have not changed makes the same instances in the same order. When only
+    its first literal's predicate gained entries, and those are new atoms
+    (none of its known atoms gained a value), the new bindings are the
+    ones matching the new atoms, and they come after the old: only those
+    are made. Otherwise every binding is made again, and one met before
+    takes the head it grounded then, so each distinct binding grounds its
+    head and indexes its atoms once."""
+
+    def __init__(self, rule: Rule):
+        literals = _plain_literals(rule)
+        self.rule = rule
+        self.reads = {atom.predicate for formula, _ in literals for atom in formula.atoms}
+        # the first literal's atom, when it is atomic, matched against the
+        # index, and the only literal reading its predicate
+        self.first: Atom | None = None
+        if literals:
+            formula, ann = literals[0]
+            predicate = formula.atoms[0].predicate
+            if formula.is_atomic and not _is_vacuous(ann) and not any(
+                atom.predicate == predicate for other, _ in literals[1:] for atom in other.atoms
+            ):
+                self.first = formula.atoms[0]
+        self.bound_at = -1  # the index size when last bound
+        self.seen = 0  # the length of first's predicate list then
+        # a binding's values in variable-name order name it; every binding
+        # of the rule binds the same variables, so the names are the first
+        # binding's
+        self.names: tuple[str, ...] = ()
+        self.made: list[tuple[Env, tuple[HeadLiteral, ...]]] = []
+        self.failed: set[tuple[Term, ...]] = set()  # bindings whose head is None
+
+    def update(self, index: AtomIndex, universe: tuple[Term, ...], budget: _Budget) -> None:
+        """Bind the rule again if an entry it reads is new since it was last
+        bound, or bind it the first time."""
+        bound_at = self.bound_at
+        grown = [p for p in self.reads if index.grown.get(p, 0) > bound_at]
+        if bound_at >= 0 and not grown:
+            return
+        first = self.first
+        if (
+            bound_at >= 0
+            and first is not None
+            and grown == [first.predicate]
+            and index.widened.get(first.predicate, 0) <= bound_at
+        ):
+            since, made, known = self.seen, self.made, {}
+        else:
+            since, made, known = 0, [], dict.fromkeys(self.failed)
+            known.update((self._key(env), head) for env, head in self.made)
+        envs = rule_bindings(self.rule, index, universe, budget, since)
+        self.bound_at = index.size
+        if first is not None:
+            self.seen = len(index.by_pred.get((first.predicate, len(first.args)), ()))
+        if envs and not self.names:
+            self.names = tuple(sorted(envs[0]))
+        for env in envs:
+            key = self._key(env)
+            if key in known:
+                head = known[key]
+            else:
+                head = known[key] = _ground_head(self.rule, env, index)
+            if head is None:
+                self.failed.add(key)
+            else:
+                made.append((env, head))
+        self.made = made
+
+    def _key(self, env: Env) -> tuple[Term, ...]:
+        return tuple([env[name] for name in self.names])
 
 
 # -- applying a substitution ----------------------------------------------------
@@ -684,24 +792,20 @@ def ground_program(program: Program, max_rules: int = 100_000) -> GroundProgram:
     index = AtomIndex(max_rules)
     budget = _Budget(max(max_rules * 50, 1_000_000), "grounding work")
 
+    per_rule = [_RuleInstances(rule) for rule in program.rules]
     size = -1
     while index.size != size:
         size = index.size
-        instances = []
-        for rule in program.rules:
-            made = []
-            for env in rule_bindings(rule, index, universe, budget):
-                head = _ground_head(rule, env, index)
-                if head is not None:
-                    made.append((env, head))
-            instances.append(made)
+        for instances in per_rule:
+            instances.update(index, universe, budget)
 
-    # the last pass added nothing, so it bound every rule against the final
-    # index: its instances are the ground program
+    # every rule was last bound against an index whose entries for the
+    # predicates it reads are final, so its instances are the ones a pass
+    # over the final index makes, in the same order: the ground program
     rules: list[Rule] = []
     seen: set[Rule] = set()
-    for rule, made in zip(program.rules, instances):
-        for ground in ground_rule(rule, made, index, universe, budget):
+    for instances in per_rule:
+        for ground in ground_rule(instances.rule, instances.made, index, universe, budget):
             if ground in seen:
                 continue
             seen.add(ground)

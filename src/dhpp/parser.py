@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 from .errors import DhppError, ParseError, UnknownAggregateFunction, UnsafeVariable
 from .model import (
@@ -84,8 +83,7 @@ _TOKEN_RE = re.compile(
 _NEGATED_CMP = {"=": "!=", "!=": "=", "<": ">=", ">": "<=", "<=": ">", ">=": "<"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "num" | "var" | "ident" | punctuation text | "eof"
     text: str
     line: int

@@ -45,6 +45,7 @@ from dhpp import (
     reduct,
     truth_leq,
 )
+from dhpp import grounder
 from dhpp.grounder import GroundProgram
 from dhpp.aggregates import build_multiset
 from dhpp.model import AGG_FUNCS, COMPARATORS, P_FUNCS, BuiltinComparison, interval_compare, Num
@@ -554,6 +555,86 @@ def naive_ground(rules: list[tuple]) -> set[str]:
         if grown == derivable:
             return {text for _, pos, text in instances if pos <= derivable}
         derivable = grown
+
+
+def pass_by_pass_ground(program: Program, max_rules: int = 100_000) -> GroundProgram:
+    """The ground program of the grounder's index fixpoint run pass by
+    pass: each pass binds every rule against the index and grounds the head
+    of every binding, until a pass adds nothing; that pass's instances, in
+    rule order, are instantiated. Built from the grounder's own
+    rule_bindings, _ground_head and ground_rule, so it differs from
+    ground_program only in the work ground_program skips."""
+    universe = grounder.collect_universe(program)
+    index = grounder.AtomIndex(max_rules)
+    budget = grounder._Budget(max(max_rules * 50, 1_000_000), "grounding work")
+    size = -1
+    while index.size != size:
+        size = index.size
+        instances = []
+        for rule in program.rules:
+            made = []
+            for env in grounder.rule_bindings(rule, index, universe, budget):
+                head = grounder._ground_head(rule, env, index)
+                if head is not None:
+                    made.append((env, head))
+            instances.append(made)
+    rules: dict[Rule, None] = {}
+    for rule, made in zip(program.rules, instances):
+        for ground in grounder.ground_rule(rule, made, index, universe, budget):
+            rules.setdefault(ground)
+    return GroundProgram(
+        rules=list(rules),
+        tau=dict(program.tau),
+        default_tau=program.default_tau,
+        registry=program.registry,
+    )
+
+
+def random_annotated_program(rng: random.Random) -> list[str]:
+    """The lines of a program over p, q, r, s of arity 1 and constants a, b,
+    c: facts, some of one atom at several values, and rules whose bodies mix
+    literals annotated `:P` or `[P1,P2]` (which bind every value of an
+    atom, and pass it to the head), joins, compound conjuncts, vacuous
+    `[0,0]` literals, symbolic-set aggregates, `not` and `X != Y`."""
+    preds = "pqrs"
+    values = ["0.3", "0.5", "[0.2,0.6]", "1"]
+    lines = [
+        f"{rng.choice(preds)}({rng.choice('abc')}) : {rng.choice(values)}."
+        for _ in range(rng.randint(2, 6))
+    ]
+    for _ in range(rng.randint(1, 5)):
+        roll = rng.random()
+        if roll < 0.4:
+            body, head_ann = [f"{rng.choice(preds)}(X) : P"], "P"
+        elif roll < 0.6:
+            body, head_ann = [f"{rng.choice(preds)}(X) : [P1,P2]"], "[P1,P2]"
+        else:
+            body, head_ann = [f"{rng.choice(preds)}(X) : {rng.choice(values)}"], rng.choice(values)
+        bound = ["X"]
+        for _ in range(rng.randint(0, 2)):
+            x, y = rng.sample(preds, 2)
+            roll = rng.random()
+            if roll < 0.3:
+                body.append(f"{x}(Y)")
+                bound.append("Y")
+            elif roll < 0.45:
+                body.append(f"{x}(X) and[pcc] {y}(Y) : 0.5")
+                bound.append("Y")
+            elif roll < 0.6:
+                body.append(f"{x}(Y) : 0")
+                bound.append("Y")
+            elif roll < 0.75:
+                body.append(f"sumP{{1 : P3 | {x}(Z) : P3}} >= {rng.choice(['0', '1'])} : 0.5")
+            elif roll < 0.9:
+                body.append(f"not {x}({rng.choice(bound)})")
+            else:
+                body.append(f"X != {rng.choice(['Y', 'W', 'a'])}")
+        head = " | ".join(
+            f"{rng.choice(preds)}({rng.choice(bound)}) : {head_ann}"
+            for _ in range(rng.choice([0, 1, 1, 1, 2]))
+        )
+        lines.append(f"{head} :- {', '.join(body)}.")
+    return lines
 
 
 # ---------------------------------------------------------------------------

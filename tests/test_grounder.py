@@ -20,6 +20,8 @@ from dhpp.model import ZERO, HybridFormula, Num
 from generators import (
     PATH_PROGRAM,
     naive_ground,
+    pass_by_pass_ground,
+    random_annotated_program,
     random_nonground_program,
     random_probability_program,
     random_recursive_aggregate_program,
@@ -174,9 +176,15 @@ def test_head_is_indexed_whole_or_not_at_all():
     ]
 
 
+def assert_grounds_pass_by_pass(text: str) -> None:
+    program = parse_program(text)
+    assert str(ground_program(program)) == str(pass_by_pass_ground(program)), text
+
+
 def test_matches_naive_grounder_in_any_rule_order():
     # each pass binds the rules in program order, so shuffling them changes
-    # which pass derives what; the ground program must not change
+    # which pass derives what; the ground program must not change, and it
+    # prints as the fixpoint that binds every rule on every pass does
     rng = random.Random(11)
     for _ in range(300):
         rules = random_nonground_program(rng)
@@ -184,6 +192,49 @@ def test_matches_naive_grounder_in_any_rule_order():
         lines = [rule_text(rule) for rule in rules]
         for order in (lines, rng.sample(lines, len(lines))):
             assert rule_strings(ground("\n".join(order))) == expected, order
+            assert_grounds_pass_by_pass("\n".join(order))
+
+
+def test_rules_out_of_dependency_order_print_as_the_pass_by_pass_fixpoint():
+    chain = "".join(f"edge(n{i},n{i + 1}).\n" for i in range(1, 8))
+    for rules in (
+        # the recursive literal first, last, and both literals recursive
+        ["path(X,Y) :- edge(X,Y).", "path(X,Z) :- path(X,Y), edge(Y,Z)."],
+        ["path(X,Y) :- edge(X,Y).", "path(X,Z) :- edge(X,Y), path(Y,Z)."],
+        ["path(X,Y) :- edge(X,Y).", "path(X,Z) :- path(X,Y), path(Y,Z)."],
+        # each layer derived by a rule listed before the one it reads
+        ["d(X) :- c(X), edge(X,Y).", "c(Y) :- b(X), edge(X,Y).", "b(Y) :- a(X), edge(X,Y).", "a(n1)."],
+    ):
+        for order in (rules, rules[::-1]):
+            assert_grounds_pass_by_pass(chain + "\n".join(order))
+    assert_grounds_pass_by_pass(PATH_PROGRAM)
+
+
+def test_annotation_variables_over_several_values_print_as_the_pass_by_pass_fixpoint():
+    # :P and [P1,P2] bind every value of an atom, and derived atoms gain
+    # values over several passes, which can reorder an atom's set of values
+    assert_grounds_pass_by_pass(
+        "b(1) : 0.3. b(1) : 0.5. b(2) : [0.2,0.6]. d(1).\n"
+        "c(X) : P :- a(X) : P, d(Y).\n"
+        "a(X) : P :- b(X) : P.\n"
+        "b(X) : 0.7 :- c(X) : 0.3.\n"
+        "e(X) : [P1,P2] :- a(X) : [P1,P2], not c(X).\n"
+    )
+
+
+def test_mixed_bodies_print_as_the_pass_by_pass_fixpoint():
+    # compound conjuncts, vacuous [0,0] literals, symbolic-set aggregates,
+    # `not` and comparisons, in program order and shuffled
+    rng = random.Random(29)
+    for _ in range(200):
+        lines = random_annotated_program(rng)
+        for order in (lines, rng.sample(lines, len(lines))):
+            assert_grounds_pass_by_pass("\n".join(order))
+
+
+CHAIN = "".join(f"edge(n{i},n{i + 1}).\n" for i in range(1, 30)) + (
+    "path(X,Y) :- edge(X,Y).\npath(X,Z) :- path(X,Y), edge(Y,Z).\n"
+)
 
 
 def test_joins_look_up_bound_arguments(monkeypatch):
@@ -200,10 +251,56 @@ def test_joins_look_up_bound_arguments(monkeypatch):
         return unify(*args)
 
     monkeypatch.setattr(dhpp.grounder, "unify_atom", counting)
-    text = "".join(f"edge(n{i},n{i + 1}).\n" for i in range(1, 30))
-    gp = ground(text + "path(X,Y) :- edge(X,Y).\npath(X,Z) :- path(X,Y), edge(Y,Z).\n")
+    gp = ground(CHAIN)
     assert len(gp.rules) == 29 + 29 + 29 * 28 // 2
     assert calls < 40_000
+
+
+@pytest.mark.parametrize("left", [True, False], ids=["left-recursive", "right-recursive"])
+def test_each_binding_grounds_its_head_once(monkeypatch, left):
+    # the chain takes a pass per path length, yet a fact is bound once and
+    # no binding's head is grounded twice; a left-recursive rule is joined
+    # against new path atoms only, and a right-recursive one, joined
+    # against every path atom on each pass, reuses the heads of the
+    # bindings it met, those whose comparison fails too
+    import dhpp.grounder
+
+    bound: list[tuple[str, int]] = []
+    heads: list[tuple[str, frozenset]] = []
+    rule_bindings = dhpp.grounder.rule_bindings
+    ground_head = dhpp.grounder._ground_head
+
+    def counting_bindings(rule, *args):
+        envs = rule_bindings(rule, *args)
+        bound.append((str(rule), len(envs)))
+        return envs
+
+    def counting_heads(rule, env, index):
+        heads.append((str(rule), frozenset(env.items())))
+        return ground_head(rule, env, index)
+
+    monkeypatch.setattr(dhpp.grounder, "rule_bindings", counting_bindings)
+    monkeypatch.setattr(dhpp.grounder, "_ground_head", counting_heads)
+    text = CHAIN if left else CHAIN.replace("path(X,Y), edge(Y,Z)", "edge(X,Y), path(Y,Z), X != n1")
+    gp = ground(text)
+    facts = [r for r in gp.rules if not r.pos_body]
+    assert sorted(rule for rule, _ in bound if not rule.startswith("path")) == sorted(map(str, facts))
+    assert len(heads) == len(set(heads))
+    recursive = sum(n for rule, n in bound if rule.startswith("path(X,Z)"))
+    if left:
+        assert len(heads) == len(gp.rules)
+        assert recursive == 29 * 28 // 2
+    else:
+        assert len(heads) > len(gp.rules)
+        assert recursive > 29 * 28 // 2
+
+
+def test_work_budget_bounds_a_join_that_matches_nothing():
+    # for each of 1001 u atoms the compound scans every u atom for one with
+    # two equal arguments and finds none: a million unifications, all work
+    text = "".join(f"u(a{i},b{i}).\n" for i in range(1001))
+    with pytest.raises(UniverseOverflow, match="grounding work exceeded"):
+        ground(text + "q :- u(A,B), u(X,X) and[pcc] u(Y,Y) : 0.5.\n", max_rules=2000)
 
 
 def test_grounding_is_monotone_in_facts():
