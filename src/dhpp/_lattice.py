@@ -87,21 +87,35 @@ class _ValueLattice(Mapping):
         # the rules hold every annotation object while this runs, so an id
         # names one: atoms whose occurrences are the same objects in the
         # same order under one strategy share their values and fold table,
-        # and equal fold tables are one
+        # and so do atoms with two or more occurrences that are equal
+        # annotations in the same order, though other objects (a single
+        # occurrence costs less to fold than to compare); equal fold tables
+        # are one, and each strategy composes a (value, annotation) pair
+        # once per build
         shared: dict[tuple, tuple] = {}
+        alike: dict[tuple | None, tuple] = {}
         tables: dict[tuple, dict[tuple[int, int], int]] = {}
+        compositions: dict[str, dict] = {}
         total = 0
         for formula in self.atoms:
             atom = formula.atoms[0]
             strat = program.strategy_for(atom.predicate)
             anns = occurrences.get(atom, ())
             key = (strat.name, *map(id, anns))
-            if key not in shared:
-                values, table, offence = _atom_lattice(atom, strat, anns)
-                if table is not None:
-                    table = tables.setdefault(tuple(table.items()), table)
-                shared[key] = values, table, offence
-            values, table, offence = shared[key]
+            entry = shared.get(key)
+            if entry is None:
+                equal = (strat.name, *anns) if len(anns) > 1 else None
+                entry = alike.get(equal)
+                if entry is None:
+                    memo = compositions.setdefault(strat.name, {})
+                    values, table, offence = _atom_lattice(atom, strat, anns, memo)
+                    if table is not None:
+                        table = tables.setdefault(tuple(table.items()), table)
+                    entry = values, table, offence
+                    if equal is not None:
+                        alike[equal] = entry
+                shared[key] = entry
+            values, table, offence = entry
             self._values[formula] = values
             self.atom_values.append(values)
             self.folds.append(table)
@@ -348,6 +362,17 @@ class _Point:
     def value(self, k: int) -> ProbInterval:
         return self.values[k][self.domains[k].bit_length() - 1]
 
+    def interpretation(self) -> PInterpretation:
+        """The interpretation this point numbers. The scope is sorted as
+        PInterpretation sorts its entries."""
+        lattice = self.lattice
+        entries = []
+        for formula, k in zip(lattice.formulae, lattice.scope_positions):
+            value = self.compounds[formula] if k is None else self.value(k)
+            if value is not ZERO and value != ZERO:
+                entries.append((formula, value))
+        return PInterpretation(tuple(entries))
+
     def literal(self, k: int, ann: ProbInterval, positive: bool) -> tuple[int, int]:
         """The lattice's literal pair, whose mask also holds the bit of atom
         k's own value when that lies off the lattice and satisfies ann."""
@@ -405,7 +430,7 @@ class _Point:
         return any(d[0] in extra for d in head)
 
 
-def _atom_lattice(atom: Atom, strategy: PStrategy, anns: list[ProbInterval]) -> tuple:
+def _atom_lattice(atom: Atom, strategy: PStrategy, anns: list[ProbInterval], memo: dict) -> tuple:
     """ZERO and the folds of the non-empty sub-multisets of anns, an atom's
     head annotations, sorted by (lo, hi); with two or more, also the atom's
     fold table, (rank, annotation rank) -> rank of strategy composing each
@@ -413,10 +438,25 @@ def _atom_lattice(atom: Atom, strategy: PStrategy, anns: list[ProbInterval]) -> 
     where that is a value, and the first such composition below one of its
     inputs, as (value, annotation, composition), or None. Compositions are
     taken in ascending order of the value's rank, and for one value in
-    ascending order of the annotation's rank."""
+    ascending order of the annotation's rank. memo maps a (value,
+    annotation) pair to strategy's composition of it, for every atom of
+    the build under strategy."""
+
+    def compose(v: ProbInterval, ann: ProbInterval) -> ProbInterval:
+        out = memo.get((v, ann))
+        if out is None:
+            out = memo[v, ann] = strategy.compose(v, ann)
+        return out
+
     acc: set[ProbInterval] = set()
+    last, grew = None, True
     for ann in anns:
-        acc |= {ann} | {strategy.compose(v, ann) for v in acc}
+        # folding in the annotation that just added nothing adds nothing
+        if not grew and ann == last:
+            continue
+        size = len(acc)
+        acc |= {ann} | {compose(v, ann) for v in acc}
+        last, grew = ann, len(acc) != size
         if len(acc) + (ZERO not in acc) > LATTICE_CAP:
             raise UniverseOverflow(f"value lattice for {atom} exceeded {LATTICE_CAP}")
     acc.add(ZERO)
@@ -429,7 +469,7 @@ def _atom_lattice(atom: Atom, strategy: PStrategy, anns: list[ProbInterval]) -> 
     for r in range(0 if columns[0] == 0 else 1, len(values)):
         for a in columns:
             v, ann = values[r], values[a]
-            out = strategy.compose(v, ann)
+            out = compose(v, ann)
             if offence is None and not (truth_leq(v, out) and truth_leq(ann, out)):
                 offence = (v, ann, out)
             if out in rank:

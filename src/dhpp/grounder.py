@@ -358,7 +358,9 @@ def _match_atom(atom: Atom, env: Env, index: AtomIndex, budget: _Budget):
 
 def _match_facts(atom: Atom, ann: AnnotationLike, facts, env: Env, index: AtomIndex, budget: _Budget):
     """Envs extending env under which atom, annotated ann, matches one of
-    facts at one of its indexed values."""
+    facts at one of its indexed values. Every fact scanned spends the
+    budget, matched or not, and so does every value of a match."""
+    budget.spend(len(facts))
     for fact in facts:
         nxt = unify_atom(atom, fact, env)
         if nxt is None:
@@ -434,14 +436,15 @@ def rule_bindings(
     universe: tuple[Term, ...],
     budget: _Budget,
     since: int = 0,
+    plan: tuple[list[BodyLiteral], set[str]] | None = None,
 ) -> list[Env]:
     """Ground substitutions for a rule's object and annotation variables:
     its plain positive literals joined against the index, then guard-only
     or comparison-only variables bound over the universe. With since, only
     those whose first literal, which must be atomic, matches an atom at
-    position since or later of its predicate's list."""
-    needed = _rule_object_vars(rule)
-    literals = _plain_literals(rule)
+    position since or later of its predicate's list. plan is the rule's
+    (_plain_literals, _rule_object_vars), when the caller keeps them."""
+    literals, needed = plan if plan is not None else (_plain_literals(rule), _rule_object_vars(rule))
     match = _literal_matcher(index, universe, budget)
     if since:
         (formula, ann), *literals = literals
@@ -475,6 +478,8 @@ class _RuleInstances:
     def __init__(self, rule: Rule):
         literals = _plain_literals(rule)
         self.rule = rule
+        # the join plan, the same on every binding
+        self.plan = literals, _rule_object_vars(rule)
         self.reads = {atom.predicate for formula, _ in literals for atom in formula.atoms}
         # the first literal's atom, when it is atomic, matched against the
         # index, and the only literal reading its predicate
@@ -513,7 +518,7 @@ class _RuleInstances:
         else:
             since, made, known = 0, [], dict.fromkeys(self.failed)
             known.update((self._key(env), head) for env, head in self.made)
-        envs = rule_bindings(self.rule, index, universe, budget, since)
+        envs = rule_bindings(self.rule, index, universe, budget, since, self.plan)
         self.bound_at = index.size
         if first is not None:
             self.seen = len(index.by_pred.get((first.predicate, len(first.args)), ()))

@@ -214,6 +214,24 @@ def interval_compare(x: ValueInterval, op: str, t: ValueInterval) -> bool:
     raise ValueError(f"unknown comparator {op!r}")
 
 
+def scalar_compare(x: Fraction, op: str, t: ValueInterval) -> bool:
+    """interval_compare of the point interval [x, x] with t, without
+    building it; t.lo <= t.hi, so one end of t decides an inequality."""
+    if op == "=":
+        return x == t.lo and x == t.hi
+    if op == "!=":
+        return x != t.lo or x != t.hi
+    if op == "<":
+        return x < t.lo
+    if op == "<=":
+        return x <= t.lo
+    if op == ">":
+        return x > t.hi
+    if op == ">=":
+        return x >= t.hi
+    raise ValueError(f"unknown comparator {op!r}")
+
+
 # ---------------------------------------------------------------------------
 # Terms
 
@@ -617,6 +635,12 @@ class AggregateAtom:
         if not (isinstance(self.guard_lo, Num) and isinstance(self.guard_hi, Num)):
             raise ValueError(f"guard of {self} is not ground")
         return ValueInterval(self.guard_lo.value, self.guard_hi.value)
+
+    @cached_property
+    def guard(self) -> ValueInterval:
+        """guard_interval(), built on first use and kept with the atom, so a
+        guard that is out of order still fails only when it is compared."""
+        return self.guard_interval()
 
     def is_ground(self) -> bool:
         return (

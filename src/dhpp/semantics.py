@@ -49,8 +49,8 @@ from .model import (
     interval_compare,
     PInterpretation,
     Rule,
+    scalar_compare,
     truth_leq,
-    ValueInterval,
 )
 from .strategies import compose_fold
 
@@ -85,7 +85,7 @@ class SatisfactionReport:
 
 
 def satisfies_program(
-    gp: GroundProgram, h: PInterpretation, point: _Point | None = None
+    gp: GroundProgram, h: PInterpretation | None, point: _Point | None = None
 ) -> SatisfactionReport:
     """Full p-model check in one pass over the rules.
 
@@ -97,7 +97,8 @@ def satisfies_program(
 
     Rules are decided over the rule forms of gp's value lattice, a
     reduct's source's, with h in its numbering: point when the caller has
-    it, else the lattice numbers h."""
+    it, and then h is not read and may be None, else the lattice numbers
+    h."""
     if point is None:
         point = gp.value_lattice().point(h)[0]
     domains = point.domains
@@ -173,12 +174,10 @@ def _holds(spec: tuple, domains: list[int], compound) -> bool | None:
         if result is UNDEFINED:
             sat = False
         elif isinstance(result, EValue):
-            sat = interval_compare(result.value, item.cmp, item.guard_interval())
+            sat = interval_compare(result.value, item.cmp, item.guard)
         else:
             # the probability family must also dominate ann
-            sat = interval_compare(
-                ValueInterval.point(result.value), item.cmp, item.guard_interval()
-            ) and truth_leq(ann, result.prob)
+            sat = scalar_compare(result.value, item.cmp, item.guard) and truth_leq(ann, result.prob)
     elif isinstance(item, HybridFormula):
         value = compound(item)
         if value is None:

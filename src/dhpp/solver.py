@@ -21,8 +21,8 @@ once the closure satisfies the literal it negates.
 Every value the closure can reach is an entry of the program's value
 lattice, so each enumeration compiles the program on the lattice's
 numbering (_Compiled), a value being one bit of its lattice rank, and
-closes candidates over the lattice's rule forms and fold tables; an
-interpretation is built only for a closure not seen before. The lattice
+closes candidates over the lattice's rule forms and fold tables; only a
+closure not seen before is judged. The lattice
 records a disjunctive strategy in use that folds an atom's head
 annotations below one of them: without one the closure is complete, and
 with one enumeration raises NonExpansiveStrategy.
@@ -32,9 +32,10 @@ exactly: it must be a p-model of the program, which no candidate violating
 a constraint is, and a minimal p-model of its own reduct. The reduct is the
 rules that fired in that p-model check, read from its report. The closure's
 atom bits are the point's domains, so the candidate goes to the check as
-they give it (_Compiled.point); check-model and is_answer_set number their
-interpretation once, on the same lattice (_judge), and judge it whatever
-the strategies.
+they give it (_Compiled.point), and a PInterpretation is built only for a
+candidate the check accepts; check-model and is_answer_set number their
+interpretation once, on the same lattice, and judge that point whatever
+the strategies (_judge).
 
 Minimality runs as a DFS for a p-model of the reduct strictly below the
 candidate. An atom's domain is a mask over its lattice ranks at or below
@@ -46,10 +47,10 @@ masks the lattice builds once per program (_lattice._ValueLattice).
 The search starts from the judged interpretation's point. Compounds,
 composed once their components are decided, and aggregates go to
 semantics._holds, the p-model check's own evaluator, and satisfies_program
-judges each leaf as a point of the same lattice, so literals and rule
-satisfaction keep one definition each. A reduct's value lattice is its
-source program's, so no caller hands the search a lattice, and a reduct
-builds none of its own.
+judges each leaf that is not the candidate itself as a point of the same
+lattice, so literals and rule satisfaction keep one definition each. A
+reduct's value lattice is its source program's, so no caller hands the
+search a lattice, and a reduct builds none of its own.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ from .model import (
     PInterpretation,
     ProbInterval,
     truth_leq,
-    ZERO,
 )
 from .semantics import _holds, SatisfactionReport, reduct, satisfies_program
 from .strategies import compose_fold
@@ -459,22 +459,32 @@ class _MinimalitySearch:
     decided only when every completion of the branch agrees. Propagation:
     a rule whose body is decided true must keep a satisfiable head
     disjunct, and when only one disjunct can serve, its atom's domain
-    shrinks to the satisfying values. Each leaf is judged by
-    satisfies_program over the same lattice, its domains being the leaf's
-    point. The lattice is point's, h in the numbering of the value lattice
-    red shares with its source program, or, without point, that lattice's.
+    shrinks to the satisfying values.
+
+    Each leaf is judged on ranks first: a leaf whose atoms have h's ranks
+    and whose compounds compose to h's values is h itself, and is no
+    witness, unless h also assigns a formula outside the scope. Any other
+    leaf is judged by satisfies_program over the same lattice, its domains
+    being the leaf's point, and a PInterpretation is built only for a leaf
+    that passes, the witness. The lattice is point's, in the numbering of
+    the value lattice red shares with its source program; without point,
+    that lattice numbers h.
     """
 
-    def __init__(self, red: GroundProgram, h: PInterpretation, node_cap: int, point: _Point | None):
+    def __init__(
+        self, red: GroundProgram, h: PInterpretation | None, node_cap: int, point: _Point | None
+    ):
+        outside = None
         if point is None:
-            point = red.value_lattice().point(h)[0]
+            point, outside = red.value_lattice().point(h)
         lattice = point.lattice
         self.red = red
-        self.h = h
         self.node_cap = node_cap
         self.nodes = 0
         self.lattice = lattice
         self.point = point
+        # whether a leaf with h's ranks on the scope is h
+        self.exact = outside is None
         self.atoms = lattice.atoms
         self.position = lattice.position
         self.values = point.values
@@ -576,41 +586,39 @@ class _MinimalitySearch:
         return None
 
     def _leaf(self) -> PInterpretation | None:
-        # the scope is sorted as PInterpretation sorts its entries
-        domains = self.domains
+        domains, point = self.domains, self.point
+        same = self.exact and domains == point.domains
         compounds = {}
-        entries = []
-        for formula, k in zip(self.lattice.formulae, self.lattice.scope_positions):
-            if k is None:
-                value = self.compound(formula)
-                if not truth_leq(value, self.point.compounds[formula]):
-                    return None
-                compounds[formula] = value
-            else:
-                value = self.values[k][domains[k].bit_length() - 1]
-            if value is not ZERO and value != ZERO:
-                entries.append((formula, value))
-        candidate = PInterpretation(tuple(entries))
-        if candidate == self.h:
+        for formula, assigned in point.compounds.items():
+            value = self.compound(formula)
+            if not truth_leq(value, assigned):
+                return None
+            compounds[formula] = value
+            same = same and value == assigned
+        if same:
             return None
         forms = self.red.rules, (self.bodies, self.heads)
-        point = _Point(self.lattice, domains, compounds, self.point.extra, forms)
-        if satisfies_program(self.red, candidate, point).satisfied:
-            return candidate
+        leaf = _Point(self.lattice, domains, compounds, point.extra, forms)
+        if satisfies_program(self.red, None, leaf).satisfied:
+            return leaf.interpretation()
         return None
 
 
 def find_smaller_model(
     red: GroundProgram,
-    h: PInterpretation,
+    h: PInterpretation | None,
     *,
     node_cap: int = 500_000,
     point: _Point | None = None,
 ) -> tuple[PInterpretation | None, int]:
     """A p-model of red strictly below h, or None; plus nodes searched.
     The search reads the tables of red's value lattice, its source
-    program's for a reduct, and point is h in that lattice's numbering,
-    when the caller has it."""
+    program's for a reduct. point is h in that lattice's numbering, when
+    the caller has it, and then h may be None; a point carries no entry
+    outside the scope, so it must number an h that has none. Without
+    point, the lattice numbers h and notes such an entry. A leaf equal
+    to h is decided on ranks, and only the witness is built as a
+    PInterpretation (_MinimalitySearch)."""
     search = _MinimalitySearch(red, h, node_cap, point)
     witness = search.run()
     return witness, search.nodes
@@ -618,27 +626,26 @@ def find_smaller_model(
 
 def _judge(
     gp: GroundProgram,
-    h: PInterpretation,
+    point: _Point,
+    outside: tuple | None = None,
     node_cap: int = 500_000,
-    point: _Point | None = None,
 ) -> tuple[SatisfactionReport, tuple | None, Certificate | None]:
-    """The p-model report of h, then why h is no answer set of gp, as data,
-    or the certificate that it is. In order: the p-model check, whose
-    failure is left in the report, a formula outside the program's scope,
-    as (formula, value), and minimality against the reduct, as (witness,),
-    a smaller p-model of the reduct. _reason renders them. point is h in
-    the numbering of gp's value lattice; without it, one walk of h's
-    entries numbers h and finds a formula outside the scope."""
-    outside = None
-    if point is None:
-        point, outside = gp.value_lattice().point(h)
-    report = satisfies_program(gp, h, point)
+    """The p-model report of the interpretation point numbers in gp's
+    value lattice, then why it is no answer set of gp, as data, or the
+    certificate that it is. In order: the p-model check, whose failure is
+    left in the report, outside, the interpretation's first formula
+    outside the program's scope as (formula, value), which the caller
+    found while numbering it, and minimality against the reduct, as
+    (witness,), a smaller p-model of the reduct. _reason renders them.
+    Everything is decided on the point; the one PInterpretation built is
+    a witness."""
+    report = satisfies_program(gp, None, point)
     if not report.satisfied:
         return report, None, None
     if outside is not None:
         return report, outside, None
     red = reduct(gp, report)
-    witness, nodes = find_smaller_model(red, h, node_cap=node_cap, point=point)
+    witness, nodes = find_smaller_model(red, None, node_cap=node_cap, point=point)
     if witness is not None:
         return report, (witness,), None
     return report, None, Certificate(len(red.rules), nodes)
@@ -661,7 +668,7 @@ def is_answer_set(
     node_cap: int = 500_000,
 ) -> tuple[bool, str | None]:
     """Exact check with a human-readable reason on rejection."""
-    report, rejection, _ = _judge(gp, h, node_cap)
+    report, rejection, _ = _judge(gp, *gp.value_lattice().point(h), node_cap)
     reason = _reason(report, rejection)
     return reason is None, reason
 
@@ -710,11 +717,10 @@ def enumerate_answer_sets(
         if values is None or values in seen:
             continue
         seen.add(values)
-        h = cp.interpretation(values)
-        certificate = _judge(gp, h, node_cap, cp.point(values))[2]
+        certificate = _judge(gp, cp.point(values), node_cap=node_cap)[2]
         if certificate is None:
             continue
-        found.append((values, h, certificate))
+        found.append((values, cp.interpretation(values), certificate))
         if limit is not None and len(found) >= limit:
             truncated = True
             break

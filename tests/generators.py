@@ -702,6 +702,62 @@ def random_classical_aggregate_program(rng: random.Random) -> ClassicalProgram:
 
 
 # ---------------------------------------------------------------------------
+# The value lattice's atom rows as first built
+
+
+def reference_atom_lattices(gp: GroundProgram) -> tuple[list, list, tuple | None]:
+    """Each atom's values and fold table, in the value lattice's atom
+    order, and the lattice's non_expansive, built as the lattice first
+    built them: per atom from its own head annotations, composing every
+    pair afresh and folding in every annotation, with atoms sharing a row
+    only when their annotations are the same objects."""
+    atoms = [f for f in gp.relevant_formulae if f.is_atomic]
+    occurrences: dict[Atom, list[ProbInterval]] = {}
+    for rule in gp.rules:
+        for atom, ann in rule.head:
+            occurrences.setdefault(atom, []).append(ann)
+    offences: dict[Atom, tuple] = {}
+    shared: dict[tuple, tuple] = {}
+    rows, folds = [], []
+    for formula in atoms:
+        atom = formula.atoms[0]
+        strat = gp.strategy_for(atom.predicate)
+        anns = occurrences.get(atom, ())
+        key = (strat.name, *map(id, anns))
+        if key not in shared:
+            shared[key] = _reference_atom_lattice(strat, anns)
+        values, table, offence = shared[key]
+        rows.append(values)
+        folds.append(table)
+        if offence is not None:
+            offences[atom] = (strat.name, formula, *offence)
+    heads = (atom for rule in reversed(gp.rules) for atom, _ in rule.head)
+    return rows, folds, next((offences[atom] for atom in heads if atom in offences), None)
+
+
+def _reference_atom_lattice(strategy, anns: list[ProbInterval]) -> tuple:
+    acc: set[ProbInterval] = set()
+    for ann in anns:
+        acc |= {ann} | {strategy.compose(v, ann) for v in acc}
+    acc.add(ZERO)
+    values = tuple(sorted(acc, key=lambda v: (v.lo, v.hi)))
+    if len(anns) < 2:
+        return values, None, None
+    rank = {v: r for r, v in enumerate(values)}
+    columns = sorted({rank[ann] for ann in anns})
+    table, offence = {}, None
+    for r in range(0 if columns[0] == 0 else 1, len(values)):
+        for a in columns:
+            v, ann = values[r], values[a]
+            out = strategy.compose(v, ann)
+            if offence is None and not (truth_leq(v, out) and truth_leq(ann, out)):
+                offence = (v, ann, out)
+            if out in rank:
+                table[r, a] = rank[out]
+    return values, table, offence
+
+
+# ---------------------------------------------------------------------------
 # Probes of the solver's check
 
 

@@ -253,7 +253,8 @@ def test_check_model_computes_the_p_model_report_once(tmp_path, dice_path, monke
     original = dhpp.solver.satisfies_program
 
     def counting(gp, h, *point):
-        checked.append(h)
+        # the judge passes its interpretation as a point alone
+        checked.append(point[0].interpretation() if h is None else h)
         return original(gp, h, *point)
 
     for module in (dhpp.cli, dhpp.solver):

@@ -303,6 +303,14 @@ def test_work_budget_bounds_a_join_that_matches_nothing():
         ground(text + "q :- u(A,B), u(X,X) and[pcc] u(Y,Y) : 0.5.\n", max_rules=2000)
 
 
+def test_work_budget_bounds_an_atomic_join_that_matches_nothing():
+    # the same join on an atomic literal: each scan of the u atoms spends
+    # the budget whether or not a fact unifies
+    text = "".join(f"u(a{i},b{i}).\n" for i in range(1001))
+    with pytest.raises(UniverseOverflow, match="grounding work exceeded"):
+        ground(text + "q :- u(A,B), u(X,X).\n", max_rules=2000)
+
+
 def test_grounding_is_monotone_in_facts():
     base = "p(X) :- q(X).\nq(1)."
     bigger = base + "\nq(2)."

@@ -39,7 +39,9 @@ from dhpp.model import (
     FuncTerm,
     Num,
     as_fraction,
+    COMPARATORS,
     interval_compare,
+    scalar_compare,
 )
 
 rationals = st.fractions(min_value=0, max_value=1, max_denominator=20)
@@ -212,6 +214,22 @@ def test_interval_compare_reflexivity(x):
     assert not interval_compare(x, "<", x)
     assert not interval_compare(x, "!=", x)
     assert interval_compare(x, "<=", x)
+
+
+@given(rationals, prob_intervals())
+def test_scalar_compare_is_interval_compare_of_the_point(x, t):
+    for op in COMPARATORS:
+        assert scalar_compare(x, op, t) == interval_compare(ValueInterval.point(x), op, t)
+
+
+def test_an_aggregate_keeps_its_guard_and_a_reversed_one_fails_when_read():
+    atom = AggregateAtom("sumP", GroundSet(()), ">=", Num(Fraction(1)), Num(Fraction(2)))
+    assert atom.guard == ValueInterval(Fraction(1), Fraction(2))
+    assert atom.guard is atom.guard
+    reversed_guard = AggregateAtom("sumP", GroundSet(()), ">=", Num(Fraction(3)), Num(Fraction(1)))
+    for _ in range(2):
+        with pytest.raises(InvalidInterval):
+            reversed_guard.guard
 
 
 # ---------------------------------------------------------------------------

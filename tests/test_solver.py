@@ -11,9 +11,11 @@ import dhpp.solver
 from dhpp import (
     Atom,
     HybridFormula,
+    InvalidInterval,
     NonExpansiveStrategy,
     PInterpretation,
     ProbInterval,
+    Program,
     Rule,
     SearchSpaceOverflow,
     builtin_registry,
@@ -52,6 +54,7 @@ from generators import (
     random_probability_program,
     random_recursive_aggregate_program,
     reference_candidate,
+    reference_atom_lattices,
     reference_closure,
     reference_satisfies_program,
     search_domains,
@@ -184,6 +187,34 @@ def test_find_smaller_model_none_at_bottom():
     assert witness is None
 
 
+def test_find_smaller_model_drops_an_entry_outside_the_scope():
+    # h equals the only p-model on the scope, but also assigns zzz: the
+    # leaf that is h on the scope is strictly smaller, and the witness
+    gp, _ = solve_text("a : 0.5.")
+    a = HybridFormula.atomic(Atom("a"))
+    half = ProbInterval("0.5", "0.5")
+    h = PInterpretation.from_pairs([(a, half), (HybridFormula.atomic(Atom("zzz")), half)])
+    red = reduct(gp, satisfies_program(gp, h))
+    witness, _ = find_smaller_model(red, h)
+    assert witness == PInterpretation.from_pairs([(a, half)])
+
+
+def test_a_leaf_with_the_atoms_of_h_and_a_lower_compound_is_a_witness():
+    # every leaf has h's atoms, but the compound composes to 0.75, below
+    # the 1 that h assigns it: that leaf is strictly smaller
+    gp, _ = solve_text("a : 0.5. c : 0.5. b :- a or[ind] c : 0.5.")
+    (compound,) = [f for f in gp.relevant_formulae if not f.is_atomic]
+    a, b, c = (HybridFormula.atomic(Atom(n)) for n in "abc")
+    half, one = ProbInterval("0.5", "0.5"), ProbInterval(1, 1)
+    h = PInterpretation.from_pairs([(a, half), (c, half), (b, one), (compound, one)])
+    red = reduct(gp, satisfies_program(gp, h))
+    witness, _ = find_smaller_model(red, h)
+    assert witness == PInterpretation.from_pairs(
+        [(a, half), (c, half), (b, one), (compound, ProbInterval("0.75", "0.75"))]
+    )
+    assert is_answer_set(gp, h) == (False, f"not minimal: the reduct has a smaller p-model {witness}")
+
+
 # -- the compiled closure ----------------------------------------------------------
 
 
@@ -299,6 +330,48 @@ def test_non_expansiveness_is_data_on_the_lattice():
         "so the solver could miss answer sets"
     )
     assert is_answer_set(gp, PInterpretation.from_pairs([(a, one)])) == (True, None)
+
+
+def test_the_lattice_rows_match_the_first_build():
+    # compositions memoised per build, repeated annotations skipped and rows
+    # shared by value give each atom the values, rank order and fold table
+    # the first build gave it, and the same offence, under mn too, and
+    # under avg, whose folds depend on the order of the occurrences
+    registry = min_registry()
+    registry.register(
+        "avg", DISJUNCTIVE, lambda x, y: ProbInterval((x.lo + y.lo) / 2, (x.hi + y.hi) / 2)
+    )
+    rng = random.Random(41)
+    makers = [
+        random_probability_program,
+        random_aggregate_program,
+        random_recursive_aggregate_program,
+        lambda rng: ground_program(translate_dlp(random_classical_program(rng))),
+    ]
+
+    def programs():
+        # equal annotations in another order fold to other values under avg
+        reordered = "#default_tau(avg). a : 0.2. a : 0.4. a : 0.8. b : 0.8. b : 0.4. b : 0.2."
+        yield ground_program(parse_program(reordered, registry=registry))
+        for n in range(400):
+            gp = makers[n % 4](rng)
+            yield gp
+            if n % 4 == 0:
+                for name in ("mn", "avg"):
+                    yield ground_program(
+                        Program(rules=gp.rules, tau={}, default_tau=name, registry=registry)
+                    )
+
+    tables = offences = 0
+    for gp in programs():
+        lattice = gp.value_lattice()
+        rows, folds, offence = reference_atom_lattices(gp)
+        assert lattice.atom_values == rows, str(gp)
+        assert lattice.folds == folds, str(gp)
+        assert lattice.non_expansive == offence, str(gp)
+        tables += sum(table is not None for table in folds)
+        offences += offence is not None
+    assert tables > 300 and offences > 20
 
 
 def test_the_non_expansive_atom_reported_is_the_one_the_last_rule_heads_first():
@@ -614,6 +687,31 @@ def test_judging_an_answer_set_decides_each_aggregate_once(dice_solved, monkeypa
     assert len(calls) == 2
     assert not is_answer_set(dice_solved.ground, neighbour)[0]
     assert len(calls) == 3
+
+
+def test_a_reversed_guard_fails_only_when_its_aggregate_is_compared():
+    text = "b :- c, sumP{1 : 1 | a} >= [3,1]."
+    _, res = solve_text(text)
+    assert interp_strings(res) == ["{}"]
+    with pytest.raises(InvalidInterval, match="out of order"):
+        solve_text("c. " + text)
+
+
+def test_enumeration_builds_an_interpretation_per_answer_set_only(diet_path, monkeypatch):
+    # diet has 64 distinct candidates to judge and 4 answer sets; the judge
+    # reads each candidate's point
+    built = []
+    original = _Compiled.interpretation
+
+    def counting(self, values):
+        built.append(values)
+        return original(self, values)
+
+    monkeypatch.setattr(_Compiled, "interpretation", counting)
+    gp = ground_program(parse_program(diet_path.read_text(encoding="utf-8")))
+    result = enumerate_answer_sets(gp)
+    assert len(result.interpretations) == 4
+    assert len(built) == 4
 
 
 def test_a_reduct_builds_no_lattice_of_its_own(diet_path, monkeypatch):
