@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
+from functools import reduce
+from operator import getitem
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import UniverseOverflow
@@ -20,6 +22,7 @@ from .model import (
     AggregateAtom,
     Atom,
     HybridFormula,
+    lo_hi_key,
     PInterpretation,
     ProbInterval,
     Rule,
@@ -56,14 +59,16 @@ class _ValueLattice(Mapping):
     or more head occurrences, and non_expansive the first composition in
     them below one of its inputs, as (strategy name, formula, value,
     annotation, composition), or None. The forms of the program's rules
-    (rule_forms) and the branching order are built on first use. The
+    (rule_forms), the index of the rules that read each atom (readers)
+    and the branching order are built on first use. The
     tables hold no reference to the program, so they die with it, and a
     reduct's scope and rules are its source's, so they serve it too.
     """
 
     __slots__ = (
         "_values", "formulae", "_rules", "atoms", "position", "scope_positions",
-        "atom_values", "folds", "non_expansive", "_offsets", "_downs", "_forms", "_order",
+        "atom_values", "folds", "non_expansive", "_offsets", "_downs", "_forms",
+        "_readers", "_order",
     )
 
     def __init__(self, program: GroundProgram):
@@ -137,7 +142,7 @@ class _ValueLattice(Mapping):
             total += len(values)
             if total > LATTICE_CAP:
                 raise UniverseOverflow(f"value lattice exceeded {LATTICE_CAP} entries")
-            self._values[formula] = tuple(sorted(values, key=lambda v: (v.lo, v.hi)))
+            self._values[formula] = _sorted_row(values)
         # the offence reported is that of the atom the last rule heads first
         heads = (atom for rule in reversed(program.rules) for atom, _ in rule.head)
         self.non_expansive = next((offences[atom] for atom in heads if atom in offences), None)
@@ -145,6 +150,7 @@ class _ValueLattice(Mapping):
         self._offsets = array('l', itertools.accumulate(map(len, self.atom_values), initial=0))
         self._downs: list[int | None] = [None] * self._offsets[-1]
         self._forms: Forms | None = None
+        self._readers: tuple[array, array] | None = None
         self._order: tuple[int, ...] | None = None
 
     def __getitem__(self, formula: HybridFormula) -> tuple[ProbInterval, ...]:
@@ -215,29 +221,6 @@ class _ValueLattice(Mapping):
                 outside = (formula, value)
         return _Point(self, domains, compounds, extra), outside
 
-    def rule_form(self, rule: Rule, literal, disjunct) -> tuple[tuple, tuple]:
-        """rule's body and head forms (rule_forms), the pair of each atomic
-        formula made by literal(k, ann, positive) and each head disjunct by
-        disjunct(k, ann), k the atom's number."""
-        position = self.position
-        literals = []
-        for body, positive in ((rule.pos_body, True), (rule.neg_body, False)):
-            for item, ann in body:
-                if isinstance(item, HybridFormula) and item.is_atomic:
-                    literals.append(literal(position[item.atoms[0]], ann, positive))
-                elif isinstance(item, AggregateAtom):
-                    conditions = tuple(
-                        tuple(
-                            literal(position[f.atoms[0]], c, True) if f.is_atomic else (None, (f, c))
-                            for f, c in pair.condition
-                        )
-                        for pair in item.pset.pairs
-                    )
-                    literals.append((None, (item, ann, positive, conditions)))
-                else:
-                    literals.append((None, (item, ann, positive)))
-        return tuple(literals), tuple(disjunct(position[atom], ann) for atom, ann in rule.head)
-
     def _build_forms(self) -> Forms:
         """The body and head forms of the program's rules."""
         # equal literals share one tuple, and so do heads of the same
@@ -263,17 +246,36 @@ class _ValueLattice(Mapping):
                 d = shared[key] = (k, self.satisfying(k, ann), self.rank(k, ann), ann)
             return d
 
+        position = self.position
         bodies, heads = [], []
         for rule in self._rules:
-            body, head = self.rule_form(rule, literal, disjunct)
-            bodies.append(body)
+            literals = []
+            for body, positive in ((rule.pos_body, True), (rule.neg_body, False)):
+                for item, ann in body:
+                    if isinstance(item, HybridFormula) and item.is_atomic:
+                        literals.append(literal(position[item.atoms[0]], ann, positive))
+                    elif isinstance(item, AggregateAtom):
+                        conditions = tuple(
+                            tuple(
+                                literal(position[f.atoms[0]], c, True) if f.is_atomic else (None, (f, c))
+                                for f, c in pair.condition
+                            )
+                            for pair in item.pset.pairs
+                        )
+                        literals.append((None, (item, ann, positive, conditions)))
+                    else:
+                        literals.append((None, (item, ann, positive)))
+            head = tuple(disjunct(position[atom], ann) for atom, ann in rule.head)
+            bodies.append(tuple(literals))
             heads.append(same_heads.setdefault(tuple(map(id, head)), head))
         return bodies, heads
 
-    def rule_forms(self, rules: list[Rule]) -> Forms:
+    def rule_forms(self, rules: list[Rule], forms: Forms | None = None) -> Forms:
         """The forms of rules, as the closure, the p-model check and the
         minimality search read them; rules are among the program's, in
-        program order, as a reduct's are.
+        program order, as a reduct's are. They are selected from forms,
+        forms of all the program's rules as a point patches them, or else
+        from the lattice's own.
 
         A rule's body literals, in order: (atom, mask of the values where
         the literal holds) for an atomic formula; (None, (item, ann,
@@ -283,11 +285,13 @@ class _ValueLattice(Mapping):
         (item, ann, positive)) for any other. Its head disjuncts: (atom,
         mask of the values that satisfy it, the annotation's rank among
         them or None, annotation)."""
-        if self._forms is None:
-            self._forms = self._build_forms()
+        if forms is None:
+            if self._forms is None:
+                self._forms = self._build_forms()
+            forms = self._forms
         if rules is self._rules:
-            return self._forms
-        bodies, heads = self._forms
+            return forms
+        bodies, heads = forms
         out: Forms = ([], [])
         j = 0
         for rule in rules:
@@ -297,6 +301,43 @@ class _ValueLattice(Mapping):
             out[1].append(heads[j])
             j += 1
         return out
+
+    def readers(self, k: int) -> array:
+        """The numbers of the program's rules whose forms read atom k's
+        mask, in program order, a rule once per mask on k. The index is
+        built on first use, for every atom: the rule numbers grouped by
+        atom in one array of machine ints, and where each group starts in
+        another, so a large program's index stays small."""
+        if self._readers is None:
+            self._readers = self._build_readers()
+        starts, numbers = self._readers
+        return numbers[starts[k]:starts[k + 1]]
+
+    def _build_readers(self) -> tuple[array, array]:
+        bodies, heads = self.rule_forms(self._rules)
+        reads = array('i')  # atom, rule, per mask
+        for p, (body, head) in enumerate(zip(bodies, heads)):
+            for k, spec in body:
+                if k is not None:
+                    reads.extend((k, p))
+                elif len(spec) == 4:
+                    for condition in spec[3]:
+                        for j, _ in condition:
+                            if j is not None:
+                                reads.extend((j, p))
+            for d in head:
+                reads.extend((d[0], p))
+        atoms, rules = reads[::2], reads[1::2]
+        counts = [0] * (len(self.atoms) + 1)
+        for k in atoms:
+            counts[k + 1] += 1
+        starts = array('i', itertools.accumulate(counts))
+        # a counting sort of the rule numbers by atom, stable
+        numbers, free = array('i', rules), array('i', starts)
+        for k, p in zip(atoms, rules):
+            numbers[free[k]] = p
+            free[k] += 1
+        return starts, numbers
 
     @property
     def order(self) -> tuple[int, ...]:
@@ -335,10 +376,19 @@ class _Point:
     lattice's row, with the interpretation's own value appended when it
     lies off the lattice (extra[k]). compounds maps every compound formula
     of the scope, in scope order, to its value. forms, when given, are the
-    forms of the rules named with them, as forms(rules) would build them.
+    forms of the rules named with them, as forms(rules) would select them.
+
+    The rule forms a point judges with are the lattice's, with the bit of
+    each off-lattice value set in every mask whose literal holds at that
+    value. The program's forms are patched once per point, and only where
+    the lattice's index (_ValueLattice.readers) says a rule reads an atom
+    off the lattice: there only the masks on that atom change, so an
+    aggregate keeps every condition tuple that reads none. A reduct's
+    forms are selected from the patched ones, and a minimality search and
+    its leaves read them as they are.
     """
 
-    __slots__ = ("lattice", "domains", "values", "extra", "compounds", "_forms")
+    __slots__ = ("lattice", "domains", "values", "extra", "compounds", "_forms", "_patched")
 
     def __init__(
         self,
@@ -358,76 +408,87 @@ class _Point:
             for k, value in extra.items():
                 self.values[k] += (value,)
         self._forms = forms
+        self._patched: Forms | None = None
 
     def value(self, k: int) -> ProbInterval:
         return self.values[k][self.domains[k].bit_length() - 1]
 
     def interpretation(self) -> PInterpretation:
         """The interpretation this point numbers. The scope is sorted as
-        PInterpretation sorts its entries."""
+        PInterpretation sorts its entries. An atom is at ZERO when its
+        domain is bit 0: rank 0 of every row is ZERO, and a value off the
+        lattice never is."""
         lattice = self.lattice
         entries = []
         for formula, k in zip(lattice.formulae, lattice.scope_positions):
-            value = self.compounds[formula] if k is None else self.value(k)
-            if value is not ZERO and value != ZERO:
-                entries.append((formula, value))
+            if k is None:
+                value = self.compounds[formula]
+                if value is ZERO or value == ZERO:
+                    continue
+            elif self.domains[k] == 1:
+                continue
+            else:
+                value = self.value(k)
+            entries.append((formula, value))
         return PInterpretation(tuple(entries))
-
-    def literal(self, k: int, ann: ProbInterval, positive: bool) -> tuple[int, int]:
-        """The lattice's literal pair, whose mask also holds the bit of atom
-        k's own value when that lies off the lattice and satisfies ann."""
-        mask = self.lattice.satisfying(k, ann)
-        if k in self.extra and truth_leq(ann, self.extra[k]):
-            mask |= 1 << len(self.lattice.atom_values[k])
-        return k, mask if positive else ~mask
-
-    def _patched(self, rule: Rule, body: tuple, head: tuple) -> tuple[tuple, tuple]:
-        """rule's forms body and head with each pair that reads an atom off
-        the lattice made again by literal, and the others kept: rule_form
-        asks for the pairs in the order they are listed here."""
-        kept = iter([c for k, spec in body for c in (
-            [(k, spec)] if k is not None
-            else [c for pair in spec[3] for c in pair if c[0] is not None] if len(spec) == 4
-            else []
-        )])
-        heads = iter(head)
-
-        def literal(k: int, ann: ProbInterval, positive: bool) -> tuple[int, int]:
-            pair = next(kept)
-            return self.literal(k, ann, positive) if k in self.extra else pair
-
-        def disjunct(k: int, ann: ProbInterval) -> tuple:
-            d = next(heads)
-            return (*self.literal(k, ann, True), *d[2:]) if k in self.extra else d
-
-        return self.lattice.rule_form(rule, literal, disjunct)
 
     def forms(self, rules: list[Rule]) -> Forms:
         """The forms of rules (_ValueLattice.rule_forms), where each mask
         that reads an atom off the lattice also holds the atom's own bit
-        when its value satisfies the mask's annotation. The forms last made
-        are kept, and read again for the same rules."""
+        when the mask's literal holds at the atom's value. The forms last
+        selected are kept, and read again for the same rules."""
         if self._forms is not None and self._forms[0] is rules:
             return self._forms[1]
-        forms = self.lattice.rule_forms(rules)
-        if self.extra:
-            bodies, heads = list(forms[0]), list(forms[1])
-            for p, rule in enumerate(rules):
-                if self._reads_extra(bodies[p], heads[p]):
-                    bodies[p], heads[p] = self._patched(rule, bodies[p], heads[p])
-            forms = bodies, heads
+        if self.extra and self._patched is None:
+            self._patched = self._patch()
+        forms = self.lattice.rule_forms(rules, self._patched)
         self._forms = rules, forms
         return forms
 
-    def _reads_extra(self, body: tuple, head: tuple) -> bool:
-        extra = self.extra
-        for k, spec in body:
-            if k is None:
-                if len(spec) == 4 and any(c[0] in extra for pair in spec[3] for c in pair):
-                    return True
-            elif k in extra:
-                return True
-        return any(d[0] in extra for d in head)
+    def _patch(self) -> Forms:
+        """The forms of the program's rules with each mask on an atom off
+        the lattice patched, in the rules that read one."""
+        lattice, extra = self.lattice, self.extra
+        rules = lattice._rules
+        bodies, heads = (list(side) for side in lattice.rule_forms(rules))
+        for p in {p for k in extra for p in lattice.readers(k)}:
+            rule, body, head = rules[p], bodies[p], heads[p]
+            literals = rule.pos_body + rule.neg_body
+            for n, (k, spec) in enumerate(bodies[p]):
+                if k in extra:
+                    body = self._masked(body, (n, 1), k, literals[n][1], n < len(rule.pos_body))
+                elif k is None and len(spec) == 4:
+                    pairs = literals[n][0].pset.pairs
+                    for s, condition in enumerate(spec[3]):
+                        for c, (j, _) in enumerate(condition):
+                            if j in extra:
+                                ann = pairs[s].condition[c][1]
+                                body = self._masked(body, (n, 1, 3, s, c, 1), j, ann, True)
+            for i, d in enumerate(heads[p]):
+                if d[0] in extra:
+                    head = self._masked(head, (i, 1), d[0], d[3], True)
+            bodies[p], heads[p] = body, head
+        return bodies, heads
+
+    def _masked(
+        self, form: tuple, path: tuple[int, ...], k: int, ann: ProbInterval, positive: bool
+    ) -> tuple:
+        """form, nested tuples, with the mask at path, a literal's on atom k
+        with annotation ann, negated unless positive, holding the bit of k's
+        own value exactly where the literal holds at it. form itself when
+        that changes nothing."""
+        mask = reduce(getitem, path, form)
+        bit = 1 << len(self.lattice.atom_values[k])
+        patched = mask | bit if truth_leq(ann, self.extra[k]) == positive else mask & ~bit
+        return form if patched == mask else _replaced(form, path, patched)
+
+
+def _replaced(form: tuple, path: tuple[int, ...], entry) -> tuple:
+    """Nested tuples form with its entry at path replaced, and every tuple
+    off that path kept."""
+    i = path[0]
+    inner = entry if len(path) == 1 else _replaced(form[i], path[1:], entry)
+    return (*form[:i], inner, *form[i + 1:])
 
 
 def _atom_lattice(atom: Atom, strategy: PStrategy, anns: list[ProbInterval], memo: dict) -> tuple:
@@ -460,7 +521,7 @@ def _atom_lattice(atom: Atom, strategy: PStrategy, anns: list[ProbInterval], mem
         if len(acc) + (ZERO not in acc) > LATTICE_CAP:
             raise UniverseOverflow(f"value lattice for {atom} exceeded {LATTICE_CAP}")
     acc.add(ZERO)
-    values = tuple(sorted(acc, key=lambda v: (v.lo, v.hi)))
+    values = _sorted_row(acc)
     if len(anns) < 2:
         return values, None, None
     rank = {v: r for r, v in enumerate(values)}
@@ -475,6 +536,19 @@ def _atom_lattice(atom: Atom, strategy: PStrategy, anns: list[ProbInterval], mem
             if out in rank:
                 table[r, a] = rank[out]
     return values, table, offence
+
+
+def _sorted_row(values: set[ProbInterval]) -> tuple[ProbInterval, ...]:
+    """values, ZERO among them, sorted by (lo, hi): a row of two is ZERO
+    then the value above it, unsorted, and a longer one is sorted on
+    lo_hi_key, which compares Fractions only where their floats tie."""
+    if len(values) == 2:
+        a, b = values
+        if a is ZERO:
+            return a, b
+        if b is ZERO:
+            return b, a
+    return tuple(sorted(values, key=lo_hi_key))
 
 
 def _below_mask(values: tuple[ProbInterval, ...], top: ProbInterval) -> int:

@@ -10,7 +10,7 @@ Fractions. All arithmetic is exact via fractions.Fraction; floats are
 rejected to keep golden values bit-for-bit reproducible. The truth order
 reads each interval's endpoints rounded to floats, kept in a slot like the
 hash, but only to settle comparisons those floats decide exactly (see
-truth_leq).
+truth_leq); an interval's text is kept the same way from its first str().
 """
 
 from __future__ import annotations
@@ -109,11 +109,12 @@ class _Interval(_HashOnce):
     """Base of the interval classes.
 
     The _floats slot holds (lo, hi) rounded to floats from the first
-    truth_leq on. Like _hash it is no dataclass field, so equality, repr
-    and pickling ignore it, and a loaded value rounds afresh.
+    truth_leq on, and _text the interval's str from the first str on. Like
+    _hash they are no dataclass fields, so equality, repr and pickling
+    ignore them, and a loaded value rounds and renders afresh.
     """
 
-    __slots__ = ("_floats",)
+    __slots__ = ("_floats", "_text")
 
 
 def _endpoint_floats(x: "ValueInterval") -> tuple[float, float]:
@@ -141,7 +142,12 @@ class ValueInterval(_Interval):
         return cls(v, v)
 
     def __str__(self) -> str:
-        return f"[{format_rational(self.lo)},{format_rational(self.hi)}]"
+        try:
+            return self._text
+        except AttributeError:
+            text = f"[{format_rational(self.lo)},{format_rational(self.hi)}]"
+            object.__setattr__(self, "_text", text)
+            return text
 
 
 class ProbInterval(ValueInterval):
@@ -184,6 +190,18 @@ def truth_leq(x: ValueInterval, y: ValueInterval) -> bool:
     if xlo > ylo or xhi > yhi:
         return False
     return (xlo < ylo or x.lo <= y.lo) and (xhi < yhi or x.hi <= y.hi)
+
+
+def lo_hi_key(x: ValueInterval) -> tuple:
+    """A sort key that orders intervals by (lo, hi). Tuples compare their
+    first unequal items, so an endpoint's float decides where it differs
+    from the other's, as rounding is monotone (see truth_leq), and only
+    endpoints whose floats tie are compared as Fractions."""
+    try:
+        lo, hi = x._floats
+    except AttributeError:
+        lo, hi = _endpoint_floats(x)
+    return lo, x.lo, hi, x.hi
 
 
 def truth_lt(x: ValueInterval, y: ValueInterval) -> bool:

@@ -40,10 +40,13 @@ the strategies (_judge).
 Minimality runs as a DFS for a p-model of the reduct strictly below the
 candidate. An atom's domain is a mask over its lattice ranks at or below
 the candidate's value, plus a bit for that value when it lies off the
-lattice; atoms are branched on in the dependency order the value lattice
-keeps, bodies before heads, with unit propagation on rules whose bodies
-are decided. Formula literals and head disjuncts are decided by ANDing
-masks the lattice builds once per program (_lattice._ValueLattice).
+lattice. The judged point patches the rule forms for such values once,
+in the rules that read them alone, and the reduct's forms, which the
+search and its leaves read, are selected from the patched ones. Atoms are
+branched on in the dependency order the value lattice keeps, bodies
+before heads, with unit propagation on rules whose bodies are decided.
+Formula literals and head disjuncts are decided by ANDing masks the
+lattice builds once per program (_lattice._ValueLattice).
 The search starts from the judged interpretation's point. Compounds,
 composed once their components are decided, and aggregates go to
 semantics._holds, the p-model check's own evaluator, and satisfies_program

@@ -702,7 +702,7 @@ def random_classical_aggregate_program(rng: random.Random) -> ClassicalProgram:
 
 
 # ---------------------------------------------------------------------------
-# The value lattice's atom rows as first built
+# The value lattice's atom rows and a point's rule forms as first built
 
 
 def reference_atom_lattices(gp: GroundProgram) -> tuple[list, list, tuple | None]:
@@ -755,6 +755,46 @@ def _reference_atom_lattice(strategy, anns: list[ProbInterval]) -> tuple:
             if out in rank:
                 table[r, a] = rank[out]
     return values, table, offence
+
+
+def reference_point_forms(point, rules: list[Rule]) -> tuple[list, list]:
+    """The forms of rules at a point, as the point first made them: every
+    rule walked afresh, each mask made by the lattice's satisfying, with
+    the bit of an atom's own value off the lattice set where the literal
+    holds at that value."""
+    lattice = point.lattice
+    position = lattice.position
+
+    def literal(k: int, ann: ProbInterval, positive: bool) -> tuple[int, int]:
+        mask = lattice.satisfying(k, ann)
+        if k in point.extra and truth_leq(ann, point.extra[k]):
+            mask |= 1 << len(lattice.atom_values[k])
+        return k, mask if positive else ~mask
+
+    bodies, heads = [], []
+    for rule in rules:
+        literals = []
+        for body, positive in ((rule.pos_body, True), (rule.neg_body, False)):
+            for item, ann in body:
+                if isinstance(item, HybridFormula) and item.is_atomic:
+                    literals.append(literal(position[item.atoms[0]], ann, positive))
+                elif isinstance(item, AggregateAtom):
+                    conditions = tuple(
+                        tuple(
+                            literal(position[f.atoms[0]], c, True) if f.is_atomic else (None, (f, c))
+                            for f, c in pair.condition
+                        )
+                        for pair in item.pset.pairs
+                    )
+                    literals.append((None, (item, ann, positive, conditions)))
+                else:
+                    literals.append((None, (item, ann, positive)))
+        bodies.append(tuple(literals))
+        heads.append(tuple(
+            (*literal(position[atom], ann, True), lattice.rank(position[atom], ann), ann)
+            for atom, ann in rule.head
+        ))
+    return bodies, heads
 
 
 # ---------------------------------------------------------------------------

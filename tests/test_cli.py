@@ -166,6 +166,24 @@ def test_solve_output_is_pinned(name, json_output, tmp_path, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"{name}{suffix}").read_text()
 
 
+@pytest.mark.parametrize("json_output", [False, True], ids=["text", "json"])
+def test_check_model_output_on_a_raised_answer_set_is_pinned(json_output, tmp_path, capsys):
+    # dice's first answer set with its first value below [1,1] raised to it,
+    # off the value lattice: a p-model, rejected as not minimal, with the
+    # witness the minimality search finds
+    source = str(golden_source("dice", tmp_path))
+    assert main([source, "--json"]) == 0
+    model = json.loads(capsys.readouterr().out)["answer_sets"][0]
+    entry = next(e for e in model["formulae"] if (e["lo"], e["hi"]) != ("1", "1"))
+    entry["lo"] = entry["hi"] = "1"
+    path = tmp_path / "raised.json"
+    path.write_text(json.dumps(model))
+    args = [source, "--mode", "check-model", "--model", str(path)]
+    assert main(args + (["--json"] if json_output else [])) == 1
+    suffix = ".raised.json.check" if json_output else ".raised.check"
+    assert capsys.readouterr().out == (GOLDEN / f"dice{suffix}").read_text()
+
+
 def test_ground_only_keeps_constraints_headless(tmp_path):
     path = tmp_path / "c.dhpp"
     path.write_text("__c.\na | b.\n:- a.\n")

@@ -371,6 +371,26 @@ def test_interval_hashes_its_fractions_once(monkeypatch):
     assert len(calls) == 2  # lo and hi, on the first hash only
 
 
+def test_an_interval_renders_once_and_only_its_fields_compare_print_and_pickle(monkeypatch):
+    calls = []
+    original = dhpp.model.format_rational
+
+    def counted(q):
+        calls.append(q)
+        return original(q)
+
+    monkeypatch.setattr(dhpp.model, "format_rational", counted)
+    x, y = iv("0.2", "1/3"), iv("0.2", "1/3")
+    assert str(x) == str(x) == "[0.2,1/3]"
+    assert len(calls) == 2  # lo and hi, on the first str only
+    hash(x)
+    truth_leq(x, y)
+    assert x == y and repr(x) == repr(y) == "ProbInterval(lo=Fraction(1, 5), hi=Fraction(1, 3))"
+    loaded = pickle.loads(pickle.dumps(x))
+    assert not any(hasattr(loaded, slot) for slot in ("_text", "_floats", "_hash"))
+    assert loaded == x and str(loaded) == str(x)
+
+
 PICKLED = """
 import pickle, sys
 from fractions import Fraction

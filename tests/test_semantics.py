@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import dhpp._lattice
 import dhpp.semantics
 from dhpp import (
     ONE,
@@ -19,16 +20,18 @@ from dhpp import (
     satisfies_program,
     truth_leq,
 )
-from dhpp.model import Num
+from dhpp.model import Const, Num
 from dhpp.solver import _MinimalitySearch
 from dhpp.strategies import compose_fold
 from generators import (
+    PATH_PROGRAM,
     check_literal,
     random_aggregate_program,
     random_interval,
     random_leq_interpretations,
     random_probability_program,
     random_recursive_aggregate_program,
+    reference_point_forms,
     reference_satisfies_program,
     satisfies_body,
     search_domains,
@@ -301,6 +304,86 @@ def test_p_model_check_matches_the_reference():
                 judged += 1
     assert judged > 2000 and failures > 500
     assert off_conditions > 100 and off_compounds > 100
+
+
+def test_a_point_patches_the_forms_the_reference_walk_makes():
+    # masks patched in place on the atoms off the lattice, and every other
+    # tuple kept, against every rule walked afresh: for the program's rules
+    # and for its reduct's, selected from the patched ones; some points put
+    # a condition atom, a negated literal's atom or a compound off the
+    # lattice
+    rng = random.Random(11)
+    judged = patched = off_conditions = off_negated = off_compounds = 0
+    for _ in range(100):
+        for generator in (
+            random_probability_program,
+            random_aggregate_program,
+            random_recursive_aggregate_program,
+        ):
+            gp = generator(rng)
+            lattice = gp.value_lattice()
+            conditions = condition_atoms(gp)
+            negated = {
+                item for rule in gp.rules for item, _ in rule.neg_body if isinstance(item, HybridFormula)
+            }
+            for h in judged_interpretations(gp, rng):
+                point = lattice.point(h)[0]
+                red = reduct(gp, satisfies_program(gp, None, point))
+                for rules in (gp.rules, red.rules):
+                    assert point.forms(rules) == reference_point_forms(point, rules), (str(gp), str(h))
+                off = {lattice.atoms[k] for k in point.extra}
+                patched += bool(off)
+                off_conditions += bool(off & conditions)
+                off_negated += bool(off & negated)
+                off_compounds += any(v not in lattice[f] for f, v in point.compounds.items())
+                judged += 1
+    assert judged > 2000 and patched > 500
+    assert off_conditions > 100 and off_negated > 100 and off_compounds > 100
+
+
+def test_a_raised_edge_patches_only_the_rules_that_read_it_once(monkeypatch):
+    # one truth_leq per mask on the raised edge, in the rules that read it
+    # alone; the reduct's forms are the patched tuples themselves, and the
+    # minimality search reads them as they are
+    gp = ground(PATH_PROGRAM)
+    lattice = gp.value_lattice()
+    (h,) = enumerate_answer_sets(gp).interpretations
+    edge = HybridFormula.atomic(Atom("edge", (Const("b2"), Const("c1"))))
+    raised = PInterpretation.from_pairs([*(e for e in h.entries if e[0] != edge), (edge, ONE)])
+    point = lattice.point(raised)[0]
+    assert point.extra == {lattice.position[edge.atoms[0]]: ONE}
+    bodies, heads = lattice.rule_forms(gp.rules)
+    reading = [
+        p for p, rule in enumerate(gp.rules)
+        if edge.atoms[0] in [atom for atom, _ in rule.head]
+        or edge in [item for item, _ in rule.pos_body + rule.neg_body]
+    ]
+    assert len(reading) == 4
+
+    calls = []
+    original = dhpp._lattice.truth_leq
+
+    def counting(x, y):
+        calls.append((x, y))
+        return original(x, y)
+
+    monkeypatch.setattr(dhpp._lattice, "truth_leq", counting)
+    patched_bodies, patched_heads = point.forms(gp.rules)
+    assert len(calls) == 4
+    assert [
+        p for p in range(len(gp.rules))
+        if patched_bodies[p] is not bodies[p] or patched_heads[p] is not heads[p]
+    ] == reading
+
+    red = reduct(gp, satisfies_program(gp, None, point))
+    red_bodies, red_heads = point.forms(red.rules)
+    assert len(calls) == 4
+    number = {id(rule): p for p, rule in enumerate(gp.rules)}
+    assert all(b is patched_bodies[number[id(r)]] for r, b in zip(red.rules, red_bodies))
+    assert all(d is patched_heads[number[id(r)]] for r, d in zip(red.rules, red_heads))
+    search = _MinimalitySearch(red, None, 1000, point)
+    assert search.bodies is red_bodies and search.heads is red_heads
+    assert is_answer_set(gp, raised)[1].startswith("not minimal")
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 import tracemalloc
+from fractions import Fraction
 from math import prod
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import dhpp.semantics
 import dhpp.solver
 from dhpp import (
+    ONE,
     Atom,
     HybridFormula,
     InvalidInterval,
@@ -32,6 +34,7 @@ from dhpp import (
     truth_leq,
     ZERO,
 )
+from dhpp._lattice import _sorted_row
 from dhpp.grounder import GroundProgram
 from dhpp.model import AGG_FUNCS, AggregateAtom
 from dhpp.solver import (
@@ -353,6 +356,11 @@ def test_the_lattice_rows_match_the_first_build():
         # equal annotations in another order fold to other values under avg
         reordered = "#default_tau(avg). a : 0.2. a : 0.4. a : 0.8. b : 0.8. b : 0.4. b : 0.2."
         yield ground_program(parse_program(reordered, registry=registry))
+        # a row whose order by hi is not its order by lo, and one whose
+        # values' lower ends round to one float
+        third = "1000000000000000000000000000001/3000000000000000000000000000000"
+        crossed = f"a : [0.3,0.9]. a : [0.5,0.5]. b : 1/3. b : [{third},1]. b : [1/3,1/2]."
+        yield ground_program(parse_program(crossed))
         for n in range(400):
             gp = makers[n % 4](rng)
             yield gp
@@ -372,6 +380,32 @@ def test_the_lattice_rows_match_the_first_build():
         tables += sum(table is not None for table in folds)
         offences += offence is not None
     assert tables > 300 and offences > 20
+
+
+def test_a_row_is_sorted_by_lo_then_hi_whatever_order_its_set_gives():
+    # the lower ends of the second to fourth round to one float, and the
+    # order by hi is not the order by lo; a row of two comes in either
+    # order from its set, built as the lattice builds it, ZERO added last
+    third = Fraction(1, 3)
+    values = [
+        ZERO,
+        ProbInterval(third, third),
+        ProbInterval(third, 1),
+        ProbInterval(third + Fraction(1, 10**30), Fraction(1, 2)),
+        ProbInterval(Fraction(3, 10), Fraction(9, 10)),
+        ProbInterval(Fraction(1, 2), Fraction(1, 2)),
+        ProbInterval(0, Fraction(1, 5)),
+        ONE,
+    ]
+    firsts = set()
+    for size in range(1, len(values)):
+        for others in itertools.combinations(values[1:], size):
+            row = set(others)
+            row.add(ZERO)
+            if size == 1:
+                firsts.add(next(iter(row)) is ZERO)
+            assert _sorted_row(row) == tuple(sorted(row, key=lambda v: (v.lo, v.hi)))
+    assert firsts == {True, False}
 
 
 def test_the_non_expansive_atom_reported_is_the_one_the_last_rule_heads_first():
