@@ -193,10 +193,10 @@ class _ValueLattice(Mapping):
             mask = self._downs[i] = _below_mask(row, row[r])
         return mask
 
-    def point(self, h: PInterpretation) -> tuple[_Point, tuple | None]:
-        """h in this lattice's numbering, and h's first entry whose formula
-        lies outside the scope, as (formula, value), or None: one walk of
-        h.entries. An atom h puts off the lattice gets its own bit."""
+    def point(self, h: PInterpretation) -> _Point:
+        """h in this lattice's numbering, one walk of h.entries. An atom h
+        puts off the lattice gets its own bit, and h's first entry whose
+        formula lies outside the scope is kept as the point's outside."""
         position = self.position
         domains = [1] * len(self.atoms)
         compounds = dict.fromkeys(
@@ -219,7 +219,7 @@ class _ValueLattice(Mapping):
                 continue
             if outside is None:
                 outside = (formula, value)
-        return _Point(self, domains, compounds, extra), outside
+        return _Point(self, domains, compounds, extra, outside)
 
     def _build_forms(self) -> Forms:
         """The body and head forms of the program's rules."""
@@ -315,29 +315,20 @@ class _ValueLattice(Mapping):
 
     def _build_readers(self) -> tuple[array, array]:
         bodies, heads = self.rule_forms(self._rules)
-        reads = array('i')  # atom, rule, per mask
+        groups: list[list[int]] = [[] for _ in self.atoms]
         for p, (body, head) in enumerate(zip(bodies, heads)):
             for k, spec in body:
                 if k is not None:
-                    reads.extend((k, p))
+                    groups[k].append(p)
                 elif len(spec) == 4:
                     for condition in spec[3]:
                         for j, _ in condition:
                             if j is not None:
-                                reads.extend((j, p))
+                                groups[j].append(p)
             for d in head:
-                reads.extend((d[0], p))
-        atoms, rules = reads[::2], reads[1::2]
-        counts = [0] * (len(self.atoms) + 1)
-        for k in atoms:
-            counts[k + 1] += 1
-        starts = array('i', itertools.accumulate(counts))
-        # a counting sort of the rule numbers by atom, stable
-        numbers, free = array('i', rules), array('i', starts)
-        for k, p in zip(atoms, rules):
-            numbers[free[k]] = p
-            free[k] += 1
-        return starts, numbers
+                groups[d[0]].append(p)
+        starts = array('i', itertools.accumulate(map(len, groups), initial=0))
+        return starts, array('i', itertools.chain.from_iterable(groups))
 
     @property
     def order(self) -> tuple[int, ...]:
@@ -375,8 +366,10 @@ class _Point:
     domains[k] holds one bit, the rank of atom k's value in values[k]: the
     lattice's row, with the interpretation's own value appended when it
     lies off the lattice (extra[k]). compounds maps every compound formula
-    of the scope, in scope order, to its value. forms, when given, are the
-    forms of the rules named with them, as forms(rules) would select them.
+    of the scope, in scope order, to its value. outside is the
+    interpretation's first entry whose formula lies outside the scope, as
+    (formula, value), or None. forms, when given, are the forms of the
+    rules named with them, as forms(rules) would select them.
 
     The rule forms a point judges with are the lattice's, with the bit of
     each off-lattice value set in every mask whose literal holds at that
@@ -388,7 +381,7 @@ class _Point:
     its leaves read them as they are.
     """
 
-    __slots__ = ("lattice", "domains", "values", "extra", "compounds", "_forms", "_patched")
+    __slots__ = ("lattice", "domains", "values", "extra", "compounds", "outside", "_forms", "_patched")
 
     def __init__(
         self,
@@ -396,12 +389,14 @@ class _Point:
         domains: list[int],
         compounds: dict[HybridFormula, ProbInterval],
         extra: dict[int, ProbInterval],
+        outside: tuple | None = None,
         forms: tuple[list[Rule], Forms] | None = None,
     ):
         self.lattice = lattice
         self.domains = domains
         self.compounds = compounds
         self.extra = extra
+        self.outside = outside
         self.values = lattice.atom_values
         if extra:
             self.values = list(self.values)
@@ -414,10 +409,10 @@ class _Point:
         return self.values[k][self.domains[k].bit_length() - 1]
 
     def interpretation(self) -> PInterpretation:
-        """The interpretation this point numbers. The scope is sorted as
-        PInterpretation sorts its entries. An atom is at ZERO when its
-        domain is bit 0: rank 0 of every row is ZERO, and a value off the
-        lattice never is."""
+        """The interpretation this point numbers on the scope, without
+        outside. The scope is sorted as PInterpretation sorts its entries.
+        An atom is at ZERO when its domain is bit 0: rank 0 of every row is
+        ZERO, and a value off the lattice never is."""
         lattice = self.lattice
         entries = []
         for formula, k in zip(lattice.formulae, lattice.scope_positions):

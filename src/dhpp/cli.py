@@ -135,8 +135,9 @@ def _run_check(config: RunConfig, gp: GroundProgram, out: TextIO) -> int:
     if not config.model:
         raise DhppError("check-model needs --model FILE")
     h = _load_model(config.model)
-    report, rejection, _ = _judge(gp, *gp.value_lattice().point(h))
-    reason = _reason(report, rejection)
+    point = gp.value_lattice().point(h)
+    report, witness, _ = _judge(gp, point)
+    reason = _reason(report, point, witness)
     verdict = reason is None
     if config.json_output:
         payload = {

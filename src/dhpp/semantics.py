@@ -100,7 +100,7 @@ def satisfies_program(
     it, and then h is not read and may be None, else the lattice numbers
     h."""
     if point is None:
-        point = gp.value_lattice().point(h)[0]
+        point = gp.value_lattice().point(h)
     domains = point.domains
     compounds = point.compounds
     bodies, heads = point.forms(gp.rules)

@@ -32,8 +32,8 @@ exactly: it must be a p-model of the program, which no candidate violating
 a constraint is, and a minimal p-model of its own reduct. The reduct is the
 rules that fired in that p-model check, read from its report. The closure's
 atom bits are the point's domains, so the candidate goes to the check as
-they give it (_Compiled.point), and a PInterpretation is built only for a
-candidate the check accepts; check-model and is_answer_set number their
+they give it (_Compiled.point), and a PInterpretation is built from that
+point only for a candidate the check accepts; check-model and is_answer_set number their
 interpretation once, on the same lattice, and judge that point whatever
 the strategies (_judge).
 
@@ -224,13 +224,9 @@ class _Compiled:
             out = self._compositions[key] = 1 << row.index(compose_fold(strategy, component))
         return out
 
-    def interpretation(self, values: tuple[int, ...]) -> PInterpretation:
-        return PInterpretation(
-            tuple((f, row[values[i].bit_length() - 1]) for f, i, row in self.scope if values[i] != 1)
-        )
-
     def text(self, values: tuple[int, ...]) -> str:
-        """str(self.interpretation(values)), each entry rendered once."""
+        """str(self.point(values).interpretation()), each entry rendered
+        once."""
         texts = self._texts
         parts = []
         for s, (f, i, row) in enumerate(self.scope):
@@ -268,9 +264,9 @@ def _leaves(cp: _Compiled, rng: random.Random | None = None) -> Iterator[tuple[i
     contribution is an occurrence outside the fold so far, so the table
     holds the result. A compound's value is the composition of its
     components. A round that contributes nothing ends at a leaf. Every
-    change made while a branch point is open goes on a trail, as (list,
-    index, old value), and backtracking undoes it; nothing undoes a change
-    made before the first.
+    change goes on a trail, as (list, index, old value), and backtracking
+    undoes the changes made since its branch point; those made before the
+    first branch point stay.
 
     A decision is decided[v]: the guess of key v < len(cp.keys), or the
     disjunct of rule q at v = len(cp.keys) + q. Each branch point tries
@@ -339,28 +335,24 @@ def _leaves(cp: _Compiled, rng: random.Random | None = None) -> Iterator[tuple[i
                     v = j
                     break
                 if g != want:
-                    if stack:
-                        trail.append((status, q, 0))
+                    trail.append((status, q, 0))
                     status[q] = 2
                     break
             else:
                 if len(head) == 1:
-                    if stack:
-                        trail.append((status, q, 0))
+                    trail.append((status, q, 0))
                     status[q] = 1
                     adds.append(head[0])
                 elif decided[keys + q] < 0:
                     v = keys + q
                 else:
-                    if stack:
-                        trail.append((status, q, 0))
+                    trail.append((status, q, 0))
                     status[q] = 1
                     c = decided[keys + q]
                     for i, d in enumerate(head):
                         if i == c or values[d[0]] & d[1]:
                             adds.append(d)
-                            if stack:
-                                trail.append((given, first + i, False))
+                            trail.append((given, first + i, False))
                             given[first + i] = True
             if v >= 0:
                 break
@@ -379,8 +371,7 @@ def _leaves(cp: _Compiled, rng: random.Random | None = None) -> Iterator[tuple[i
                 alternatives = alternatives[r:] + alternatives[:r]
             if len(alternatives) > 1:
                 stack.append([len(trail), ready, cursor, adds, len(adds), v, alternatives, 1])
-            if stack:
-                trail.append((decided, v, -1))
+            trail.append((decided, v, -1))
             decided[v] = alternatives[0]
             continue
         if not adds:
@@ -394,20 +385,17 @@ def _leaves(cp: _Compiled, rng: random.Random | None = None) -> Iterator[tuple[i
                 r = ranks[k]
                 s = a if r < 0 else folds[k][r, a]
                 if s != r:
-                    if stack:
-                        trail.append((ranks, k, r))
+                    trail.append((ranks, k, r))
                     ranks[k] = s
                     if values[k] != 1 << s:
-                        if stack:
-                            trail.append((values, k, values[k]))
+                        trail.append((values, k, values[k]))
                         values[k] = 1 << s
                         changed.append(k)
             if compounds_of:
                 for c in {c for d in adds for c in compounds_of.get(d[0], ())}:
                     bit = cp.compose(c, tuple(values[k] for k in compounds[c - n][4]))
                     if bit != values[c]:
-                        if stack:
-                            trail.append((values, c, values[c]))
+                        trail.append((values, c, values[c]))
                         values[c] = bit
                         changed.append(c)
             # a decided guess that `not F:mu` holds, F atomic, dies once F:mu does
@@ -420,8 +408,7 @@ def _leaves(cp: _Compiled, rng: random.Random | None = None) -> Iterator[tuple[i
                     for q, g, d in on[k]:
                         if status[q] == 1 and not given[g] and values[k] & d[1]:
                             adds.append(d)
-                            if stack:
-                                trail.append((given, g, False))
+                            trail.append((given, g, False))
                             given[g] = True
                     waiting.update(readers[k])
                 ready = holding(sorted(waiting))
@@ -440,8 +427,7 @@ def _leaves(cp: _Compiled, rng: random.Random | None = None) -> Iterator[tuple[i
             stack.pop()
         else:
             frame[7] = nxt + 1
-        if stack:
-            trail.append((decided, v, -1))
+        trail.append((decided, v, -1))
         decided[v] = alternatives[nxt]
 
 
@@ -466,28 +452,20 @@ class _MinimalitySearch:
 
     Each leaf is judged on ranks first: a leaf whose atoms have h's ranks
     and whose compounds compose to h's values is h itself, and is no
-    witness, unless h also assigns a formula outside the scope. Any other
-    leaf is judged by satisfies_program over the same lattice, its domains
-    being the leaf's point, and a PInterpretation is built only for a leaf
-    that passes, the witness. The lattice is point's, in the numbering of
-    the value lattice red shares with its source program; without point,
-    that lattice numbers h.
+    witness, unless h also assigns a formula outside the scope
+    (point.outside). Any other leaf is judged by satisfies_program over the
+    same lattice, its domains being the leaf's point, and a PInterpretation
+    is built only for a leaf that passes, the witness. point is h in the
+    numbering of the value lattice red shares with its source program.
     """
 
-    def __init__(
-        self, red: GroundProgram, h: PInterpretation | None, node_cap: int, point: _Point | None
-    ):
-        outside = None
-        if point is None:
-            point, outside = red.value_lattice().point(h)
+    def __init__(self, red: GroundProgram, point: _Point, node_cap: int):
         lattice = point.lattice
         self.red = red
         self.node_cap = node_cap
         self.nodes = 0
         self.lattice = lattice
         self.point = point
-        # whether a leaf with h's ranks on the scope is h
-        self.exact = outside is None
         self.atoms = lattice.atoms
         self.position = lattice.position
         self.values = point.values
@@ -590,7 +568,8 @@ class _MinimalitySearch:
 
     def _leaf(self) -> PInterpretation | None:
         domains, point = self.domains, self.point
-        same = self.exact and domains == point.domains
+        # a leaf with h's ranks on the scope is h unless h has more
+        same = point.outside is None and domains == point.domains
         compounds = {}
         for formula, assigned in point.compounds.items():
             value = self.compound(formula)
@@ -601,7 +580,7 @@ class _MinimalitySearch:
         if same:
             return None
         forms = self.red.rules, (self.bodies, self.heads)
-        leaf = _Point(self.lattice, domains, compounds, point.extra, forms)
+        leaf = _Point(self.lattice, domains, compounds, point.extra, forms=forms)
         if satisfies_program(self.red, None, leaf).satisfied:
             return leaf.interpretation()
         return None
@@ -617,52 +596,47 @@ def find_smaller_model(
     """A p-model of red strictly below h, or None; plus nodes searched.
     The search reads the tables of red's value lattice, its source
     program's for a reduct. point is h in that lattice's numbering, when
-    the caller has it, and then h may be None; a point carries no entry
-    outside the scope, so it must number an h that has none. Without
-    point, the lattice numbers h and notes such an entry. A leaf equal
-    to h is decided on ranks, and only the witness is built as a
-    PInterpretation (_MinimalitySearch)."""
-    search = _MinimalitySearch(red, h, node_cap, point)
+    the caller has it, and then h may be None; without point, the lattice
+    numbers h. A leaf equal to h is decided on ranks, and only the witness
+    is built as a PInterpretation (_MinimalitySearch)."""
+    if point is None:
+        point = red.value_lattice().point(h)
+    search = _MinimalitySearch(red, point, node_cap)
     witness = search.run()
     return witness, search.nodes
 
 
 def _judge(
-    gp: GroundProgram,
-    point: _Point,
-    outside: tuple | None = None,
-    node_cap: int = 500_000,
-) -> tuple[SatisfactionReport, tuple | None, Certificate | None]:
+    gp: GroundProgram, point: _Point, node_cap: int = 500_000
+) -> tuple[SatisfactionReport, PInterpretation | None, Certificate | None]:
     """The p-model report of the interpretation point numbers in gp's
-    value lattice, then why it is no answer set of gp, as data, or the
-    certificate that it is. In order: the p-model check, whose failure is
-    left in the report, outside, the interpretation's first formula
-    outside the program's scope as (formula, value), which the caller
-    found while numbering it, and minimality against the reduct, as
-    (witness,), a smaller p-model of the reduct. _reason renders them.
-    Everything is decided on the point; the one PInterpretation built is
-    a witness."""
+    value lattice, a smaller p-model of its reduct or None, and the
+    certificate that it is an answer set of gp or None. In order: the
+    p-model check, whose failure is left in the report, the point's entry
+    outside the program's scope, and minimality against the reduct.
+    _reason renders the first that rejects. Everything is decided on the
+    point; the one PInterpretation built is a witness."""
     report = satisfies_program(gp, None, point)
-    if not report.satisfied:
+    if not report.satisfied or point.outside is not None:
         return report, None, None
-    if outside is not None:
-        return report, outside, None
     red = reduct(gp, report)
     witness, nodes = find_smaller_model(red, None, node_cap=node_cap, point=point)
     if witness is not None:
-        return report, (witness,), None
+        return report, witness, None
     return report, None, Certificate(len(red.rules), nodes)
 
 
-def _reason(report: SatisfactionReport, rejection: tuple | None) -> str | None:
-    """The one-line text of why _judge rejected an interpretation, or None
-    when it accepted it."""
-    if rejection is None:
+def _reason(report: SatisfactionReport, point: _Point, witness: PInterpretation | None) -> str | None:
+    """The one-line text of why _judge rejected point, or None when it
+    accepted it."""
+    if not report.satisfied:
         return report.first_failure
-    if len(rejection) == 1:
-        return f"not minimal: the reduct has a smaller p-model {rejection[0]}"
-    formula, value = rejection
-    return f"assigns {value} to {formula}, which the program never mentions"
+    if point.outside is not None:
+        formula, value = point.outside
+        return f"assigns {value} to {formula}, which the program never mentions"
+    if witness is not None:
+        return f"not minimal: the reduct has a smaller p-model {witness}"
+    return None
 
 
 def is_answer_set(
@@ -671,8 +645,9 @@ def is_answer_set(
     node_cap: int = 500_000,
 ) -> tuple[bool, str | None]:
     """Exact check with a human-readable reason on rejection."""
-    report, rejection, _ = _judge(gp, *gp.value_lattice().point(h), node_cap)
-    reason = _reason(report, rejection)
+    point = gp.value_lattice().point(h)
+    report, witness, _ = _judge(gp, point, node_cap)
+    reason = _reason(report, point, witness)
     return reason is None, reason
 
 
@@ -697,6 +672,8 @@ def enumerate_answer_sets(
     """
     if limit is not None and limit <= 0:
         raise ValueError("limit must be positive")
+    if max_candidates < 0:
+        raise ValueError("max_candidates must not be negative")
     cp = _Compiled(gp)
     if cp.lattice.non_expansive is not None:
         name, formula, v, ann, out = cp.lattice.non_expansive
@@ -720,10 +697,11 @@ def enumerate_answer_sets(
         if values is None or values in seen:
             continue
         seen.add(values)
-        certificate = _judge(gp, cp.point(values), node_cap=node_cap)[2]
+        point = cp.point(values)
+        certificate = _judge(gp, point, node_cap)[2]
         if certificate is None:
             continue
-        found.append((values, cp.interpretation(values), certificate))
+        found.append((values, point.interpretation(), certificate))
         if limit is not None and len(found) >= limit:
             truncated = True
             break

@@ -819,7 +819,7 @@ def check_selection(gset: GroundSet, h: PInterpretation):
     of a one-rule program that reads the set."""
     item = AggregateAtom("countP", gset, ">=", Num(0), Num(0))
     gp = _one_rule_program(Rule((), ((item, ONE),), ()))
-    point = gp.value_lattice().point(h)[0]
+    point = gp.value_lattice().point(h)
     bodies, _ = point.forms(gp.rules)
     ((_, spec),) = bodies[0]
     return build_multiset(gset, spec[3], point.domains, point.compounds.__getitem__)

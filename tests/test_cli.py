@@ -184,6 +184,30 @@ def test_check_model_output_on_a_raised_answer_set_is_pinned(json_output, tmp_pa
     assert capsys.readouterr().out == (GOLDEN / f"dice{suffix}").read_text()
 
 
+def test_check_model_output_on_an_entry_outside_the_scope_is_pinned(tmp_path, diet_path, capsys):
+    # diet's first answer set plus zzz, which the program never mentions: a
+    # p-model on every rule, rejected for the entry alone
+    assert main([str(diet_path), "--json"]) == 0
+    model = json.loads(capsys.readouterr().out)["answer_sets"][0]
+    model["formulae"].append({"formula": "zzz", "lo": "1", "hi": "1"})
+    path = tmp_path / "outside.json"
+    path.write_text(json.dumps(model))
+    args = [str(diet_path), "--mode", "check-model", "--model", str(path)]
+    reason = "assigns [1,1] to zzz, which the program never mentions"
+    assert main(args) == 1
+    assert capsys.readouterr().out == (
+        f"rules satisfied: 68/68\np-model: yes\nanswer set: no ({reason})\n"
+    )
+    assert main(args + ["--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "p_model": True,
+        "answer_set": False,
+        "rules_satisfied": 68,
+        "rules_total": 68,
+        "failure": reason,
+    }
+
+
 def test_ground_only_keeps_constraints_headless(tmp_path):
     path = tmp_path / "c.dhpp"
     path.write_text("__c.\na | b.\n:- a.\n")

@@ -18,6 +18,7 @@ from dhpp import (
     parse_program,
     reduct,
     satisfies_program,
+    translate_dlp,
     truth_leq,
 )
 from dhpp.model import Const, Num
@@ -27,6 +28,7 @@ from generators import (
     PATH_PROGRAM,
     check_literal,
     random_aggregate_program,
+    random_classical_program,
     random_interval,
     random_leq_interpretations,
     random_probability_program,
@@ -327,7 +329,7 @@ def test_a_point_patches_the_forms_the_reference_walk_makes():
                 item for rule in gp.rules for item, _ in rule.neg_body if isinstance(item, HybridFormula)
             }
             for h in judged_interpretations(gp, rng):
-                point = lattice.point(h)[0]
+                point = lattice.point(h)
                 red = reduct(gp, satisfies_program(gp, None, point))
                 for rules in (gp.rules, red.rules):
                     assert point.forms(rules) == reference_point_forms(point, rules), (str(gp), str(h))
@@ -341,6 +343,38 @@ def test_a_point_patches_the_forms_the_reference_walk_makes():
     assert off_conditions > 100 and off_negated > 100 and off_compounds > 100
 
 
+def test_the_readers_index_is_a_plain_scan_of_the_forms():
+    # per atom, the rules whose forms hold a mask on it, once per mask, in
+    # program order: body literals, aggregate conditions and head disjuncts
+    rng = random.Random(19)
+    atoms = in_conditions = 0
+    for n in range(400):
+        if n % 4 == 3:
+            gp = ground_program(translate_dlp(random_classical_program(rng)))
+        else:
+            generator = (
+                random_probability_program,
+                random_aggregate_program,
+                random_recursive_aggregate_program,
+            )[n % 4]
+            gp = generator(rng)
+        lattice = gp.value_lattice()
+        bodies, heads = lattice.rule_forms(gp.rules)
+        for k in range(len(lattice.atoms)):
+            expected = []
+            for p, (body, head) in enumerate(zip(bodies, heads)):
+                masks = [j for j, _ in body] + [d[0] for d in head]
+                for j, spec in body:
+                    if j is None and len(spec) == 4:
+                        conditions = [c for condition in spec[3] for c, _ in condition]
+                        in_conditions += k in conditions
+                        masks += conditions
+                expected += [p] * masks.count(k)
+            assert list(lattice.readers(k)) == expected, str(gp)
+            atoms += 1
+    assert atoms > 800 and in_conditions > 100
+
+
 def test_a_raised_edge_patches_only_the_rules_that_read_it_once(monkeypatch):
     # one truth_leq per mask on the raised edge, in the rules that read it
     # alone; the reduct's forms are the patched tuples themselves, and the
@@ -350,7 +384,7 @@ def test_a_raised_edge_patches_only_the_rules_that_read_it_once(monkeypatch):
     (h,) = enumerate_answer_sets(gp).interpretations
     edge = HybridFormula.atomic(Atom("edge", (Const("b2"), Const("c1"))))
     raised = PInterpretation.from_pairs([*(e for e in h.entries if e[0] != edge), (edge, ONE)])
-    point = lattice.point(raised)[0]
+    point = lattice.point(raised)
     assert point.extra == {lattice.position[edge.atoms[0]]: ONE}
     bodies, heads = lattice.rule_forms(gp.rules)
     reading = [
@@ -381,7 +415,7 @@ def test_a_raised_edge_patches_only_the_rules_that_read_it_once(monkeypatch):
     number = {id(rule): p for p, rule in enumerate(gp.rules)}
     assert all(b is patched_bodies[number[id(r)]] for r, b in zip(red.rules, red_bodies))
     assert all(d is patched_heads[number[id(r)]] for r, d in zip(red.rules, red_heads))
-    search = _MinimalitySearch(red, None, 1000, point)
+    search = _MinimalitySearch(red, point, 1000)
     assert search.bodies is red_bodies and search.heads is red_heads
     assert is_answer_set(gp, raised)[1].startswith("not minimal")
 
@@ -502,7 +536,7 @@ def test_decided_bodies_agree_with_every_completion_of_a_branch(dice_path, diet_
                 for f in gp.relevant_formulae
                 if f.is_atomic
             )
-            search = _MinimalitySearch(gp, top, node_cap=1, point=None)
+            search = _MinimalitySearch(gp, lattice.point(top), node_cap=1)
             for i, d in enumerate(search.domains):
                 ranks = [r for r in range(d.bit_length()) if d >> r & 1]
                 keep = rng.sample(ranks, rng.randint(1, len(ranks)))
@@ -528,7 +562,7 @@ def test_a_pair_with_one_condition_failing_on_its_whole_domain_is_out():
     )
     lattice = gp.value_lattice()
     top = PInterpretation.from_pairs((f, lattice[f][-1]) for f in gp.relevant_formulae)
-    search = _MinimalitySearch(gp, top, node_cap=1, point=None)
+    search = _MinimalitySearch(gp, lattice.point(top), node_cap=1)
     domains = search_domains(search)
     a, b = (HybridFormula.atomic(Atom(n)) for n in "ab")
     assert not any(truth_leq(iv("0.5"), v) for v in domains[a])

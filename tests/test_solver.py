@@ -34,7 +34,7 @@ from dhpp import (
     truth_leq,
     ZERO,
 )
-from dhpp._lattice import _sorted_row
+from dhpp._lattice import _Point, _sorted_row
 from dhpp.grounder import GroundProgram
 from dhpp.model import AGG_FUNCS, AggregateAtom
 from dhpp.solver import (
@@ -202,6 +202,22 @@ def test_find_smaller_model_drops_an_entry_outside_the_scope():
     assert witness == PInterpretation.from_pairs([(a, half)])
 
 
+def test_a_point_carries_its_entry_outside_the_scope_to_the_search():
+    # h numbered by the caller searches as h itself does: the point keeps
+    # zzz, so the leaf that is h on the scope is still the witness
+    gp, _ = solve_text("a : 0.5.")
+    a = HybridFormula.atomic(Atom("a"))
+    half = ProbInterval("0.5", "0.5")
+    zzz = HybridFormula.atomic(Atom("zzz"))
+    h = PInterpretation.from_pairs([(a, half), (zzz, half)])
+    point = gp.value_lattice().point(h)
+    assert point.outside == (zzz, half)
+    red = reduct(gp, satisfies_program(gp, None, point))
+    searched = find_smaller_model(red, None, point=point)
+    assert searched == find_smaller_model(red, h)
+    assert searched[0] == PInterpretation.from_pairs([(a, half)])
+
+
 def test_a_leaf_with_the_atoms_of_h_and_a_lower_compound_is_a_witness():
     # every leaf has h's atoms, but the compound composes to 0.75, below
     # the 1 that h assigns it: that leaf is strictly smaller
@@ -258,7 +274,7 @@ def test_compiled_closure_matches_the_reference(dice_solved, diet_solved):
                 expected.add(h)
             closed += 1
         for leaves in (_leaves(compiled), _leaves(compiled, rng)):
-            got = {compiled.interpretation(values) for values in leaves if values is not None}
+            got = {compiled.point(values).interpretation() for values in leaves if values is not None}
             assert got == expected, str(gp)
     assert closed > 2000
 
@@ -603,7 +619,7 @@ def test_minimality_domains_are_the_values_at_or_below_the_candidate():
                 (f, rng.choice(lattice[f]) if rng.random() < 0.6 else random_interval(rng))
                 for f in gp.relevant_formulae
             )
-            search = _MinimalitySearch(gp, h, node_cap=1, point=None)
+            search = _MinimalitySearch(gp, lattice.point(h), node_cap=1)
             assert sorted(search.atoms, key=str) == [f for f in gp.relevant_formulae if f.is_atomic]
             for f, domain in search_domains(search).items():
                 assigned = h.value(f)
@@ -676,6 +692,16 @@ def test_candidate_cap_overflows(dice_solved):
         enumerate_answer_sets(dice_solved.ground, max_candidates=1)
 
 
+def test_a_negative_candidate_cap_is_rejected():
+    # a cap of -1 was never met by the leaf count, so it ran with no cap
+    gp = ground_program(parse_program("a | b. c | d."))
+    with pytest.raises(ValueError, match="max_candidates"):
+        enumerate_answer_sets(gp, max_candidates=-1)
+    with pytest.raises(SearchSpaceOverflow):
+        enumerate_answer_sets(gp, max_candidates=0)
+    assert len(enumerate_answer_sets(gp, max_candidates=4).interpretations) == 4
+
+
 def test_rules_that_never_fire_add_no_leaves():
     # 2**20 disjunct choices, but no rule fires, so the search has one leaf
     text = "".join(f"a{i} | b{i} :- c.\n" for i in range(20))
@@ -732,16 +758,17 @@ def test_a_reversed_guard_fails_only_when_its_aggregate_is_compared():
 
 
 def test_enumeration_builds_an_interpretation_per_answer_set_only(diet_path, monkeypatch):
-    # diet has 64 distinct candidates to judge and 4 answer sets; the judge
-    # reads each candidate's point
+    # diet has 64 distinct candidates to judge and 4 answer sets, and no
+    # candidate fails on minimality alone; the judge reads each candidate's
+    # point, and an answer set is built from the point it judged
     built = []
-    original = _Compiled.interpretation
+    original = _Point.interpretation
 
-    def counting(self, values):
-        built.append(values)
-        return original(self, values)
+    def counting(self):
+        built.append(self)
+        return original(self)
 
-    monkeypatch.setattr(_Compiled, "interpretation", counting)
+    monkeypatch.setattr(_Point, "interpretation", counting)
     gp = ground_program(parse_program(diet_path.read_text(encoding="utf-8")))
     result = enumerate_answer_sets(gp)
     assert len(result.interpretations) == 4
