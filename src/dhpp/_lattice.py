@@ -320,7 +320,7 @@ class _ValueLattice(Mapping):
             for k, spec in body:
                 if k is not None:
                     groups[k].append(p)
-                elif len(spec) == 4:
+                elif isinstance(spec[0], AggregateAtom):
                     for condition in spec[3]:
                         for j, _ in condition:
                             if j is not None:
@@ -452,8 +452,8 @@ class _Point:
             for n, (k, spec) in enumerate(bodies[p]):
                 if k in extra:
                     body = self._masked(body, (n, 1), k, literals[n][1], n < len(rule.pos_body))
-                elif k is None and len(spec) == 4:
-                    pairs = literals[n][0].pset.pairs
+                elif k is None and isinstance(spec[0], AggregateAtom):
+                    pairs = spec[0].pset.pairs
                     for s, condition in enumerate(spec[3]):
                         for c, (j, _) in enumerate(condition):
                             if j in extra:

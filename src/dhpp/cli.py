@@ -21,7 +21,7 @@ from .errors import DhppError
 from .grounder import GroundProgram, ground_program
 from .model import PInterpretation, ProbInterval, Program
 from .parser import parse_formula, parse_program
-from .solver import _judge, _reason, enumerate_answer_sets
+from .solver import _explain, enumerate_answer_sets
 
 MODES = ("solve", "ground-only", "check-model", "translate-dlp")
 
@@ -134,10 +134,7 @@ def _run_solve(config: RunConfig, gp: GroundProgram, out: TextIO) -> int:
 def _run_check(config: RunConfig, gp: GroundProgram, out: TextIO) -> int:
     if not config.model:
         raise DhppError("check-model needs --model FILE")
-    h = _load_model(config.model)
-    point = gp.value_lattice().point(h)
-    report, witness, _ = _judge(gp, point)
-    reason = _reason(report, point, witness)
+    report, reason = _explain(gp, _load_model(config.model))
     verdict = reason is None
     if config.json_output:
         payload = {

@@ -76,8 +76,9 @@ class SearchSpaceOverflow(DhppError):
 
 
 class NonExpansiveStrategy(DhppError):
-    """A disjunctive strategy lowers a fold of an atom's head annotations, so
-    the solver cannot enumerate the program's answer sets completely."""
+    """A disjunctive strategy lowers a fold of an atom's head annotations, or
+    folds them, in the order a search meets them, to a value off the value
+    lattice: the solver cannot enumerate completely."""
 
 
 class TooLarge(DhppError):

@@ -435,16 +435,16 @@ def rule_bindings(
     index: AtomIndex,
     universe: tuple[Term, ...],
     budget: _Budget,
-    since: int = 0,
-    plan: tuple[list[BodyLiteral], set[str]] | None = None,
+    since: int,
+    plan: tuple[list[BodyLiteral], set[str]],
 ) -> list[Env]:
     """Ground substitutions for a rule's object and annotation variables:
     its plain positive literals joined against the index, then guard-only
     or comparison-only variables bound over the universe. With since, only
     those whose first literal, which must be atomic, matches an atom at
     position since or later of its predicate's list. plan is the rule's
-    (_plain_literals, _rule_object_vars), when the caller keeps them."""
-    literals, needed = plan if plan is not None else (_plain_literals(rule), _rule_object_vars(rule))
+    (_plain_literals, _rule_object_vars)."""
+    literals, needed = plan
     match = _literal_matcher(index, universe, budget)
     if since:
         (formula, ann), *literals = literals

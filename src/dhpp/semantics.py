@@ -44,7 +44,6 @@ from ._lattice import _Point
 from .grounder import GroundProgram
 from .model import (
     AggregateAtom,
-    Atom,
     HybridFormula,
     interval_compare,
     PInterpretation,
@@ -55,11 +54,21 @@ from .model import (
 from .strategies import compose_fold
 
 
+# the text of each kind of failed check, as SatisfactionReport.failure names it
+_FAILURES = {
+    "rule": "rule not satisfied: {subject}",
+    "fold": "fold {value} of derived annotations for {subject} exceeds assigned {assigned}",
+    "composition": "composition {value} for {subject} exceeds assigned {assigned}",
+}
+
+
 @dataclass(frozen=True)
 class SatisfactionReport:
     """Every rule's verdict, the rules whose whole body h satisfies (in
-    program order), and the first failed check as data: (rule,), (atom,
-    folded, assigned) or (formula, composed, assigned); None for a p-model."""
+    program order), and the first failed check as data, (kind, subject,
+    value, assigned): ("rule", rule, None, None), ("fold", atom, folded,
+    assigned) or ("composition", formula, composed, assigned); None for a
+    p-model."""
 
     rule_verdicts: tuple[bool, ...]
     fired: tuple[Rule, ...]
@@ -73,20 +82,11 @@ class SatisfactionReport:
     def first_failure(self) -> str | None:
         if self.failure is None:
             return None
-        if len(self.failure) == 1:
-            return f"rule not satisfied: {self.failure[0]}"
-        subject, value, assigned = self.failure
-        if isinstance(subject, Atom):
-            return (
-                f"fold {value} of derived annotations for {subject} "
-                f"exceeds assigned {assigned}"
-            )
-        return f"composition {value} for {subject} exceeds assigned {assigned}"
+        kind, subject, value, assigned = self.failure
+        return _FAILURES[kind].format(subject=subject, value=value, assigned=assigned)
 
 
-def satisfies_program(
-    gp: GroundProgram, h: PInterpretation | None, point: _Point | None = None
-) -> SatisfactionReport:
+def satisfies_program(gp: GroundProgram, h: PInterpretation | _Point) -> SatisfactionReport:
     """Full p-model check in one pass over the rules.
 
     A rule whose body holds needs a satisfied head disjunct, and each one it
@@ -96,11 +96,9 @@ def satisfies_program(
     compound's composition of its components, in scope order.
 
     Rules are decided over the rule forms of gp's value lattice, a
-    reduct's source's, with h in its numbering: point when the caller has
-    it, and then h is not read and may be None, else the lattice numbers
-    h."""
-    if point is None:
-        point = gp.value_lattice().point(h)
+    reduct's source's, with h in its numbering: h is a _Point of that
+    lattice, or an interpretation the lattice numbers."""
+    point = h if isinstance(h, _Point) else gp.value_lattice().point(h)
     domains = point.domains
     compounds = point.compounds
     bodies, heads = point.forms(gp.rules)
@@ -126,7 +124,7 @@ def satisfies_program(
                     contributions.setdefault(d[0], []).append(d)
         verdicts.append(ok)
         if not ok and failure is None:
-            failure = (rule,)
+            failure = ("rule", rule, None, None)
     if failure is None:
         # atom k is the k-th by printed text
         lattice = point.lattice
@@ -146,7 +144,7 @@ def satisfies_program(
                 folded = lattice.atom_values[k][r]
             assigned = point.value(k)
             if not truth_leq(folded, assigned):
-                failure, worst = (atom, folded, assigned), k
+                failure, worst = ("fold", atom, folded, assigned), k
     if failure is None:
         position = point.lattice.position
         for formula, assigned in compounds.items():
@@ -154,7 +152,7 @@ def satisfies_program(
                 gp.formula_strategy(formula), [point.value(position[a]) for a in formula.atoms]
             )
             if not truth_leq(composed, assigned):
-                failure = (formula, composed, assigned)
+                failure = ("composition", formula, composed, assigned)
                 break
     return SatisfactionReport(tuple(verdicts), tuple(fired), failure)
 

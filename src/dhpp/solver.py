@@ -33,9 +33,9 @@ a constraint is, and a minimal p-model of its own reduct. The reduct is the
 rules that fired in that p-model check, read from its report. The closure's
 atom bits are the point's domains, so the candidate goes to the check as
 they give it (_Compiled.point), and a PInterpretation is built from that
-point only for a candidate the check accepts; check-model and is_answer_set number their
-interpretation once, on the same lattice, and judge that point whatever
-the strategies (_judge).
+point only for a candidate the check accepts; check-model and
+is_answer_set number their interpretation once, on the same lattice, and
+judge and explain that point whatever the strategies (_explain).
 
 Minimality runs as a DFS for a p-model of the reduct strictly below the
 candidate. An atom's domain is a mask over its lattice ranks at or below
@@ -126,12 +126,13 @@ class _Compiled:
     whose pos reads index i, and on[i] each disjunct on atom i of a rule
     with two or more, as (rule, number, disjunct). compounds holds each
     compound as (index, formula, values, strategy, atoms); compositions are
-    memoised on bits.
+    memoised on bits. gp is the program, which names each atom's strategy.
     """
 
     def __init__(self, gp: GroundProgram):
         self.lattice = lattice = gp.value_lattice()
         self.n = n = len(lattice.atoms)
+        self.gp = gp
         compounds = [f for f, k in zip(lattice.formulae, lattice.scope_positions) if k is None]
         index = {f: k for k, f in enumerate(lattice.atoms + tuple(compounds))}
         self.compounds = [
@@ -265,8 +266,10 @@ def _leaves(cp: _Compiled, rng: random.Random | None = None) -> Iterator[tuple[i
     holds the result. A compound's value is the composition of its
     components. A round that contributes nothing ends at a leaf. Every
     change goes on a trail, as (list, index, old value), and backtracking
-    undoes the changes made since its branch point; those made before the
-    first branch point stay.
+    undoes the changes made since its branch point; a round that ends with
+    no branch point open clears the trail, as nothing will undo those.
+    A fold the table lacks, which only a strategy whose folds depend on the
+    order of their operands makes, raises NonExpansiveStrategy.
 
     A decision is decided[v]: the guess of key v < len(cp.keys), or the
     disjunct of rule q at v = len(cp.keys) + q. Each branch point tries
@@ -383,7 +386,16 @@ def _leaves(cp: _Compiled, rng: random.Random | None = None) -> Iterator[tuple[i
             changed = []
             for k, _, a, _ in adds:
                 r = ranks[k]
-                s = a if r < 0 else folds[k][r, a]
+                try:
+                    s = a if r < 0 else folds[k][r, a]
+                except KeyError:
+                    # the table holds the folds in occurrence order only
+                    atom, row = cp.lattice.atoms[k], cp.lattice.atom_values[k]
+                    name = cp.gp.strategy_for(atom.atoms[0].predicate).name
+                    raise NonExpansiveStrategy(
+                        f"strategy {name} folds {row[r]} and {row[a]} on {atom} to a value off the "
+                        "lattice, so the solver could miss answer sets"
+                    ) from None
                 if s != r:
                     trail.append((ranks, k, r))
                     ranks[k] = s
@@ -398,6 +410,9 @@ def _leaves(cp: _Compiled, rng: random.Random | None = None) -> Iterator[tuple[i
                         trail.append((values, c, values[c]))
                         values[c] = bit
                         changed.append(c)
+            # no backtracking undoes a change made with no branch point open
+            if not stack:
+                trail.clear()
             # a decided guess that `not F:mu` holds, F atomic, dies once F:mu does
             if not naf or not any(
                 decided[j] == 0 and values[k] & mask for k in changed for j, mask in naf_on[k]
@@ -581,26 +596,21 @@ class _MinimalitySearch:
             return None
         forms = self.red.rules, (self.bodies, self.heads)
         leaf = _Point(self.lattice, domains, compounds, point.extra, forms=forms)
-        if satisfies_program(self.red, None, leaf).satisfied:
+        if satisfies_program(self.red, leaf).satisfied:
             return leaf.interpretation()
         return None
 
 
 def find_smaller_model(
-    red: GroundProgram,
-    h: PInterpretation | None,
-    *,
-    node_cap: int = 500_000,
-    point: _Point | None = None,
+    red: GroundProgram, h: PInterpretation | _Point, *, node_cap: int = 500_000
 ) -> tuple[PInterpretation | None, int]:
     """A p-model of red strictly below h, or None; plus nodes searched.
     The search reads the tables of red's value lattice, its source
-    program's for a reduct. point is h in that lattice's numbering, when
-    the caller has it, and then h may be None; without point, the lattice
-    numbers h. A leaf equal to h is decided on ranks, and only the witness
-    is built as a PInterpretation (_MinimalitySearch)."""
-    if point is None:
-        point = red.value_lattice().point(h)
+    program's for a reduct: h is a _Point of that lattice, or an
+    interpretation the lattice numbers. A leaf equal to h is decided on
+    ranks, and only the witness is built as a PInterpretation
+    (_MinimalitySearch)."""
+    point = h if isinstance(h, _Point) else red.value_lattice().point(h)
     search = _MinimalitySearch(red, point, node_cap)
     witness = search.run()
     return witness, search.nodes
@@ -614,29 +624,33 @@ def _judge(
     certificate that it is an answer set of gp or None. In order: the
     p-model check, whose failure is left in the report, the point's entry
     outside the program's scope, and minimality against the reduct.
-    _reason renders the first that rejects. Everything is decided on the
+    _explain renders the first that rejects. Everything is decided on the
     point; the one PInterpretation built is a witness."""
-    report = satisfies_program(gp, None, point)
+    report = satisfies_program(gp, point)
     if not report.satisfied or point.outside is not None:
         return report, None, None
     red = reduct(gp, report)
-    witness, nodes = find_smaller_model(red, None, node_cap=node_cap, point=point)
+    witness, nodes = find_smaller_model(red, point, node_cap=node_cap)
     if witness is not None:
         return report, witness, None
     return report, None, Certificate(len(red.rules), nodes)
 
 
-def _reason(report: SatisfactionReport, point: _Point, witness: PInterpretation | None) -> str | None:
-    """The one-line text of why _judge rejected point, or None when it
-    accepted it."""
-    if not report.satisfied:
-        return report.first_failure
-    if point.outside is not None:
+def _explain(
+    gp: GroundProgram, h: PInterpretation, node_cap: int = 500_000
+) -> tuple[SatisfactionReport, str | None]:
+    """The p-model report of h, numbered once on gp's value lattice, and
+    the one-line text of why _judge rejects h as an answer set of gp, or
+    None when it accepts it."""
+    point = gp.value_lattice().point(h)
+    report, witness, _ = _judge(gp, point, node_cap)
+    reason = report.first_failure
+    if reason is None and point.outside is not None:
         formula, value = point.outside
-        return f"assigns {value} to {formula}, which the program never mentions"
-    if witness is not None:
-        return f"not minimal: the reduct has a smaller p-model {witness}"
-    return None
+        reason = f"assigns {value} to {formula}, which the program never mentions"
+    elif witness is not None:
+        reason = f"not minimal: the reduct has a smaller p-model {witness}"
+    return report, reason
 
 
 def is_answer_set(
@@ -645,9 +659,7 @@ def is_answer_set(
     node_cap: int = 500_000,
 ) -> tuple[bool, str | None]:
     """Exact check with a human-readable reason on rejection."""
-    point = gp.value_lattice().point(h)
-    report, witness, _ = _judge(gp, point, node_cap)
-    reason = _reason(report, point, witness)
+    reason = _explain(gp, h, node_cap)[1]
     return reason is None, reason
 
 

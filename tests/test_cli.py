@@ -21,7 +21,13 @@ from dhpp import (
 )
 from dhpp.cli import MODES, RunConfig, main, run
 from dhpp.strategies import DISJUNCTIVE
-from generators import PATH_PROGRAM, random_classical_aggregate_program, random_classical_program
+from generators import (
+    LEAN_PROGRAM,
+    PATH_PROGRAM,
+    lean_registry,
+    random_classical_aggregate_program,
+    random_classical_program,
+)
 
 
 def invoke(**kwargs):
@@ -294,10 +300,10 @@ def test_check_model_computes_the_p_model_report_once(tmp_path, dice_path, monke
     checked = []
     original = dhpp.solver.satisfies_program
 
-    def counting(gp, h, *point):
-        # the judge passes its interpretation as a point alone
-        checked.append(point[0].interpretation() if h is None else h)
-        return original(gp, h, *point)
+    def counting(gp, h):
+        # the judge passes its interpretation as a point
+        checked.append(h.interpretation())
+        return original(gp, h)
 
     for module in (dhpp.cli, dhpp.solver):
         monkeypatch.setattr(module, "satisfies_program", counting, raising=False)
@@ -566,6 +572,21 @@ def test_check_model_judges_under_a_non_expansive_strategy(tmp_path, monkeypatch
     assert capsys.readouterr() == ("rules satisfied: 2/2\np-model: yes\nanswer set: yes\n", "")
     assert main([str(program)]) == 2
     assert capsys.readouterr().err.startswith("error: strategy mn is not expansive on a:")
+
+
+def test_solve_refuses_a_strategy_that_folds_off_the_lattice(tmp_path, monkeypatch, capsys):
+    # lean's folds depend on the order of their operands; the closure meets
+    # one the lattice does not hold, and solving exits 2 naming it
+    monkeypatch.setattr(dhpp.parser, "builtin_registry", lean_registry)
+    monkeypatch.setattr(dhpp.grounder, "builtin_registry", lean_registry)
+    program = tmp_path / "lean.dhpp"
+    program.write_text(LEAN_PROGRAM)
+    assert main([str(program)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: strategy lean folds [0.4,0.4] and [0.2,0.2] on p to a value off the lattice, "
+        "so the solver could miss answer sets\n",
+    )
 
 
 def test_main_rejects_bad_limit(dice_path, capsys):

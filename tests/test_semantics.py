@@ -2,6 +2,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 import dhpp._lattice
 import dhpp.semantics
 from dhpp import (
@@ -10,8 +12,11 @@ from dhpp import (
     Atom,
     GroundSet,
     HybridFormula,
+    NonExpansiveStrategy,
     PInterpretation,
     ProbInterval,
+    ZERO,
+    builtin_registry,
     enumerate_answer_sets,
     ground_program,
     is_answer_set,
@@ -23,7 +28,7 @@ from dhpp import (
 )
 from dhpp.model import Const, Num
 from dhpp.solver import _MinimalitySearch
-from dhpp.strategies import compose_fold
+from dhpp.strategies import compose_fold, DISJUNCTIVE
 from generators import (
     PATH_PROGRAM,
     check_literal,
@@ -147,7 +152,8 @@ def test_report_decomposition(dice_solved):
     assert len(report.rule_verdicts) == len(gp.rules) and all(report.rule_verdicts)
     bad = satisfies_program(gp, NOT_P_MODEL)
     # the first failed check is kept as data: here the first unsatisfied rule
-    (rule,) = bad.failure
+    kind, rule, value, assigned = bad.failure
+    assert (kind, value, assigned) == ("rule", None, None)
     assert not bad.satisfied
     assert rule is gp.rules[bad.rule_verdicts.index(False)]
     assert bad.first_failure == f"rule not satisfied: {rule}"
@@ -237,6 +243,31 @@ def test_compound_composition_checked():
         [(a, iv("0.5")), (b, iv("0.4")), (compound, iv("0.2")), (c, iv("1"))]
     )
     assert satisfies_program(gp, good).satisfied
+
+
+def test_a_fold_through_a_rank_without_a_table_row_is_composed(monkeypatch):
+    # zero composes everything to [0,0], so p's fold passes through rank 0,
+    # which has no row in p's fold table (no annotation of p is ZERO): the
+    # check composes that fold itself, and enumeration refuses zero
+    registry = builtin_registry()
+    registry.register("zero", DISJUNCTIVE, lambda x, y: ZERO)
+    gp = ground_program(parse_program("#tau(p, zero). p : 0.3. p : 0.4. p : 0.5.", registry=registry))
+    p = HybridFormula.atomic(Atom("p"))
+    folds = []
+
+    def counting(strategy, intervals):
+        folds.append((strategy.name, intervals))
+        return compose_fold(strategy, intervals)
+
+    monkeypatch.setattr(dhpp.semantics, "compose_fold", counting)
+    top = PInterpretation.from_pairs([(p, iv("0.5"))])
+    assert satisfies_program(gp, top).satisfied
+    assert folds == [("zero", [iv("0.3"), iv("0.4"), iv("0.5")])]
+    assert is_answer_set(gp, top) == (True, None)
+    low = PInterpretation.from_pairs([(p, iv("0.3"))])
+    assert is_answer_set(gp, low) == (False, "rule not satisfied: p:0.4.")
+    with pytest.raises(NonExpansiveStrategy, match=r"composes \[0.3,0.3\] and \[0.3,0.3\] to \[0,0\]"):
+        enumerate_answer_sets(gp)
 
 
 def test_overderived_atom_rejected():
@@ -330,7 +361,7 @@ def test_a_point_patches_the_forms_the_reference_walk_makes():
             }
             for h in judged_interpretations(gp, rng):
                 point = lattice.point(h)
-                red = reduct(gp, satisfies_program(gp, None, point))
+                red = reduct(gp, satisfies_program(gp, point))
                 for rules in (gp.rules, red.rules):
                     assert point.forms(rules) == reference_point_forms(point, rules), (str(gp), str(h))
                 off = {lattice.atoms[k] for k in point.extra}
@@ -409,7 +440,7 @@ def test_a_raised_edge_patches_only_the_rules_that_read_it_once(monkeypatch):
         if patched_bodies[p] is not bodies[p] or patched_heads[p] is not heads[p]
     ] == reading
 
-    red = reduct(gp, satisfies_program(gp, None, point))
+    red = reduct(gp, satisfies_program(gp, point))
     red_bodies, red_heads = point.forms(red.rules)
     assert len(calls) == 4
     number = {id(rule): p for p, rule in enumerate(gp.rules)}

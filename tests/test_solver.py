@@ -49,6 +49,8 @@ from generators import (
     brute_force_answer_sets,
     check_selection,
     definite_fixpoint,
+    LEAN_PROGRAM,
+    lean_registry,
     original_dhpp_answer_sets,
     random_aggregate_program,
     random_classical_program,
@@ -212,8 +214,8 @@ def test_a_point_carries_its_entry_outside_the_scope_to_the_search():
     h = PInterpretation.from_pairs([(a, half), (zzz, half)])
     point = gp.value_lattice().point(h)
     assert point.outside == (zzz, half)
-    red = reduct(gp, satisfies_program(gp, None, point))
-    searched = find_smaller_model(red, None, point=point)
+    red = reduct(gp, satisfies_program(gp, point))
+    searched = find_smaller_model(red, point)
     assert searched == find_smaller_model(red, h)
     assert searched[0] == PInterpretation.from_pairs([(a, half)])
 
@@ -302,9 +304,9 @@ def test_candidates_contradicting_their_closure_skip_the_p_model_check(monkeypat
     checked = []
     original = dhpp.solver.satisfies_program
 
-    def counting(gp, h, *point):
+    def counting(gp, h):
         checked.append(h)
-        return original(gp, h, *point)
+        return original(gp, h)
 
     monkeypatch.setattr(dhpp.solver, "satisfies_program", counting)
     _, res = solve_text("a :- not b. b :- not a. c :- not d. d :- not c. e :- a, not c.")
@@ -448,6 +450,24 @@ def test_the_non_expansive_composition_reported_is_the_first_in_rank_order():
         "strategy avg is not expansive on a: it composes [0.2,0.2] and [0.4,0.4] to [0.3,0.3], "
         "so the solver could miss answer sets"
     )
+
+
+def test_a_fold_off_the_lattice_is_refused_by_name():
+    # the lattice folds p's occurrences in program order, 0.2 then 0.4,
+    # and lean never lowers a fold; the closure derives 0.4 first, and
+    # lean folds 0.4 and 0.2 to 0.525, which the lattice does not hold
+    gp = ground_program(parse_program(LEAN_PROGRAM, registry=lean_registry()))
+    assert gp.value_lattice().non_expansive is None
+    with pytest.raises(NonExpansiveStrategy) as raised:
+        enumerate_answer_sets(gp)
+    assert str(raised.value) == (
+        "strategy lean folds [0.4,0.4] and [0.2,0.2] on p to a value off the lattice, "
+        "so the solver could miss answer sets"
+    )
+    # the check folds in rule order, as the lattice does, and judges on
+    p, q, r = (HybridFormula.atomic(Atom(n)) for n in "pqr")
+    h = PInterpretation.from_pairs([(p, ProbInterval("0.4", "0.4")), (q, ONE), (r, ONE)])
+    assert is_answer_set(gp, h) == (True, None)
 
 
 @pytest.mark.parametrize(
