@@ -18,6 +18,16 @@ nothing, every rule holds the instances that binding it against the final
 index would make, in the same order, and those are instantiated:
 ground_rule grounds their bodies, with no second binding pass.
 
+A rule's join plan (_JoinPlan) decides once how each of its plain
+positive literals matches: one annotated [0,0] over the universe, one with
+no variables by looking each of its atoms up by its key in
+AtomIndex.entries, and the rest through AtomIndex.lookup and unify_atom. A
+literal whose annotation binds no variable matches an atom once, whatever
+values the atom is derived at. So a rule with no variables binds with one
+lookup per body atom and has at most one binding, {}: made in the first
+pass whose index derives its body atoms, it interns its head atoms, and
+the rule is never bound again.
+
 Annotation variables bind positionally: matching a literal annotated [P1,P2]
 against an indexed entry with value [l,u] binds P1 to l and P2 to u; the
 single-variable form :P tries both endpoints. Annotation variables that only
@@ -45,6 +55,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from ._lattice import _ValueLattice
 from .errors import UniverseOverflow, UnsupportedConstruct
@@ -72,7 +83,6 @@ from .model import (
     Term,
     term_is_ground,
     Var,
-    ZERO,
 )
 from .strategies import (
     CONJUNCTIVE,
@@ -308,8 +318,31 @@ def annotation_bindings(ann: AnnotationLike, value: ProbInterval, env: Env) -> l
     return [out]
 
 
-def _is_vacuous(ann: AnnotationLike) -> bool:
-    return isinstance(ann, ProbInterval) and ann == ZERO
+# a positive formula literal as the join matches it (_conjunct)
+_Conjunct = tuple[HybridFormula, AnnotationLike | None, bool, tuple | None]
+
+
+def _conjunct(formula: HybridFormula, ann: AnnotationLike) -> _Conjunct:
+    """The literal formula:ann as the join matches it, decided once when
+    its plan is made: (formula, ann, vacuous, keys).
+
+    ann stays when the formula is atomic and matching binds a variable of
+    ann; otherwise it is None, and the formula matches an atom once,
+    whatever values the atom is derived at. vacuous: ann is [0,0], the one
+    probability interval whose upper end is 0, and the atoms' arguments
+    range over the universe. keys, for a formula with no variables, holds
+    each atom's key in AtomIndex.entries; arguments that do not ground
+    (None) key no entry."""
+    if isinstance(ann, ProbInterval):
+        if not ann.hi:
+            return formula, None, True, None
+        ann = None
+    elif not (formula.is_atomic and (isinstance(ann.lo, AnnVar) or isinstance(ann.hi, AnnVar))):
+        ann = None
+    keys = None
+    if not formula.variables():
+        keys = tuple([(atom.predicate, _ground_args(atom, {})) for atom in formula.atoms])
+    return formula, ann, False, keys
 
 
 class _Budget:
@@ -356,23 +389,31 @@ def _match_atom(atom: Atom, env: Env, index: AtomIndex, budget: _Budget):
             yield nxt
 
 
-def _match_facts(atom: Atom, ann: AnnotationLike, facts, env: Env, index: AtomIndex, budget: _Budget):
+def _match_values(ann: AnnotationLike | None, values: set[ProbInterval], env: Env, budget: _Budget):
+    """env extended by binding ann against each of an atom's values, or env
+    once when ann is None."""
+    if ann is None:
+        yield env
+        return
+    for value in values:
+        budget.spend()
+        yield from annotation_bindings(ann, value, env)
+
+
+def _match_facts(atom: Atom, ann: AnnotationLike | None, facts, env: Env, index: AtomIndex, budget: _Budget):
     """Envs extending env under which atom, annotated ann, matches one of
-    facts at one of its indexed values. Every fact scanned spends the
-    budget, matched or not, and so does every value of a match."""
+    facts (at one of its indexed values, when ann is not None). Every fact
+    scanned spends the budget, matched or not, and so does every value a
+    match binds ann against."""
     budget.spend(len(facts))
     for fact in facts:
         nxt = unify_atom(atom, fact, env)
-        if nxt is None:
-            continue
-        for value in index.values[fact]:
-            budget.spend()
-            yield from annotation_bindings(ann, value, nxt)
+        if nxt is not None:
+            yield from _match_values(ann, index.values[fact], nxt, budget)
 
 
 def match_conjunct(
-    formula: HybridFormula,
-    ann: AnnotationLike,
+    conjunct: _Conjunct,
     env: Env,
     index: AtomIndex,
     universe: tuple[Term, ...],
@@ -383,18 +424,23 @@ def match_conjunct(
     Atomic conjuncts also bind annotation variables from the indexed values.
     Compound conjuncts bind object variables per component atom; their
     annotation variables have nothing to bind against. A vacuous conjunct
-    binds its atoms' arguments over the whole universe instead.
+    binds its atoms' arguments over the whole universe instead. A conjunct
+    with no variables looks each of its atoms up by its key.
     """
-    if _is_vacuous(ann):
-        yield from _join(
-            formula.atoms, env, lambda a, e: _enumerate(a.variables(), e, universe, budget)
-        )
-        return
+    formula, ann, vacuous, keys = conjunct
+    if keys is not None:
+        budget.spend(len(keys))
+        for key in keys:
+            entry = index.entries.get(key)
+            if entry is None or not entry[1]:
+                return ()
+        return (env,) if ann is None else _match_values(ann, entry[1], env, budget)
+    if vacuous:
+        return _join(formula.atoms, env, lambda a, e: _enumerate(a.variables(), e, universe, budget))
     if formula.is_atomic:
         atom = formula.atoms[0]
-        yield from _match_facts(atom, ann, index.lookup(atom, env), env, index, budget)
-        return
-    yield from _join(formula.atoms, env, lambda a, e: _match_atom(a, e, index, budget))
+        return _match_facts(atom, ann, index.lookup(atom, env), env, index, budget)
+    return _join(formula.atoms, env, lambda a, e: _match_atom(a, e, index, budget))
 
 
 def _rule_object_vars(rule: Rule) -> set[str]:
@@ -408,56 +454,74 @@ def _rule_object_vars(rule: Rule) -> set[str]:
     return out
 
 
-def _plain_literals(rule: Rule) -> list[BodyLiteral]:
-    plain = [
-        (item, ann)
-        for item, ann in rule.pos_body
-        if isinstance(item, HybridFormula)
-    ]
-    # defer literals with arithmetic arguments until others have bound things
-    def has_arith(lit: BodyLiteral) -> bool:
-        formula = lit[0]
-        return any(
-            not isinstance(a, (Var,)) and not term_is_ground(a)
-            for atom in formula.atoms
-            for a in atom.args
-        )
-
-    return sorted(plain, key=has_arith)
+def _has_arith(conjunct: _Conjunct) -> bool:
+    return any(
+        not isinstance(a, Var) and not term_is_ground(a)
+        for atom in conjunct[0].atoms
+        for a in atom.args
+    )
 
 
 def _literal_matcher(index: AtomIndex, universe: tuple[Term, ...], budget: _Budget):
-    return lambda lit, env: match_conjunct(lit[0], lit[1], env, index, universe, budget)
+    return lambda conjunct, env: match_conjunct(conjunct, env, index, universe, budget)
+
+
+class _JoinPlan(NamedTuple):
+    """How a rule's bindings are made, the same on every binding."""
+
+    rule: Rule
+    # its plain positive literals, in join order
+    conjuncts: tuple[_Conjunct, ...]
+    # the variables the join leaves unbound, enumerated over the universe
+    free: frozenset[str]
+    # every variable a binding binds, in name order; none for a rule with
+    # no variables, whose one binding is {}
+    names: tuple[str, ...]
+
+
+def _join_plan(rule: Rule) -> _JoinPlan:
+    conjuncts = [_conjunct(item, ann) for item, ann in rule.pos_body if isinstance(item, HybridFormula)]
+    if len(conjuncts) > 1:
+        # defer literals with arithmetic arguments until others have bound things
+        conjuncts.sort(key=_has_arith)
+    names: set[str] = set()
+    for formula, ann, _, keys in conjuncts:
+        if keys is None:
+            names |= formula.variables()
+        if ann is not None:
+            names.update(item.name for item in (ann.lo, ann.hi) if isinstance(item, AnnVar))
+    free = frozenset(_rule_object_vars(rule) - names)
+    return _JoinPlan(rule, tuple(conjuncts), free, tuple(sorted(names | free)))
 
 
 def rule_bindings(
-    rule: Rule,
+    plan: _JoinPlan,
     index: AtomIndex,
     universe: tuple[Term, ...],
     budget: _Budget,
     since: int,
-    plan: tuple[list[BodyLiteral], set[str]],
 ) -> list[Env]:
-    """Ground substitutions for a rule's object and annotation variables:
-    its plain positive literals joined against the index, then guard-only
-    or comparison-only variables bound over the universe. With since, only
-    those whose first literal, which must be atomic, matches an atom at
-    position since or later of its predicate's list. plan is the rule's
-    (_plain_literals, _rule_object_vars)."""
-    literals, needed = plan
+    """Ground substitutions for the plan's rule's object and annotation
+    variables: its plain positive literals joined against the index, then
+    guard-only or comparison-only variables bound over the universe. With
+    since, only those whose first literal, which must be atomic, matches an
+    atom at position since or later of its predicate's list."""
+    _, conjuncts, free, _ = plan
     match = _literal_matcher(index, universe, budget)
     if since:
-        (formula, ann), *literals = literals
+        (formula, ann, _, _), *conjuncts = conjuncts
         atom = formula.atoms[0]
         facts = index.by_pred[atom.predicate, len(atom.args)][since:]
         envs = [
             out
             for env in _match_facts(atom, ann, facts, {}, index, budget)
-            for out in _join(literals, env, match)
+            for out in _join(conjuncts, env, match)
         ]
     else:
-        envs = _join(literals, {}, match)
-    return [out for env in envs for out in _enumerate(needed, env, universe, budget)]
+        envs = _join(conjuncts, {}, match)
+    if not free:
+        return envs
+    return [out for env in envs for out in _enumerate(free, env, universe, budget)]
 
 
 class _RuleInstances:
@@ -473,32 +537,32 @@ class _RuleInstances:
     ones matching the new atoms, and they come after the old: only those
     are made. Otherwise every binding is made again, and one met before
     takes the head it grounded then, so each distinct binding grounds its
-    head and indexes its atoms once."""
+    head and indexes its atoms once. A rule with no variables has one
+    binding, {}: once made, the rule is never bound again."""
+
+    __slots__ = ("plan", "reads", "first", "bound_at", "seen", "made", "failed")
 
     def __init__(self, rule: Rule):
-        literals = _plain_literals(rule)
-        self.rule = rule
-        # the join plan, the same on every binding
-        self.plan = literals, _rule_object_vars(rule)
-        self.reads = {atom.predicate for formula, _ in literals for atom in formula.atoms}
-        # the first literal's atom, when it is atomic, matched against the
-        # index, and the only literal reading its predicate
+        self.plan = plan = _join_plan(rule)
+        conjuncts = plan.conjuncts
+        self.reads = {atom.predicate for formula, _, _, _ in conjuncts for atom in formula.atoms}
+        # in a rule with variables, the first literal's atom, when it is
+        # atomic, matched against the index, and the only literal reading
+        # its predicate
         self.first: Atom | None = None
-        if literals:
-            formula, ann = literals[0]
+        if plan.names and conjuncts:
+            (formula, _, vacuous, _), *rest = conjuncts
             predicate = formula.atoms[0].predicate
-            if formula.is_atomic and not _is_vacuous(ann) and not any(
-                atom.predicate == predicate for other, _ in literals[1:] for atom in other.atoms
+            if formula.is_atomic and not vacuous and not any(
+                atom.predicate == predicate for other, _, _, _ in rest for atom in other.atoms
             ):
                 self.first = formula.atoms[0]
         self.bound_at = -1  # the index size when last bound
         self.seen = 0  # the length of first's predicate list then
-        # a binding's values in variable-name order name it; every binding
-        # of the rule binds the same variables, so the names are the first
-        # binding's
-        self.names: tuple[str, ...] = ()
         self.made: list[tuple[Env, tuple[HeadLiteral, ...]]] = []
-        self.failed: set[tuple[Term, ...]] = set()  # bindings whose head is None
+        # bindings whose head is None, each named by its values in the
+        # order of plan.names
+        self.failed: set[tuple[Term, ...]] = set()
 
     def update(self, index: AtomIndex, universe: tuple[Term, ...], budget: _Budget) -> None:
         """Bind the rule again if an entry it reads is new since it was last
@@ -506,6 +570,16 @@ class _RuleInstances:
         bound_at = self.bound_at
         grown = [p for p in self.reads if index.grown.get(p, 0) > bound_at]
         if bound_at >= 0 and not grown:
+            return
+        plan = self.plan
+        if not plan.names:
+            # no variables: the one binding, {}, is final once made
+            self.bound_at = index.size
+            if rule_bindings(plan, index, universe, budget, 0):
+                self.reads = ()
+                head = _ground_head(plan.rule, {}, index)
+                if head is not None:
+                    self.made.append(({}, head))
             return
         first = self.first
         if (
@@ -518,18 +592,16 @@ class _RuleInstances:
         else:
             since, made, known = 0, [], dict.fromkeys(self.failed)
             known.update((self._key(env), head) for env, head in self.made)
-        envs = rule_bindings(self.rule, index, universe, budget, since, self.plan)
+        envs = rule_bindings(plan, index, universe, budget, since)
         self.bound_at = index.size
         if first is not None:
             self.seen = len(index.by_pred.get((first.predicate, len(first.args)), ()))
-        if envs and not self.names:
-            self.names = tuple(sorted(envs[0]))
         for env in envs:
             key = self._key(env)
             if key in known:
                 head = known[key]
             else:
-                head = known[key] = _ground_head(self.rule, env, index)
+                head = known[key] = _ground_head(plan.rule, env, index)
             if head is None:
                 self.failed.add(key)
             else:
@@ -537,7 +609,7 @@ class _RuleInstances:
         self.made = made
 
     def _key(self, env: Env) -> tuple[Term, ...]:
-        return tuple([env[name] for name in self.names])
+        return tuple([env[name] for name in self.plan.names])
 
 
 # -- applying a substitution ----------------------------------------------------
@@ -582,7 +654,8 @@ def ground_symbolic_set(
     """Instantiate a symbolic set's local variables against the index."""
     pairs: list[GroundPair] = []
     seen: set[GroundPair] = set()
-    for e in _join(pset.condition, env, _literal_matcher(index, universe, budget)):
+    conjuncts = [_conjunct(formula, ann) for formula, ann in pset.condition]
+    for e in _join(conjuncts, env, _literal_matcher(index, universe, budget)):
         value = substitute_term(pset.value, e)
         if value is None or not term_is_ground(value):
             continue
@@ -675,7 +748,7 @@ def _ground_head(rule: Rule, env: Env, index: AtomIndex) -> tuple[HeadLiteral, .
         if args is None:
             return None
         grounded.append((atom.predicate, args, evaluate_annotation(ann, env)))
-    return tuple((index.add(predicate, args, value), value) for predicate, args, value in grounded)
+    return tuple([(index.add(predicate, args, value), value) for predicate, args, value in grounded])
 
 
 def _ground_body(
@@ -807,18 +880,14 @@ def ground_program(program: Program, max_rules: int = 100_000) -> GroundProgram:
     # every rule was last bound against an index whose entries for the
     # predicates it reads are final, so its instances are the ones a pass
     # over the final index makes, in the same order: the ground program
-    rules: list[Rule] = []
-    seen: set[Rule] = set()
+    rules: dict[Rule, None] = {}
     for instances in per_rule:
-        for ground in ground_rule(instances.rule, instances.made, index, universe, budget):
-            if ground in seen:
-                continue
-            seen.add(ground)
-            rules.append(ground)
+        for ground in ground_rule(instances.plan.rule, instances.made, index, universe, budget):
+            rules.setdefault(ground)
             if len(rules) > max_rules:
                 raise UniverseOverflow(f"ground program exceeded {max_rules} rules")
     return GroundProgram(
-        rules=rules,
+        rules=list(rules),
         tau=dict(program.tau),
         default_tau=program.default_tau,
         registry=program.registry if program.registry is not None else builtin_registry(),

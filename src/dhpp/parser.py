@@ -90,35 +90,34 @@ class Token(NamedTuple):
     col: int
 
 
+# token kind per group of _TOKEN_RE: whitespace and comments (None) make no
+# token, and a group not listed (":-", comparators, punctuation) is its text
+_KINDS = {
+    "ws": None, "comment": None, "rat": "num", "dec": "num", "int": "num", "var": "var", "ident": "ident",
+}
+
+
 def tokenize(text: str, filename: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
+    line, start = 1, 0  # the current line and the offset where it starts
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", filename, line, col)
-        group = m.lastgroup
-        raw = m.group()
-        if group not in ("ws", "comment"):
-            if group in ("rat", "dec", "int"):
-                tokens.append(Token("num", raw, line, col))
-            elif group == "var":
-                tokens.append(Token("var", raw, line, col))
-            elif group == "ident":
-                tokens.append(Token("ident", raw, line, col))
-            elif group == "implies":
-                tokens.append(Token(":-", raw, line, col))
-            else:
-                tokens.append(Token(raw, raw, line, col))
-        newlines = raw.count("\n")
-        if newlines:
-            line += newlines
-            col = len(raw) - raw.rfind("\n")
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:
+            break
+        kind = _KINDS.get(m.lastgroup, "")
+        end = m.end()
+        if kind is None:
+            newlines = text.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                start = text.rindex("\n", pos, end) + 1
         else:
-            col += len(raw)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+            raw = m.group()
+            tokens.append(Token(kind or raw, raw, line, pos - start + 1))
+        pos = end
+    if pos < len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}", filename, line, pos - start + 1)
+    tokens.append(Token("eof", "", line, pos - start + 1))
     return tokens
 
 

@@ -574,8 +574,7 @@ def pass_by_pass_ground(program: Program, max_rules: int = 100_000) -> GroundPro
         instances = []
         for rule in program.rules:
             made = []
-            plan = grounder._plain_literals(rule), grounder._rule_object_vars(rule)
-            for env in grounder.rule_bindings(rule, index, universe, budget, 0, plan):
+            for env in grounder.rule_bindings(grounder._join_plan(rule), index, universe, budget, 0):
                 head = grounder._ground_head(rule, env, index)
                 if head is not None:
                     made.append((env, head))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from dhpp import (
     translate_dlp,
 )
 from dhpp.model import Num, Var
-from generators import random_classical_aggregate_program, random_classical_program
+from generators import pass_by_pass_ground, random_classical_aggregate_program, random_classical_program
 
 
 def oracle_sets(text: str) -> list[set[str]]:
@@ -145,6 +146,19 @@ def test_translation_matches_oracle_on_random_programs():
             key=sorted,
         )
         assert got == expected, str(program)
+
+
+def test_translated_programs_print_as_the_pass_by_pass_fixpoint():
+    # translated rules have no variables, so each binds once, by looking
+    # its body atoms up; in program order and shuffled, the ground program
+    # prints as the fixpoint that binds every rule on every pass
+    rng = random.Random(31)
+    for _ in range(150):
+        for make in (random_classical_program, random_classical_aggregate_program):
+            program = translate_dlp(make(rng))
+            for rules in (program.rules, rng.sample(program.rules, len(program.rules))):
+                ordered = dataclasses.replace(program, rules=rules)
+                assert str(ground_program(ordered)) == str(pass_by_pass_ground(ordered)), str(ordered)
 
 
 def test_translation_matches_oracle_on_recursive_aggregate_programs():

@@ -232,6 +232,85 @@ def test_mixed_bodies_print_as_the_pass_by_pass_fixpoint():
             assert_grounds_pass_by_pass("\n".join(order))
 
 
+# programs whose rules have no variables, and the rules they ground to
+VARIABLE_FREE = [
+    # a rule listed before the rule that derives its body atom
+    ("derived-later", "a :- b.\nb :- c.\nc.", {"a :- b.", "b :- c.", "c."}),
+    # a body atom derived at two values, the second a pass later
+    (
+        "two-values",
+        "a :- b.\nb : 0.3.\nb : 0.5 :- c.\nc.",
+        {"a :- b.", "b:0.3.", "b:0.5 :- c.", "c."},
+    ),
+    # [0,0] literals on atoms that nothing derives; [0,0.5] is not vacuous
+    (
+        "vacuous",
+        "a :- b : 0.\nc :- a, d(1) : 0.\ne :- b : [0, 0.5].",
+        {"a :- b:0.", "c :- a, d(1):0."},
+    ),
+    # compound literals, one on an atom that nothing derives
+    (
+        "compound",
+        "a :- b and[pcc] c : 0.5.\nd :- b and[pcc] e : 0.5.\nf :- c or[pcd] b.\nb.\nc.",
+        {"a :- b and[pcc] c:0.5.", "f :- c or[pcd] b.", "b.", "c."},
+    ),
+    # rules on comparisons alone, headless ones among them, one false
+    (
+        "comparisons",
+        ":- 1 < 2.\n:- 2 < 1.\na :- 1 < 2.\n:- not a, 1 < 2.",
+        {":- 1 < 2.", "a.", ":- not a."},
+    ),
+    # arguments that arithmetic grounds, or fails to
+    (
+        "arithmetic",
+        "q(1+1).\np :- q(2).\nr :- q(1+1).\ns :- q(a+1).\nt(f(1+1)).\nu :- t(f(2)).",
+        {"q(2).", "p :- q(2).", "r :- q(2).", "t(f(2)).", "u :- t(f(2))."},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "text, expected", [case[1:] for case in VARIABLE_FREE], ids=[case[0] for case in VARIABLE_FREE]
+)
+def test_rules_without_variables_print_as_the_pass_by_pass_fixpoint(text, expected):
+    assert rule_strings(ground(text)) == expected
+    lines = text.splitlines()
+    for order in (lines, lines[::-1]):
+        assert_grounds_pass_by_pass("\n".join(order))
+
+
+def test_a_set_condition_without_variables_matches_only_derived_atoms():
+    # grounding `a :- not d` indexes d with no value; the set's condition
+    # d, looked up by its key, must not match it
+    gp = ground("r(1).\na :- not d.\nq(X) :- r(X), sumP{X : 0.5 | d} > 0.")
+    assert rule_strings(gp) == {"r(1).", "a :- not d.", "q(1) :- r(1), sumP{} > 0."}
+
+
+def test_a_rule_without_variables_is_bound_once_by_key_lookups(monkeypatch):
+    # b gains a second value in the pass after `a :- b, c` binds; the rule
+    # is not bound again, and no literal is unified or scanned for
+    import dhpp.grounder
+
+    bound: list[tuple[str, list]] = []
+    rule_bindings = dhpp.grounder.rule_bindings
+
+    def counting_bindings(plan, *args):
+        envs = rule_bindings(plan, *args)
+        bound.append((str(plan.rule), envs))
+        return envs
+
+    def refuse(*args):
+        raise AssertionError("a literal with no variables was unified or scanned for")
+
+    monkeypatch.setattr(dhpp.grounder, "rule_bindings", counting_bindings)
+    monkeypatch.setattr(dhpp.grounder, "unify_atom", refuse)
+    monkeypatch.setattr(dhpp.grounder.AtomIndex, "lookup", refuse)
+    gp = ground("c.\nb : 0.3.\na :- b, c.\nb : 0.5 :- d.\nd :- c.")
+    assert rule_strings(gp) == {"c.", "b:0.3.", "a :- b, c.", "b:0.5 :- d.", "d :- c."}
+    assert [envs for rule, envs in bound if rule == "a :- b, c."] == [[{}]]
+    assert [envs for rule, envs in bound if rule == "b:0.5 :- d."] == [[], [{}]]
+
+
 CHAIN = "".join(f"edge(n{i},n{i + 1}).\n" for i in range(1, 30)) + (
     "path(X,Y) :- edge(X,Y).\npath(X,Z) :- path(X,Y), edge(Y,Z).\n"
 )
@@ -270,9 +349,9 @@ def test_each_binding_grounds_its_head_once(monkeypatch, left):
     rule_bindings = dhpp.grounder.rule_bindings
     ground_head = dhpp.grounder._ground_head
 
-    def counting_bindings(rule, *args):
-        envs = rule_bindings(rule, *args)
-        bound.append((str(rule), len(envs)))
+    def counting_bindings(plan, *args):
+        envs = rule_bindings(plan, *args)
+        bound.append((str(plan.rule), len(envs)))
         return envs
 
     def counting_heads(rule, env, index):
