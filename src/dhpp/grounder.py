@@ -178,6 +178,7 @@ class AtomIndex:
         self.grown: dict[str, int] = {}
         self.widened: dict[str, int] = {}
         self._sets: dict[int, GroundSet] = {}
+        self._conditions: dict[int, tuple[_Conjunct, ...]] = {}
 
     def _entry(self, predicate: str, args: tuple[Term, ...]) -> tuple[HybridFormula, set[ProbInterval]]:
         key = predicate, args
@@ -223,6 +224,17 @@ class AtomIndex:
                 GroundPair(pair.value, pair.prob, _ground_condition(pair.condition, {}, self))
                 for pair in gset.pairs
             ))
+        return out
+
+    def set_conditions(self, pset: ProbabilitySet) -> tuple[_Conjunct, ...]:
+        """pset's condition literals as the join matches them (_conjunct),
+        planned once for all the rule's instances; pset's id names it, as
+        in ground_set."""
+        out = self._conditions.get(id(pset))
+        if out is None:
+            out = self._conditions[id(pset)] = tuple(
+                [_conjunct(formula, ann) for formula, ann in pset.condition]
+            )
         return out
 
     def lookup(self, atom: Atom, env: Env) -> list[Atom]:
@@ -540,15 +552,14 @@ class _RuleInstances:
     head and indexes its atoms once. A rule with no variables has one
     binding, {}: once made, the rule is never bound again."""
 
-    __slots__ = ("plan", "reads", "first", "bound_at", "seen", "made", "failed")
-
     def __init__(self, rule: Rule):
         self.plan = plan = _join_plan(rule)
         conjuncts = plan.conjuncts
         self.reads = {atom.predicate for formula, _, _, _ in conjuncts for atom in formula.atoms}
         # in a rule with variables, the first literal's atom, when it is
         # atomic, matched against the index, and the only literal reading
-        # its predicate
+        # its predicate; a rule with no variables has no new bindings to
+        # find among new atoms, and looks its literals up by their keys
         self.first: Atom | None = None
         if plan.names and conjuncts:
             (formula, _, vacuous, _), *rest = conjuncts
@@ -571,23 +582,14 @@ class _RuleInstances:
         grown = [p for p in self.reads if index.grown.get(p, 0) > bound_at]
         if bound_at >= 0 and not grown:
             return
-        plan = self.plan
-        if not plan.names:
-            # no variables: the one binding, {}, is final once made
-            self.bound_at = index.size
-            if rule_bindings(plan, index, universe, budget, 0):
-                self.reads = ()
-                head = _ground_head(plan.rule, {}, index)
-                if head is not None:
-                    self.made.append(({}, head))
-            return
-        first = self.first
-        if (
-            bound_at >= 0
-            and first is not None
+        plan, first = self.plan, self.first
+        if bound_at < 0 or (
+            first is not None
             and grown == [first.predicate]
             and index.widened.get(first.predicate, 0) <= bound_at
         ):
+            # bound the first time, or to be joined against new atoms only:
+            # every binding is new
             since, made, known = self.seen, self.made, {}
         else:
             since, made, known = 0, [], dict.fromkeys(self.failed)
@@ -607,6 +609,9 @@ class _RuleInstances:
             else:
                 made.append((env, head))
         self.made = made
+        if envs and not plan.names:
+            # its one binding, {}, is made: the rule is never bound again
+            self.reads = ()
 
     def _key(self, env: Env) -> tuple[Term, ...]:
         return tuple([env[name] for name in self.plan.names])
@@ -654,8 +659,7 @@ def ground_symbolic_set(
     """Instantiate a symbolic set's local variables against the index."""
     pairs: list[GroundPair] = []
     seen: set[GroundPair] = set()
-    conjuncts = [_conjunct(formula, ann) for formula, ann in pset.condition]
-    for e in _join(conjuncts, env, _literal_matcher(index, universe, budget)):
+    for e in _join(index.set_conditions(pset), env, _literal_matcher(index, universe, budget)):
         value = substitute_term(pset.value, e)
         if value is None or not term_is_ground(value):
             continue
@@ -748,7 +752,7 @@ def _ground_head(rule: Rule, env: Env, index: AtomIndex) -> tuple[HeadLiteral, .
         if args is None:
             return None
         grounded.append((atom.predicate, args, evaluate_annotation(ann, env)))
-    return tuple([(index.add(predicate, args, value), value) for predicate, args, value in grounded])
+    return tuple((index.add(predicate, args, value), value) for predicate, args, value in grounded)
 
 
 def _ground_body(

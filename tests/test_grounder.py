@@ -288,7 +288,8 @@ def test_a_set_condition_without_variables_matches_only_derived_atoms():
 
 def test_a_rule_without_variables_is_bound_once_by_key_lookups(monkeypatch):
     # b gains a second value in the pass after `a :- b, c` binds; the rule
-    # is not bound again, and no literal is unified or scanned for
+    # is not bound again, and no literal is unified or scanned for, not
+    # even d(1) when it joins d(2) a pass after its rule first binds
     import dhpp.grounder
 
     bound: list[tuple[str, list]] = []
@@ -305,10 +306,10 @@ def test_a_rule_without_variables_is_bound_once_by_key_lookups(monkeypatch):
     monkeypatch.setattr(dhpp.grounder, "rule_bindings", counting_bindings)
     monkeypatch.setattr(dhpp.grounder, "unify_atom", refuse)
     monkeypatch.setattr(dhpp.grounder.AtomIndex, "lookup", refuse)
-    gp = ground("c.\nb : 0.3.\na :- b, c.\nb : 0.5 :- d.\nd :- c.")
-    assert rule_strings(gp) == {"c.", "b:0.3.", "a :- b, c.", "b:0.5 :- d.", "d :- c."}
+    gp = ground("c.\nd(2).\nb : 0.3.\na :- b, c.\nb : 0.5 :- d(1).\nd(1) :- c.")
+    assert rule_strings(gp) == {"c.", "d(2).", "b:0.3.", "a :- b, c.", "b:0.5 :- d(1).", "d(1) :- c."}
     assert [envs for rule, envs in bound if rule == "a :- b, c."] == [[{}]]
-    assert [envs for rule, envs in bound if rule == "b:0.5 :- d."] == [[], [{}]]
+    assert [envs for rule, envs in bound if rule == "b:0.5 :- d(1)."] == [[], [{}]]
 
 
 CHAIN = "".join(f"edge(n{i},n{i + 1}).\n" for i in range(1, 30)) + (
