@@ -91,14 +91,10 @@ class _ValueLattice(Mapping):
         offences: dict[Atom, tuple] = {}
         # the rules hold every annotation object while this runs, so an id
         # names one: atoms whose occurrences are the same objects in the
-        # same order under one strategy share their values and fold table,
-        # and so do atoms with two or more occurrences that are equal
-        # annotations in the same order, though other objects (a single
-        # occurrence costs less to fold than to compare); equal fold tables
-        # are one, and each strategy composes a (value, annotation) pair
-        # once per build
+        # same order under one strategy share their values and fold table;
+        # equal fold tables are one, and each strategy composes a (value,
+        # annotation) pair once per build
         shared: dict[tuple, tuple] = {}
-        alike: dict[tuple | None, tuple] = {}
         tables: dict[tuple, dict[tuple[int, int], int]] = {}
         compositions: dict[str, dict] = {}
         total = 0
@@ -109,17 +105,11 @@ class _ValueLattice(Mapping):
             key = (strat.name, *map(id, anns))
             entry = shared.get(key)
             if entry is None:
-                equal = (strat.name, *anns) if len(anns) > 1 else None
-                entry = alike.get(equal)
-                if entry is None:
-                    memo = compositions.setdefault(strat.name, {})
-                    values, table, offence = _atom_lattice(atom, strat, anns, memo)
-                    if table is not None:
-                        table = tables.setdefault(tuple(table.items()), table)
-                    entry = values, table, offence
-                    if equal is not None:
-                        alike[equal] = entry
-                shared[key] = entry
+                memo = compositions.setdefault(strat.name, {})
+                values, table, offence = _atom_lattice(atom, strat, anns, memo)
+                if table is not None:
+                    table = tables.setdefault(tuple(table.items()), table)
+                entry = shared[key] = values, table, offence
             values, table, offence = entry
             self._values[formula] = values
             self.atom_values.append(values)
@@ -257,7 +247,7 @@ class _ValueLattice(Mapping):
                     elif isinstance(item, AggregateAtom):
                         conditions = tuple(
                             tuple(
-                                literal(position[f.atoms[0]], c, True) if f.is_atomic else (None, (f, c))
+                                literal(position[f.atoms[0]], c, True) if f.is_atomic else (None, (f, c, True))
                                 for f, c in pair.condition
                             )
                             for pair in item.pset.pairs
@@ -280,11 +270,10 @@ class _ValueLattice(Mapping):
         A rule's body literals, in order: (atom, mask of the values where
         the literal holds) for an atomic formula; (None, (item, ann,
         positive, conditions)) for an aggregate, whose conditions hold, per
-        pair of its set, the pair's condition formulae, an atomic one as
-        (atom, mask), a compound as (None, (formula, ann)); and (None,
-        (item, ann, positive)) for any other. Its head disjuncts: (atom,
-        mask of the values that satisfy it, the annotation's rank among
-        them or None, annotation)."""
+        pair of its set, the pair's condition formulae as positive body
+        literals; and (None, (item, ann, positive)) for any other. Its head
+        disjuncts: (atom, mask of the values that satisfy it, the
+        annotation's rank among them or None, annotation)."""
         if forms is None:
             if self._forms is None:
                 self._forms = self._build_forms()

@@ -5,10 +5,8 @@ interpretation h the pairs whose conditions h satisfies form a multiset of
 (value, prob) entries; the eleven aggregate functions map that multiset
 either to a value interval (expectation family, suffix E) or to a pair of a
 plain value and the joint probability of the selected members (suffix P).
-build_multiset selects the pairs over the value lattice's rank masks,
-three-valued: a branch of the minimality search, where a condition atom
-may still take several values, can leave a pair open, and then the
-multiset is None.
+This module holds that arithmetic alone: the pairs are selected where
+interpretations are judged, in semantics.build_multiset.
 
 Empty multisets follow the neutral-element conventions: additive functions
 start from 0, multiplicative ones from 1, and the joint probability of no
@@ -25,14 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .model import (
-    GroundSet,
-    Num,
-    ProbInterval,
-    Term,
-    ValueInterval,
-    truth_leq,
-)
+from .model import Num, ProbInterval, Term, ValueInterval
 
 
 class _Undefined:
@@ -70,44 +61,6 @@ class PValue:
 AggregateResult = EValue | PValue | _Undefined
 
 Multiset = list[tuple[Term, ProbInterval]]
-
-
-def build_multiset(gset: GroundSet, conditions: tuple, domains, compound) -> Multiset | None:
-    """Collect (value, prob) from the pairs whose conditions hold, or None
-    while a pair is open.
-
-    conditions are the pairs' condition forms, as
-    _lattice._ValueLattice.rule_forms gives them: an atomic condition is
-    (atom, mask of the ranks where it holds), read against domains[atom],
-    the mask of the ranks the atom may take; a compound one is (None,
-    (formula, ann)), read against compound(formula), its value or None
-    while it is open. A pair is in when every condition holds on its whole
-    domain, out once one fails on its whole domain, and open otherwise.
-    Two distinct pairs that agree on value and probability both contribute,
-    so the result is a genuine multiset.
-    """
-    out: Multiset = []
-    for pair, condition in zip(gset.pairs, conditions):
-        holds = True
-        for k, mask in condition:
-            if k is None:
-                value = compound(mask[0])
-                if value is None:
-                    holds = None
-                elif not truth_leq(mask[1], value):
-                    break
-            else:
-                d = domains[k]
-                m = d & mask
-                if m != d:
-                    if not m:
-                        break
-                    holds = None
-        else:
-            if holds is None:
-                return None
-            out.append((pair.value, pair.prob))
-    return out
 
 
 def scalar_interval_product(c: Fraction, iv: ValueInterval) -> ValueInterval:

@@ -393,14 +393,6 @@ def _join(conjuncts, env: Env, match) -> list[Env]:
     return envs
 
 
-def _match_atom(atom: Atom, env: Env, index: AtomIndex, budget: _Budget):
-    for fact in index.lookup(atom, env):
-        budget.spend()
-        nxt = unify_atom(atom, fact, env)
-        if nxt is not None:
-            yield nxt
-
-
 def _match_values(ann: AnnotationLike | None, values: set[ProbInterval], env: Env, budget: _Budget):
     """env extended by binding ann against each of an atom's values, or env
     once when ann is None."""
@@ -452,7 +444,7 @@ def match_conjunct(
     if formula.is_atomic:
         atom = formula.atoms[0]
         return _match_facts(atom, ann, index.lookup(atom, env), env, index, budget)
-    return _join(formula.atoms, env, lambda a, e: _match_atom(a, e, index, budget))
+    return _join(formula.atoms, env, lambda a, e: _match_facts(a, None, index.lookup(a, e), e, index, budget))
 
 
 def _rule_object_vars(rule: Rule) -> set[str]:

@@ -27,23 +27,26 @@ closure reads too; compose_fold folds only where a registered strategy's
 fold leaves the lattice, and composes compounds.
 
 _holds is the one evaluator of the body literals that are no atomic
-formula, for the check and the minimality search alike. It reads an
-interpretation as a mask of the ranks each atom may take, and a compound's
-value, None while that is open; an aggregate selects its pairs by their
-condition masks (build_multiset). It returns None while the literal is
-open, which a point, with one bit per atom and every compound's value,
-never is.
+formula, and _holds_all the one test of a conjunction of literals, for
+the check and the minimality search alike. They read an interpretation as
+a mask of the ranks each atom may take, and a compound's value, None while
+that is open, and return None while the literal or conjunction is open,
+which a point, with one bit per atom and every compound's value, never is.
+A rule body is a conjunction, and so is a pair's condition: an aggregate
+selects the pairs whose conditions hold (build_multiset), and is open
+while one of them is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .aggregates import EValue, UNDEFINED, build_multiset, eval_aggregate
+from .aggregates import EValue, Multiset, UNDEFINED, eval_aggregate
 from ._lattice import _Point
 from .grounder import GroundProgram
 from .model import (
     AggregateAtom,
+    GroundSet,
     HybridFormula,
     interval_compare,
     PInterpretation,
@@ -109,6 +112,7 @@ def satisfies_program(gp: GroundProgram, h: PInterpretation | _Point) -> Satisfa
     compound = compounds.__getitem__
     for rule, body, head in zip(gp.rules, bodies, heads):
         ok = True
+        # two-valued on a point, so inline: _holds_all per rule costs more
         for k, mask in body:
             if k is None:
                 if not _holds(mask, domains, compound):
@@ -162,7 +166,7 @@ def _holds(spec: tuple, domains: list[int], compound) -> bool | None:
     it is open; spec as in _ValueLattice.rule_forms. domains[k] is the mask
     of the ranks atom k may take, and compound(formula) a compound's value,
     or None while it is open. An aggregate selects its pairs by their
-    condition masks (build_multiset)."""
+    conditions (build_multiset)."""
     item, ann = spec[0], spec[1]
     if isinstance(item, AggregateAtom):
         multiset = build_multiset(item.pset, spec[3], domains, compound)
@@ -184,6 +188,51 @@ def _holds(spec: tuple, domains: list[int], compound) -> bool | None:
     else:
         sat = item.holds()
     return sat == spec[2]
+
+
+def _holds_all(literals: tuple, domains: list[int], compound) -> bool | None:
+    """Whether every literal holds on the whole of its domain: True when all
+    do, False once one fails, None otherwise. literals are a conjunction as
+    _ValueLattice.rule_forms writes it, a rule body or a pair's condition:
+    an atomic one is (atom, mask of the ranks where it holds), read against
+    domains[atom]; any other is (None, spec), decided by _holds."""
+    decided = True
+    for k, mask in literals:
+        if k is None:
+            sat = _holds(mask, domains, compound)
+            if sat is False:
+                return False
+            if sat is None:
+                decided = False
+            continue
+        d = domains[k]
+        m = d & mask
+        if m != d:
+            if not m:
+                return False
+            decided = False
+    return True if decided else None
+
+
+def build_multiset(gset: GroundSet, conditions: tuple, domains: list[int], compound) -> Multiset | None:
+    """Collect (value, prob) from the pairs whose conditions hold, or None
+    while a pair is open.
+
+    conditions are the pairs' condition forms, as
+    _ValueLattice.rule_forms gives them, each a conjunction that
+    _holds_all decides: a pair is in when every condition holds on its
+    whole domain, out once one fails on its whole domain, and open
+    otherwise. Two distinct pairs that agree on value and probability both
+    contribute, so the result is a genuine multiset.
+    """
+    out: Multiset = []
+    for pair, condition in zip(gset.pairs, conditions):
+        holds = _holds_all(condition, domains, compound)
+        if holds is None:
+            return None
+        if holds:
+            out.append((pair.value, pair.prob))
+    return out
 
 
 def reduct(gp: GroundProgram, report: SatisfactionReport) -> GroundProgram:

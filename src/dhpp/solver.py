@@ -45,13 +45,15 @@ in the rules that read them alone, and the reduct's forms, which the
 search and its leaves read, are selected from the patched ones. Atoms are
 branched on in the dependency order the value lattice keeps, bodies
 before heads, with unit propagation on rules whose bodies are decided.
-Formula literals and head disjuncts are decided by ANDing masks the
-lattice builds once per program (_lattice._ValueLattice).
-The search starts from the judged interpretation's point. Compounds,
-composed once their components are decided, and aggregates go to
-semantics._holds, the p-model check's own evaluator, and satisfies_program
-judges each leaf that is not the candidate itself as a point of the same
-lattice, so literals and rule satisfaction keep one definition each. A
+A body is decided by semantics._holds_all, the one three-valued test of a
+conjunction, which an aggregate's pair conditions go through too: it ANDs
+an atomic literal's domain with a mask the lattice builds once per program
+(_lattice._ValueLattice), as a head disjunct is decided, and hands
+compounds, composed once their components are decided, and aggregates to
+semantics._holds, the p-model check's own evaluator. The search starts
+from the judged interpretation's point, and satisfies_program judges each
+leaf that is not the candidate itself as a point of the same lattice, so
+literals, conjunctions and rule satisfaction keep one definition each. A
 reduct's value lattice is its source program's, so no caller hands the
 search a lattice, and a reduct builds none of its own.
 """
@@ -74,7 +76,7 @@ from .model import (
     ProbInterval,
     truth_leq,
 )
-from .semantics import _holds, SatisfactionReport, reduct, satisfies_program
+from .semantics import _holds_all, SatisfactionReport, reduct, satisfies_program
 from .strategies import compose_fold
 
 GuessKey = tuple[str, object, ProbInterval]
@@ -456,14 +458,13 @@ class _MinimalitySearch:
     over its lattice ranks: the values at or below h's, plus one bit above
     them for h's own value when it lies off the lattice, as point, h in the
     lattice's numbering, gives it. Compound values are determined by their
-    components, so only atoms branch, in the lattice's order. A formula
-    literal or head disjunct is decided by ANDing the domain with the mask
-    of its satisfying values; compounds and aggregates go to
-    semantics._holds with the branch's domains and compound, so a body is
-    decided only when every completion of the branch agrees. Propagation:
-    a rule whose body is decided true must keep a satisfiable head
-    disjunct, and when only one disjunct can serve, its atom's domain
-    shrinks to the satisfying values.
+    components, so only atoms branch, in the lattice's order. A head
+    disjunct is decided by ANDing the domain with the mask of its
+    satisfying values, and a body by semantics._holds_all with the branch's
+    domains and compound, so it is decided only when every completion of
+    the branch agrees. Propagation: a rule whose body is decided true must
+    keep a satisfiable head disjunct, and when only one disjunct can serve,
+    its atom's domain shrinks to the satisfying values.
 
     Each leaf is judged on ranks first: a leaf whose atoms have h's ranks
     and whose compounds compose to h's values is h itself, and is no
@@ -513,35 +514,13 @@ class _MinimalitySearch:
             component.append(self.values[k][d.bit_length() - 1])
         return compose_fold(self.red.formula_strategy(formula), component)
 
-    def body(self, literals: tuple) -> bool | None:
-        """False when a body literal fails, True when all hold, None
-        otherwise, in the current branch; literals as in
-        _ValueLattice.rule_forms."""
-        domains = self.domains
-        decided = True
-        for k, mask in literals:
-            if k is None:
-                sat = _holds(mask, domains, self.compound)
-                if sat is False:
-                    return False
-                if sat is None:
-                    decided = False
-                continue
-            d = domains[k]
-            m = d & mask
-            if m != d:
-                if not m:
-                    return False
-                decided = False
-        return True if decided else None
-
     def _propagate(self) -> bool:
-        domains = self.domains
+        domains, compound = self.domains, self.compound
         changed = True
         while changed:
             changed = False
             for literals, head in zip(self.bodies, self.heads):
-                if self.body(literals) is not True:
+                if _holds_all(literals, domains, compound) is not True:
                     continue
                 serving = 0
                 for d in head:

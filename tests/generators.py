@@ -47,9 +47,8 @@ from dhpp import (
 )
 from dhpp import grounder
 from dhpp.grounder import GroundProgram
-from dhpp.aggregates import build_multiset
 from dhpp.model import AGG_FUNCS, COMPARATORS, P_FUNCS, BuiltinComparison, interval_compare, Num
-from dhpp.semantics import SatisfactionReport, satisfies_program
+from dhpp.semantics import SatisfactionReport, build_multiset, satisfies_program
 from dhpp.strategies import DISJUNCTIVE
 
 # a three-layer DAG with the two path rules of the benchmark's reach workload;
@@ -803,7 +802,7 @@ def reference_point_forms(point, rules: list[Rule]) -> tuple[list, list]:
                 elif isinstance(item, AggregateAtom):
                     conditions = tuple(
                         tuple(
-                            literal(position[f.atoms[0]], c, True) if f.is_atomic else (None, (f, c))
+                            literal(position[f.atoms[0]], c, True) if f.is_atomic else (None, (f, c, True))
                             for f, c in pair.condition
                         )
                         for pair in item.pset.pairs

@@ -27,6 +27,7 @@ from dhpp import (
     truth_leq,
 )
 from dhpp.model import Const, Num
+from dhpp.semantics import _holds_all
 from dhpp.solver import _MinimalitySearch
 from dhpp.strategies import compose_fold, DISJUNCTIVE
 from generators import (
@@ -574,7 +575,7 @@ def test_decided_bodies_agree_with_every_completion_of_a_branch(dice_path, diet_
                 search.domains[i] = sum(1 << r for r in keep)
             domains = search_domains(search)
             for rule, literals in zip(gp.rules, search.bodies):
-                decided = search.body(literals)
+                decided = _holds_all(literals, search.domains, search.compound)
                 verdicts.append(decided)
                 if decided is None:
                     continue
@@ -584,12 +585,16 @@ def test_decided_bodies_agree_with_every_completion_of_a_branch(dice_path, diet_
 
 
 def test_a_pair_with_one_condition_failing_on_its_whole_domain_is_out():
-    # a:0.5 fails on every value a may take, while b:0.3 is still open: the
-    # pair is out, so the aggregate literal is decided on this branch
+    # a:0.5 fails on every value a may take, while b:0.3 and the compound
+    # a and[pcc] b are still open: a pair with a:0.5 is out, so its
+    # aggregate literal is decided on this branch, and a pair whose one
+    # condition is the open compound leaves its aggregate open
     gp = ground(
         "a : 0.3.\nb : 0.3.\nb : 0.5 :- a : 0.3.\n"
         "c :- countP{<1 : 1 | a : 0.5, b : 0.3>} >= 1.\n"
-        "d :- not countP{<1 : 1 | a : 0.5, b : 0.3>} >= 1."
+        "d :- not countP{<1 : 1 | a : 0.5, b : 0.3>} >= 1.\n"
+        "e :- countP{<1 : 1 | a and[pcc] b : 0.1, a : 0.5>} >= 1.\n"
+        "f :- countP{<1 : 1 | a and[pcc] b : 0.1>} >= 1."
     )
     lattice = gp.value_lattice()
     top = PInterpretation.from_pairs((f, lattice[f][-1]) for f in gp.relevant_formulae)
@@ -598,9 +603,8 @@ def test_a_pair_with_one_condition_failing_on_its_whole_domain_is_out():
     a, b = (HybridFormula.atomic(Atom(n)) for n in "ab")
     assert not any(truth_leq(iv("0.5"), v) for v in domains[a])
     assert {truth_leq(iv("0.3"), v) for v in domains[b]} == {True, False}
-    positive, negative = search.bodies[3], search.bodies[4]
-    assert search.body(positive) is False
-    assert search.body(negative) is True
-    for rule, decided in ((gp.rules[3], False), (gp.rules[4], True)):
-        for h in completions(gp, domains, body_atoms(rule)):
-            assert satisfies_body(h, rule) is decided
+    assert search.compound(next(f for f in gp.relevant_formulae if not f.is_atomic)) is None
+    for rule, literals, decided in zip(gp.rules[3:], search.bodies[3:], (False, True, False, None)):
+        assert _holds_all(literals, search.domains, search.compound) is decided, str(rule)
+        verdicts = {satisfies_body(h, rule) for h in completions(gp, domains, body_atoms(rule))}
+        assert verdicts == ({True, False} if decided is None else {decided}), str(rule)
