@@ -21,6 +21,7 @@ from .errors import UniverseOverflow
 from .model import (
     AggregateAtom,
     Atom,
+    GroundPair,
     HybridFormula,
     lo_hi_key,
     PInterpretation,
@@ -236,6 +237,13 @@ class _ValueLattice(Mapping):
                 d = shared[key] = (k, self.satisfying(k, ann), self.rank(k, ann), ann)
             return d
 
+        def condition(pair: GroundPair) -> tuple:
+            literals = tuple(
+                literal(position[f.atoms[0]], c, True) if f.is_atomic else (None, (f, c, True))
+                for f, c in pair.condition
+            )
+            return literals[0] if len(literals) == 1 and literals[0][0] is not None else (None, literals)
+
         position = self.position
         bodies, heads = [], []
         for rule in self._rules:
@@ -245,13 +253,7 @@ class _ValueLattice(Mapping):
                     if isinstance(item, HybridFormula) and item.is_atomic:
                         literals.append(literal(position[item.atoms[0]], ann, positive))
                     elif isinstance(item, AggregateAtom):
-                        conditions = tuple(
-                            tuple(
-                                literal(position[f.atoms[0]], c, True) if f.is_atomic else (None, (f, c, True))
-                                for f, c in pair.condition
-                            )
-                            for pair in item.pset.pairs
-                        )
+                        conditions = tuple(map(condition, item.pset.pairs))
                         literals.append((None, (item, ann, positive, conditions)))
                     else:
                         literals.append((None, (item, ann, positive)))
@@ -270,9 +272,10 @@ class _ValueLattice(Mapping):
         A rule's body literals, in order: (atom, mask of the values where
         the literal holds) for an atomic formula; (None, (item, ann,
         positive, conditions)) for an aggregate, whose conditions hold, per
-        pair of its set, the pair's condition formulae as positive body
-        literals; and (None, (item, ann, positive)) for any other. Its head
-        disjuncts: (atom, mask of the values that satisfy it, the
+        pair of its set, the pair's condition: one atomic formula as that
+        positive body literal, any other as (None, its formulae as positive
+        body literals); and (None, (item, ann, positive)) for any other. Its
+        head disjuncts: (atom, mask of the values that satisfy it, the
         annotation's rank among them or None, annotation)."""
         if forms is None:
             if self._forms is None:
@@ -310,10 +313,10 @@ class _ValueLattice(Mapping):
                 if k is not None:
                     groups[k].append(p)
                 elif isinstance(spec[0], AggregateAtom):
-                    for condition in spec[3]:
-                        for j, _ in condition:
-                            if j is not None:
-                                groups[j].append(p)
+                    for j, form in spec[3]:
+                        for i, _ in ((j, form),) if j is not None else form:
+                            if i is not None:
+                                groups[i].append(p)
             for d in head:
                 groups[d[0]].append(p)
         starts = array('i', itertools.accumulate(map(len, groups), initial=0))
@@ -443,11 +446,14 @@ class _Point:
                     body = self._masked(body, (n, 1), k, literals[n][1], n < len(rule.pos_body))
                 elif k is None and isinstance(spec[0], AggregateAtom):
                     pairs = spec[0].pset.pairs
-                    for s, condition in enumerate(spec[3]):
-                        for c, (j, _) in enumerate(condition):
-                            if j in extra:
-                                ann = pairs[s].condition[c][1]
-                                body = self._masked(body, (n, 1, 3, s, c, 1), j, ann, True)
+                    for s, (j, form) in enumerate(spec[3]):
+                        # (path to the mask, atom, literal) per mask of the condition
+                        masks = [((n, 1, 3, s, 1), j, 0)] if j is not None else [
+                            ((n, 1, 3, s, 1, c, 1), i, c) for c, (i, _) in enumerate(form)
+                        ]
+                        for path, i, c in masks:
+                            if i in extra:
+                                body = self._masked(body, path, i, pairs[s].condition[c][1], True)
             for i, d in enumerate(heads[p]):
                 if d[0] in extra:
                     head = self._masked(head, (i, 1), d[0], d[3], True)

@@ -301,7 +301,7 @@ class _ClassicalParser(_Parser):
 
     def parse_plain_atom(self) -> Atom:
         tok = self.peek()
-        atom = self.term_to_atom(self.parse_term(), tok)
+        atom = self.parse_atom()
         if not atom.is_ground():
             raise self.error("classical atoms must be ground", tok)
         return atom

@@ -4,7 +4,10 @@ Object variables are bound by matching positive plain body literals against
 the derivable-atom index, a fixpoint over rule heads that over-approximates
 everything any interpretation of interest can support. Variables that remain
 free after matching (guard-only or comparison-only occurrences) are
-enumerated over the universe of ground terms seen in the program.
+enumerated over the universe of ground terms seen in the program. It is
+collected only when a rule has such a variable, a vacuous literal with
+variables or a symbolic set (_JoinPlan.enumerates): never for a translated
+classical program, whose rules have no variables.
 
 The index grows in passes over the rules in program order. A pass binds a
 rule against the index the first time, and again only when a predicate its
@@ -97,57 +100,32 @@ Env = dict[str, Term]
 
 
 def _ground_subterms(t: Term) -> set[Term]:
-    if isinstance(t, (Var,)):
-        return set()
-    if isinstance(t, FuncTerm):
-        out: set[Term] = set()
-        for a in t.args:
-            out |= _ground_subterms(a)
-        if term_is_ground(t):
-            out.add(t)
-        return out
+    """t's ground subterms, t among them when it is ground."""
+    out = set().union(*map(_ground_subterms, t.args)) if isinstance(t, FuncTerm) else set()
     if term_is_ground(t):
-        return {t}
-    return set()
+        out.add(t)
+    return out
 
 
 def collect_universe(program: Program) -> tuple[Term, ...]:
     """All ground terms appearing in argument or guard position."""
-    terms: set[Term] = set()
-
-    def from_atom(atom: Atom) -> None:
-        for a in atom.args:
-            terms.update(_ground_subterms(a))
-
-    def from_formula(f: HybridFormula) -> None:
-        for a in f.atoms:
-            from_atom(a)
-
-    def from_item(item, ann) -> None:
-        if isinstance(item, HybridFormula):
-            from_formula(item)
-        elif isinstance(item, BuiltinComparison):
-            terms.update(_ground_subterms(item.left))
-            terms.update(_ground_subterms(item.right))
-        elif isinstance(item, AggregateAtom):
-            terms.update(_ground_subterms(item.guard_lo))
-            terms.update(_ground_subterms(item.guard_hi))
-            if isinstance(item.pset, ProbabilitySet):
-                terms.update(_ground_subterms(item.pset.value))
-                for formula, _ in item.pset.condition:
-                    from_formula(formula)
-            else:
-                for pair in item.pset.pairs:
-                    terms.update(_ground_subterms(pair.value))
-                    for formula, _ in pair.condition:
-                        from_formula(formula)
-
+    terms: list[Term] = []  # the argument and guard terms, ground or not
     for rule in program.rules:
-        for atom, _ in rule.head:
-            from_atom(atom)
-        for item, ann in rule.pos_body + rule.neg_body:
-            from_item(item, ann)
-    return tuple(sorted(terms, key=str))
+        atoms = [atom for atom, _ in rule.head]
+        for item, _ in rule.pos_body + rule.neg_body:
+            if isinstance(item, HybridFormula):
+                atoms += item.atoms
+            elif isinstance(item, BuiltinComparison):
+                terms += (item.left, item.right)
+            elif isinstance(item, AggregateAtom):
+                terms += (item.guard_lo, item.guard_hi)
+                pset = item.pset
+                members = [pset] if isinstance(pset, ProbabilitySet) else pset.pairs
+                for member in members:
+                    terms.append(member.value)
+                    atoms += [atom for formula, _ in member.condition for atom in formula.atoms]
+        terms += [arg for atom in atoms for arg in atom.args]
+    return tuple(sorted(set().union(*map(_ground_subterms, terms)), key=str))
 
 
 # -- the derivable-atom index -------------------------------------------------
@@ -233,7 +211,7 @@ class AtomIndex:
         out = self._conditions.get(id(pset))
         if out is None:
             out = self._conditions[id(pset)] = tuple(
-                [_conjunct(formula, ann) for formula, ann in pset.condition]
+                [_conjunct(formula, ann, formula.variables()) for formula, ann in pset.condition]
             )
         return out
 
@@ -334,9 +312,10 @@ def annotation_bindings(ann: AnnotationLike, value: ProbInterval, env: Env) -> l
 _Conjunct = tuple[HybridFormula, AnnotationLike | None, bool, tuple | None]
 
 
-def _conjunct(formula: HybridFormula, ann: AnnotationLike) -> _Conjunct:
-    """The literal formula:ann as the join matches it, decided once when
-    its plan is made: (formula, ann, vacuous, keys).
+def _conjunct(formula: HybridFormula, ann: AnnotationLike, variables: set[str]) -> _Conjunct:
+    """The literal formula:ann, whose formula has the given variables, as
+    the join matches it, decided once when its plan is made: (formula, ann,
+    vacuous, keys).
 
     ann stays when the formula is atomic and matching binds a variable of
     ann; otherwise it is None, and the formula matches an atom once,
@@ -352,7 +331,7 @@ def _conjunct(formula: HybridFormula, ann: AnnotationLike) -> _Conjunct:
     elif not (formula.is_atomic and (isinstance(ann.lo, AnnVar) or isinstance(ann.hi, AnnVar))):
         ann = None
     keys = None
-    if not formula.variables():
+    if not variables:
         keys = tuple([(atom.predicate, _ground_args(atom, {})) for atom in formula.atoms])
     return formula, ann, False, keys
 
@@ -447,17 +426,6 @@ def match_conjunct(
     return _join(formula.atoms, env, lambda a, e: _match_facts(a, None, index.lookup(a, e), e, index, budget))
 
 
-def _rule_object_vars(rule: Rule) -> set[str]:
-    """Variables needing a binding before the rule can ground: everything
-    outside symbolic sets (set-locals are bound per pair)."""
-    out: set[str] = set()
-    for atom, ann in rule.head:
-        out |= atom.variables()
-    for item, ann in rule.pos_body + rule.neg_body:
-        out |= item_variables(item)
-    return out
-
-
 def _has_arith(conjunct: _Conjunct) -> bool:
     return any(
         not isinstance(a, Var) and not term_is_ground(a)
@@ -481,21 +449,41 @@ class _JoinPlan(NamedTuple):
     # every variable a binding binds, in name order; none for a rule with
     # no variables, whose one binding is {}
     names: tuple[str, ...]
+    # whether binding or grounding the rule reads the universe: it has free
+    # variables, a vacuous literal with variables, or a symbolic set
+    enumerates: bool
 
 
 def _join_plan(rule: Rule) -> _JoinPlan:
-    conjuncts = [_conjunct(item, ann) for item, ann in rule.pos_body if isinstance(item, HybridFormula)]
+    conjuncts = []
+    # the variables the join binds, and every variable needing a binding
+    # before the rule can ground: all outside symbolic sets, whose local
+    # variables are bound per pair
+    names: set[str] = set()
+    needed: set[str] = set()
+    enumerates = False
+    for atom, _ in rule.head:
+        needed |= atom.variables()
+    for item, ann in rule.pos_body:
+        variables = item_variables(item)
+        needed |= variables
+        if isinstance(item, HybridFormula):
+            conjunct = _, ann, vacuous, _ = _conjunct(item, ann, variables)
+            conjuncts.append(conjunct)
+            names |= variables
+            if ann is not None:
+                names.update(end.name for end in (ann.lo, ann.hi) if isinstance(end, AnnVar))
+            enumerates |= vacuous and bool(variables)
+        elif isinstance(item, AggregateAtom):
+            enumerates |= isinstance(item.pset, ProbabilitySet)
+    for item, _ in rule.neg_body:
+        needed |= item_variables(item)
+        enumerates |= isinstance(item, AggregateAtom) and isinstance(item.pset, ProbabilitySet)
     if len(conjuncts) > 1:
         # defer literals with arithmetic arguments until others have bound things
         conjuncts.sort(key=_has_arith)
-    names: set[str] = set()
-    for formula, ann, _, keys in conjuncts:
-        if keys is None:
-            names |= formula.variables()
-        if ann is not None:
-            names.update(item.name for item in (ann.lo, ann.hi) if isinstance(item, AnnVar))
-    free = frozenset(_rule_object_vars(rule) - names)
-    return _JoinPlan(rule, tuple(conjuncts), free, tuple(sorted(names | free)))
+    free = frozenset(needed - names)
+    return _JoinPlan(rule, tuple(conjuncts), free, tuple(sorted(names | free)), enumerates or bool(free))
 
 
 def rule_bindings(
@@ -510,7 +498,7 @@ def rule_bindings(
     guard-only or comparison-only variables bound over the universe. With
     since, only those whose first literal, which must be atomic, matches an
     atom at position since or later of its predicate's list."""
-    _, conjuncts, free, _ = plan
+    conjuncts, free = plan.conjuncts, plan.free
     match = _literal_matcher(index, universe, budget)
     if since:
         (formula, ann, _, _), *conjuncts = conjuncts
@@ -862,11 +850,10 @@ class GroundProgram(Program):
 def ground_program(program: Program, max_rules: int = 100_000) -> GroundProgram:
     """Ground every rule, or raise UniverseOverflow past max_rules ground
     rules or derivable-atom index entries."""
-    universe = collect_universe(program)
+    per_rule = [_RuleInstances(rule) for rule in program.rules]
+    universe = collect_universe(program) if any(r.plan.enumerates for r in per_rule) else ()
     index = AtomIndex(max_rules)
     budget = _Budget(max(max_rules * 50, 1_000_000), "grounding work")
-
-    per_rule = [_RuleInstances(rule) for rule in program.rules]
     size = -1
     while index.size != size:
         size = index.size

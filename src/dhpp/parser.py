@@ -67,57 +67,45 @@ from .strategies import CONJUNCTIVE, DISJUNCTIVE, StrategyRegistry, builtin_regi
 
 _T = TypeVar("_T")
 
+# one token per match after any whitespace and comments: "eof" at the end,
+# "bad" at a character no token starts with; the common alternatives come
+# first, and a token before any that is its prefix (":-" before ":")
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<comment>%[^\n]*)"
-    r"|(?P<implies>:-)"
-    r"|(?P<le><=)|(?P<ge>>=)|(?P<ne>!=)"
-    r"|(?P<rat>\d+/\d+)"
-    r"|(?P<dec>\d+\.\d+)"
-    r"|(?P<int>\d+)"
+    r"(?:\s+|%[^\n]*)*"
+    r"(?:(?P<ident>[a-z_][A-Za-z0-9_]*)"
+    r"|(?P<punct>:-|[<>!]=|[.,|()\[\]{}:<>=*+\-#])"
     r"|(?P<var>[A-Z][A-Za-z0-9_]*)"
-    r"|(?P<ident>[a-z_][A-Za-z0-9_]*)"
-    r"|(?P<punct>[.,|()\[\]{}:<>=*+\-#])"
+    r"|(?P<num>\d+/\d+|\d+\.\d+|\d+)"
+    r"|(?P<eof>\Z)"
+    r"|(?P<bad>.))"
 )
 
 _NEGATED_CMP = {"=": "!=", "!=": "=", "<": ">=", ">": "<=", "<=": ">", ">=": "<"}
 
 
 class Token(NamedTuple):
-    kind: str  # "num" | "var" | "ident" | punctuation text | "eof"
+    kind: str  # "num" | "var" | "ident" | punctuation text (":-" too) | "eof"
     text: str
-    line: int
-    col: int
+    offset: int  # where the token starts in the text
 
 
-# token kind per group of _TOKEN_RE: whitespace and comments (None) make no
-# token, and a group not listed (":-", comparators, punctuation) is its text
-_KINDS = {
-    "ws": None, "comment": None, "rat": "num", "dec": "num", "int": "num", "var": "var", "ident": "ident",
-}
+def position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of offset in text."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def tokenize(text: str, filename: str) -> list[Token]:
+    """The tokens of text, ending with one of kind "eof"."""
     tokens: list[Token] = []
-    line, start = 1, 0  # the current line and the offset where it starts
-    pos = 0
     for m in _TOKEN_RE.finditer(text):
-        if m.start() != pos:
+        group = m.lastgroup
+        start = m.start(group)
+        if group == "bad":
+            raise ParseError(f"unexpected character {text[start]!r}", filename, *position(text, start))
+        raw = m[group]
+        tokens.append(Token(raw if group == "punct" else group, raw, start))
+        if group == "eof":
             break
-        kind = _KINDS.get(m.lastgroup, "")
-        end = m.end()
-        if kind is None:
-            newlines = text.count("\n", pos, end)
-            if newlines:
-                line += newlines
-                start = text.rindex("\n", pos, end) + 1
-        else:
-            raw = m.group()
-            tokens.append(Token(kind or raw, raw, line, pos - start + 1))
-        pos = end
-    if pos < len(text):
-        raise ParseError(f"unexpected character {text[pos]!r}", filename, line, pos - start + 1)
-    tokens.append(Token("eof", "", line, pos - start + 1))
     return tokens
 
 
@@ -125,8 +113,10 @@ class _Parser:
     def __init__(self, text: str, filename: str, registry: StrategyRegistry | None = None):
         self.tokens = tokenize(text, filename)
         self.tokens.append(self.tokens[-1])  # a lookahead from eof sees eof
+        self.text = text
         self.filename = filename
-        self.registry = registry if registry is not None else builtin_registry()
+        # None in the classical reader, which reads no directive or compound
+        self.registry = registry
         self.pos = 0
 
     # -- token plumbing ----------------------------------------------------
@@ -163,9 +153,9 @@ class _Parser:
             raise self.error(f"expected {expected}, found {tok.text or 'end of input'!r}", tok)
         return self.next()
 
-    def error(self, message: str, tok: Token | None = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(message, self.filename, tok.line, tok.col)
+    def error(self, message: str, tok: Token | None = None, cls: type[ParseError] = ParseError) -> ParseError:
+        """A ParseError, or one of its subclass cls, at tok or else at the next token."""
+        return cls(message, self.filename, *position(self.text, (tok or self.peek()).offset))
 
     @contextmanager
     def located(self, tok: Token):
@@ -176,7 +166,8 @@ class _Parser:
             yield
         except DhppError as exc:
             if exc.line is None:
-                exc.filename, exc.line, exc.col = self.filename, tok.line, tok.col
+                exc.filename = self.filename
+                exc.line, exc.col = position(self.text, tok.offset)
             raise
 
     def sequence(self, parse_item: Callable[[], _T], separator: str = ",") -> tuple[_T, ...]:
@@ -242,9 +233,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "ident" and self.peek(1).kind == "{":
             if tok.text not in AGG_FUNCS:
+                line, col = position(self.text, tok.offset)
                 with self.located(tok):
                     raise UnknownAggregateFunction(
-                        f"{self.filename}:{tok.line}:{tok.col}: unknown aggregate function {tok.text!r}"
+                        f"{self.filename}:{line}:{col}: unknown aggregate function {tok.text!r}"
                     )
             return self.parse_aggregate(), negated
         term = self.parse_term()
@@ -323,7 +315,19 @@ class _Parser:
         raise self.error(f"expected an atom, found {term}", tok)
 
     def parse_atom(self) -> Atom:
-        tok = self.peek()
+        """ident ["(" terms ")"], read directly; anything else, or an atom an
+        operator follows, is read as a term that term_to_atom names whole."""
+        start = self.pos
+        tok = self.tokens[start]
+        if tok.kind == "ident":
+            self.pos += 1
+            args = ()
+            if self.accept("("):
+                args = self.sequence(self.parse_term)
+                self.expect(")")
+            if self.tokens[self.pos].kind not in ("+", "-", "*"):
+                return Atom(tok.text, args)
+            self.pos = start
         return self.term_to_atom(self.parse_term(), tok)
 
     def parse_formula(self, first: Atom | None = None) -> HybridFormula:
@@ -471,12 +475,7 @@ class _Parser:
         unsafe = demanded - positive
         if unsafe:
             name = sorted(unsafe)[0]
-            raise UnsafeVariable(
-                f"variable {name} has no positive body occurrence",
-                self.filename,
-                start.line,
-                start.col,
-            )
+            raise self.error(f"variable {name} has no positive body occurrence", start, UnsafeVariable)
 
         # set-local variables must be bindable by the set's own condition
         for pset in sets:
@@ -486,12 +485,7 @@ class _Parser:
             floating = _set_variables(pset) - outside - cond_vars
             if floating:
                 name = sorted(floating)[0]
-                raise UnsafeVariable(
-                    f"set variable {name} does not occur in the set condition",
-                    self.filename,
-                    start.line,
-                    start.col,
-                )
+                raise self.error(f"set variable {name} does not occur in the set condition", start, UnsafeVariable)
 
 
 def _constant_interval(ann: Annotation) -> ProbInterval | None:
@@ -518,13 +512,15 @@ def parse_program(
     """Parse program text into rules plus strategy directives, in a new
     program or appended to into, as if the texts were concatenated: only a
     directive the text states changes a strategy of into."""
-    parser = _Parser(text, filename, registry)
-    return parser.parse_program(into if into is not None else Program(rules=[], registry=parser.registry))
+    registry = registry if registry is not None else builtin_registry()
+    return _Parser(text, filename, registry).parse_program(
+        into if into is not None else Program(rules=[], registry=registry)
+    )
 
 
 def parse_formula(text: str, registry: StrategyRegistry | None = None) -> HybridFormula:
     """Parse a standalone hybrid formula, e.g. from a model file."""
-    parser = _Parser(text, "<formula>", registry)
+    parser = _Parser(text, "<formula>", registry if registry is not None else builtin_registry())
     formula = parser.parse_formula()
     parser.expect("eof", "end of formula")
     return formula

@@ -218,20 +218,30 @@ def build_multiset(gset: GroundSet, conditions: tuple, domains: list[int], compo
     """Collect (value, prob) from the pairs whose conditions hold, or None
     while a pair is open.
 
-    conditions are the pairs' condition forms, as
-    _ValueLattice.rule_forms gives them, each a conjunction that
-    _holds_all decides: a pair is in when every condition holds on its
-    whole domain, out once one fails on its whole domain, and open
-    otherwise. Two distinct pairs that agree on value and probability both
-    contribute, so the result is a genuine multiset.
+    conditions are the pairs' condition forms, as _ValueLattice.rule_forms
+    gives them: a pair is in when its condition holds on the whole of its
+    domain, out once it fails on the whole of it, and open otherwise. One
+    atomic literal, (atom, mask), is decided by its mask, with no call per
+    pair; any other condition, (None, literals), by _holds_all. Two distinct
+    pairs that agree on value and probability both contribute, so the
+    result is a genuine multiset.
     """
     out: Multiset = []
-    for pair, condition in zip(gset.pairs, conditions):
-        holds = _holds_all(condition, domains, compound)
-        if holds is None:
-            return None
-        if holds:
-            out.append((pair.value, pair.prob))
+    for pair, (k, form) in zip(gset.pairs, conditions):
+        if k is None:
+            holds = _holds_all(form, domains, compound)
+            if holds is None:
+                return None
+            if not holds:
+                continue
+        else:
+            d = domains[k]
+            m = d & form
+            if m != d:
+                if m:
+                    return None
+                continue
+        out.append((pair.value, pair.prob))
     return out
 
 

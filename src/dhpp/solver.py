@@ -46,7 +46,8 @@ search and its leaves read, are selected from the patched ones. Atoms are
 branched on in the dependency order the value lattice keeps, bodies
 before heads, with unit propagation on rules whose bodies are decided.
 A body is decided by semantics._holds_all, the one three-valued test of a
-conjunction, which an aggregate's pair conditions go through too: it ANDs
+conjunction, which an aggregate's compound pair conditions go through too
+(a condition of one atomic formula is just its literal): it ANDs
 an atomic literal's domain with a mask the lattice builds once per program
 (_lattice._ValueLattice), as a head disjunct is decided, and hands
 compounds, composed once their components are decided, and aggregates to

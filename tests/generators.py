@@ -800,14 +800,16 @@ def reference_point_forms(point, rules: list[Rule]) -> tuple[list, list]:
                 if isinstance(item, HybridFormula) and item.is_atomic:
                     literals.append(literal(position[item.atoms[0]], ann, positive))
                 elif isinstance(item, AggregateAtom):
-                    conditions = tuple(
-                        tuple(
+                    conditions = []
+                    for pair in item.pset.pairs:
+                        condition = tuple(
                             literal(position[f.atoms[0]], c, True) if f.is_atomic else (None, (f, c, True))
                             for f, c in pair.condition
                         )
-                        for pair in item.pset.pairs
-                    )
-                    literals.append((None, (item, ann, positive, conditions)))
+                        # one atomic formula is its literal; any other, a conjunction
+                        one = len(condition) == 1 and condition[0][0] is not None
+                        conditions.append(condition[0] if one else (None, condition))
+                    literals.append((None, (item, ann, positive, tuple(conditions))))
                 else:
                     literals.append((None, (item, ann, positive)))
         bodies.append(tuple(literals))

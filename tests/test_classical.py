@@ -201,6 +201,38 @@ def test_parse_classical_aggregate_shape():
     assert agg.members == ((Num(Fraction(3)), Atom("a")), (Num(Fraction(4)), Atom("b")))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # an arithmetic operator after an atom makes it a term, named whole
+        ("a(1)+2.", "<string>:1:1: expected an atom, found a(1)+2"),
+        ("p :- q(1)*2.", "<string>:1:6: expected an atom, found q(1)*2"),
+        ("p :- not q(1)-r.", "<string>:1:10: expected an atom, found q(1)-r"),
+        ("c :- count{1 : a+1} >= 2.", "<string>:1:16: expected an atom, found a+1"),
+        ("a(X).", "<string>:1:1: classical atoms must be ground"),
+        ("p :- q, r(f(Y)).", "<string>:1:9: classical atoms must be ground"),
+        ("X :- q.", "<string>:1:1: expected an atom, found X"),
+        ("f(1)(2).", "<string>:1:5: expected '.', found '('"),
+    ],
+)
+def test_parse_classical_atom_errors_keep_their_columns(text, message):
+    with pytest.raises(ParseError) as caught:
+        parse_classical(text)
+    assert str(caught.value) == message
+
+
+def test_parse_classical_reads_atoms_with_arguments_and_aggregate_members():
+    program = parse_classical("c :- count{1 : a, 2 : b(1)} >= 2, d(e, f(2)), not g((1)).\n(h).")
+    (agg, atom), neg = program.rules[0].pos, program.rules[0].neg
+    assert agg == ClassicalAggregate(
+        "count", ((Num(Fraction(1)), Atom("a")), (Num(Fraction(2)), Atom("b", (Num(Fraction(1)),)))), ">=", Fraction(2)
+    )
+    assert str(atom) == "d(e,f(2))"
+    assert neg == (Atom("g", (Num(Fraction(1)),)),)
+    # an atom in parentheses is read through the term grammar
+    assert program.rules[1].head == (Atom("h"),)
+
+
 def test_parse_classical_rejects_variables():
     with pytest.raises(ParseError, match="ground"):
         parse_classical("p(X) :- q(X).")

@@ -21,7 +21,10 @@ from generators import (
     PATH_PROGRAM,
     naive_ground,
     pass_by_pass_ground,
+    random_aggregate_program,
     random_annotated_program,
+    random_classical_aggregate_program,
+    random_classical_program,
     random_nonground_program,
     random_probability_program,
     random_recursive_aggregate_program,
@@ -403,6 +406,71 @@ def test_random_programs_ground_clean():
         gp = random_probability_program(rng)
         for rule in gp.rules:
             assert rule.is_ground()
+
+
+def count_universe_collections(monkeypatch) -> list:
+    """The programs collect_universe is called on from now on."""
+    import dhpp.grounder
+
+    calls = []
+    collect = dhpp.grounder.collect_universe
+
+    def counting(program):
+        calls.append(program)
+        return collect(program)
+
+    monkeypatch.setattr(dhpp.grounder, "collect_universe", counting)
+    return calls
+
+
+def test_no_universe_is_collected_for_a_program_that_binds_by_joins_alone(monkeypatch):
+    calls = count_universe_collections(monkeypatch)
+    rng = random.Random(29)
+    for _ in range(40):
+        ground_program(translate_dlp(random_classical_program(rng)))
+        ground_program(translate_dlp(random_classical_aggregate_program(rng)))
+        # ground hybrid programs, with ground sets, compounds and negation;
+        # each generator grounds the program it makes
+        random_aggregate_program(rng)
+        random_probability_program(rng)
+    ground(PATH_PROGRAM)
+    ground("p(X) :- q(X) : P, r(X, Y).\nq(1) : 0.5.\nr(1, 2).\ns :- q(1) : 0, t.")
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a guard-only variable
+        "n(1).\nn(2).\nok(G) :- countP{<1 : 1 | n(1)>} >= G.",
+        # a comparison-only variable
+        "q(1).\nq(2).\np(X) :- q(Y), X = Y + 1.",
+        # a vacuous literal with variables
+        "p(X) :- q(X) : 0.\nq(1).\nr(2).",
+        "p(X, Y) :- q(X), r(X, Y) : [0, 0].\nq(1).\nr(2, 3).",
+        # a symbolic set, in a positive and in a negative literal
+        "a(1) : 0.5.\na(2) : 0.3.\nb :- sumP{X : P | a(X) : P} >= 1 : 0.5.",
+        "a(1).\nb :- not countP{X : 1 | a(X)} > 3.",
+    ],
+)
+def test_the_universe_is_collected_for_a_rule_that_enumerates_over_it(monkeypatch, text):
+    calls = count_universe_collections(monkeypatch)
+    program = parse_program(text)
+    gp = ground_program(program)
+    assert calls == [program]
+    # the pass-by-pass reference collects the universe for every program
+    assert str(gp) == str(pass_by_pass_ground(program))
+
+
+@pytest.mark.parametrize("name, collects", [("dice", True), ("diet", True), ("path", False)])
+def test_golden_ground_output_with_the_universe_collected_on_demand(monkeypatch, name, collects):
+    # dice's and diet's sets are symbolic; path binds by joins alone
+    calls = count_universe_collections(monkeypatch)
+    text = PATH_PROGRAM if name == "path" else (PROGRAMS / f"{name}.dhpp").read_text()
+    gp = ground(text)
+    assert bool(calls) is collects
+    golden = Path(__file__).resolve().parent / "golden" / f"{name}.ground"
+    assert str(gp) == golden.read_text()
 
 
 def test_universe_overflow_on_tiny_caps():

@@ -29,6 +29,7 @@ from dhpp.errors import (
 from dhpp.model import AnnFunc, Annotation, BuiltinComparison, Num, Var
 from generators import (
     random_aggregate_program,
+    random_classical_program,
     random_nonground_program,
     random_probability_program,
     rule_text,
@@ -170,6 +171,72 @@ def test_error_position_reported():
         parse_program(text, filename="bad.dhpp")
     assert err.value.filename == "bad.dhpp"
     assert err.value.line == 2
+
+
+def test_a_body_comparison_on_a_function_term_stays_a_comparison():
+    rule = single_rule("p(Y) :- q(X), r(Y), f(X) = Y.")
+    assert [str(item) for item, _ in rule.pos_body] == ["q(X)", "r(Y)", "f(X) = Y"]
+    assert isinstance(rule.pos_body[2][0], BuiltinComparison)
+    # an atom whose term an operator extends is no atom, in a head or a formula
+    for text, message in (
+        ("a(1)*3 | b.", "<string>:1:1: expected an atom, found a(1)*3"),
+        ("p :- q(1) and[inc] r*2.", "<string>:1:20: expected an atom, found r*2"),
+    ):
+        with pytest.raises(ParseError) as caught:
+            parse_program(text)
+        assert str(caught.value) == message
+
+
+def _decorated(rng: random.Random, text: str) -> tuple[str, list[int]]:
+    """text, one rule or directive a line, with comments, blank lines,
+    tabs and CRLF line ends around its lines, and the offset where each of
+    its lines starts in the result."""
+    out, starts = [], []
+    end = "\r\n" if rng.random() < 0.5 else "\n"
+    for line in text.splitlines():
+        for _ in range(rng.randint(0, 2)):
+            out.append(rng.choice(["", "% a comment", "\t", "  % more, with a . and a ?"]) + end)
+        out.append(rng.choice(["", " ", "\t", "\t \t"]))
+        starts.append(sum(map(len, out)))
+        out.append(line + rng.choice(["", " ", "\t% trailing ? comment"]) + end)
+    return "".join(out), starts
+
+
+def _counted_position(text: str, offset: int) -> tuple[int, int]:
+    before = text[:offset].split("\n")
+    return len(before), len(before[-1]) + 1
+
+
+@pytest.mark.parametrize("reader", ["program", "classical"])
+def test_error_positions_are_computed_from_offsets(reader):
+    # an illegal character anywhere outside a comment, or a token no rule
+    # can start with at the start of a rule, is reported at the line and
+    # column that counting the newlines before it gives
+    rng = random.Random(41)
+    checked = 0
+    for _ in range(150):
+        if reader == "program":
+            generator = rng.choice([random_probability_program, random_aggregate_program])
+            source = str(generator(rng))
+        else:
+            source = str(random_classical_program(rng))
+        text, starts = _decorated(rng, source)
+        comments = [(m, text.find("\n", m)) for m in range(len(text)) if text[m] == "%"]
+        if rng.random() < 0.5:
+            offset = rng.choice(
+                [o for o in range(len(text) + 1) if not any(m <= o <= e for m, e in comments)]
+            )
+            bad, message = "?", "unexpected character '?'"
+        else:
+            offset = rng.choice(starts)
+            bad, message = ")", "expected a term, found ')'"
+        broken = text[:offset] + bad + text[offset:]
+        with pytest.raises(ParseError) as caught:
+            READERS[reader](broken)
+        line, col = _counted_position(broken, offset)
+        assert str(caught.value) == f"<string>:{line}:{col}: {message}", repr(broken)
+        checked += "\n" in broken[:offset]
+    assert checked > 100
 
 
 def test_unsafe_head_variable():

@@ -398,7 +398,11 @@ def test_the_readers_index_is_a_plain_scan_of_the_forms():
                 masks = [j for j, _ in body] + [d[0] for d in head]
                 for j, spec in body:
                     if j is None and len(spec) == 4:
-                        conditions = [c for condition in spec[3] for c, _ in condition]
+                        conditions = [
+                            c
+                            for j, form in spec[3]
+                            for c, _ in ([(j, form)] if j is not None else form)
+                        ]
                         in_conditions += k in conditions
                         masks += conditions
                 expected += [p] * masks.count(k)
