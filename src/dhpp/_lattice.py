@@ -52,10 +52,12 @@ class _ValueLattice(Mapping):
     compositions of its components' values, and ZERO.
 
     Atom k is atoms[k], the k-th atomic formula of the scope in printed
-    order, with the values atom_values[k], numbered by rank. A set of its
+    order, with the values atom_values[k], numbered by rank; compounds are
+    the scope's other formulae, in the same order. A set of its
     values is an int mask, bit r standing for rank r: satisfying(k, ann) is
     the mask of the values at or above ann in the truth order, below(k, r)
-    that of the values at or below rank r, kept once computed. folds[k] is
+    that of the values at or below rank r, kept once computed, like the
+    text of atom k's entry at rank r that _Point.text renders. folds[k] is
     atom k's fold table, (rank, annotation rank) -> rank, when it has two
     or more head occurrences, and non_expansive the first composition in
     them below one of its inputs, as (strategy name, formula, value,
@@ -68,8 +70,8 @@ class _ValueLattice(Mapping):
 
     __slots__ = (
         "_values", "formulae", "_rules", "atoms", "position", "scope_positions",
-        "atom_values", "folds", "non_expansive", "_offsets", "_downs", "_forms",
-        "_readers", "_order",
+        "compounds", "atom_values", "folds", "non_expansive", "_offsets", "_downs",
+        "_texts", "_forms", "_readers", "_order",
     )
 
     def __init__(self, program: GroundProgram):
@@ -81,6 +83,8 @@ class _ValueLattice(Mapping):
         self.scope_positions = tuple(
             self.position[f.atoms[0]] if f.is_atomic else None for f in self.formulae
         )
+        # the compound formulae of the scope, in scope order
+        self.compounds = tuple(f for f, k in zip(self.formulae, self.scope_positions) if k is None)
         self._values: dict[HybridFormula, tuple[ProbInterval, ...]] = {}
         self.atom_values: list[tuple[ProbInterval, ...]] = []
         self.folds: list[dict[tuple[int, int], int] | None] = []
@@ -120,9 +124,7 @@ class _ValueLattice(Mapping):
                 raise UniverseOverflow(f"value lattice exceeded {LATTICE_CAP} entries")
             if offence is not None:
                 offences[atom] = (strat.name, formula, *offence)
-        for formula, k in zip(self.formulae, self.scope_positions):
-            if k is not None:
-                continue
+        for formula in self.compounds:
             strat = program.formula_strategy(formula)
             component = [self.atom_values[self.position[a]] for a in formula.atoms]
             if math.prod(map(len, component)) > LATTICE_CAP:
@@ -137,9 +139,11 @@ class _ValueLattice(Mapping):
         # the offence reported is that of the atom the last rule heads first
         heads = (atom for rule in reversed(program.rules) for atom, _ in rule.head)
         self.non_expansive = next((offences[atom] for atom in heads if atom in offences), None)
-        # the down-set mask of atom k's rank r is _downs[_offsets[k] + r]
+        # the down-set mask of atom k's rank r is _downs[_offsets[k] + r],
+        # and the text of its entry at that value _texts[_offsets[k] + r]
         self._offsets = array('l', itertools.accumulate(map(len, self.atom_values), initial=0))
         self._downs: list[int | None] = [None] * self._offsets[-1]
+        self._texts: list[str | None] = [None] * self._offsets[-1]
         self._forms: Forms | None = None
         self._readers: tuple[array, array] | None = None
         self._order: tuple[int, ...] | None = None
@@ -188,21 +192,26 @@ class _ValueLattice(Mapping):
         """h in this lattice's numbering, one walk of h.entries. An atom h
         puts off the lattice gets its own bit, and h's first entry whose
         formula lies outside the scope is kept as the point's outside."""
-        position = self.position
+        position, rows = self.position, self.atom_values
         domains = [1] * len(self.atoms)
-        compounds = dict.fromkeys(
-            (f for f, k in zip(self.formulae, self.scope_positions) if k is None), ZERO
-        )
+        compounds = dict.fromkeys(self.compounds, ZERO)
         extra: dict[int, ProbInterval] = {}
         outside = None
         for formula, value in h.entries:
             if formula.is_atomic:
                 k = position.get(formula.atoms[0])
                 if k is not None:
-                    r = self.rank(k, value)
-                    if r is None:
-                        r = len(self.atom_values[k])
-                        extra[k] = value
+                    # rank as rank(k, value) gives it, inline
+                    row = rows[k]
+                    for r, v in enumerate(row):
+                        if v is value:
+                            break
+                    else:
+                        if value in row:
+                            r = row.index(value)
+                        else:
+                            r = len(row)
+                            extra[k] = value
                     domains[k] = 1 << r
                     continue
             elif formula in compounds:
@@ -418,6 +427,30 @@ class _Point:
                 value = self.value(k)
             entries.append((formula, value))
         return PInterpretation(tuple(entries))
+
+    def text(self) -> str:
+        """str(self.interpretation()). The text of an atom's entry at a
+        value of its row is rendered once per program and kept by the
+        lattice; an entry off the lattice, or a compound's, is rendered
+        afresh."""
+        lattice = self.lattice
+        rows, offsets, texts = lattice.atom_values, lattice._offsets, lattice._texts
+        parts = []
+        for formula, k in zip(lattice.formulae, lattice.scope_positions):
+            if k is None:
+                value = self.compounds[formula]
+                if value is not ZERO and value != ZERO:
+                    parts.append(f"{formula}:{value}")
+                continue
+            r = self.domains[k].bit_length() - 1
+            if r == len(rows[k]):
+                parts.append(f"{formula}:{self.extra[k]}")
+            elif r:
+                i = offsets[k] + r
+                if texts[i] is None:
+                    texts[i] = f"{formula}:{rows[k][r]}"
+                parts.append(texts[i])
+        return "{" + ", ".join(parts) + "}"
 
     def forms(self, rules: list[Rule]) -> Forms:
         """The forms of rules (_ValueLattice.rule_forms), where each mask

@@ -266,7 +266,7 @@ def translate_dlp(program: ClassicalProgram) -> Program:
             else:
                 pos.append((_translate_aggregate(item), ONE))
         head = tuple((a, ONE) for a in rule.head)
-        rules.append(Rule(head, tuple(pos), tuple(neg)))
+        rules.append(Rule.from_normal(head, tuple(pos), tuple(neg)))
     return Program(rules=rules, registry=builtin_registry())
 
 

@@ -704,7 +704,7 @@ def _ground_literal(
     raise AssertionError(f"unexpected body item {item!r}")
 
 
-def _ground_builtins(rule: Rule, env: Env) -> list[BodyLiteral] | None:
+def _ground_builtins(rule: Rule, env: Env) -> tuple[BodyLiteral, ...] | None:
     """The rule's builtin comparisons under env, or None when one fails."""
     out: list[BodyLiteral] = []
     for item, ann in rule.pos_body:
@@ -717,7 +717,7 @@ def _ground_builtins(rule: Rule, env: Env) -> list[BodyLiteral] | None:
             if not comparison.holds():
                 return None
             out.append((comparison, ann))
-    return out
+    return tuple(out)
 
 
 def _ground_head(rule: Rule, env: Env, index: AtomIndex) -> tuple[HeadLiteral, ...] | None:
@@ -763,7 +763,8 @@ def ground_rule(
     budget: _Budget,
 ) -> list[Rule]:
     """Ground the bodies of the rule's instances, each a binding and the
-    head it grounds."""
+    head it grounds. A ground body is as normal as the rule's, whose
+    annotations it evaluates, so the ground rules are built as they are."""
     out: list[Rule] = []
     for env, head in instances:
         pos = _ground_body(rule.pos_body, env, index, universe, budget)
@@ -776,7 +777,7 @@ def ground_rule(
             # a constraint on comparisons alone keeps them, so that it stays
             # a rule whose body always holds
             pos = _ground_builtins(rule, env)
-        out.append(Rule(head, pos, neg))
+        out.append(Rule.from_normal(head, pos, neg))
     return out
 
 

@@ -746,6 +746,20 @@ class Rule:
         object.__setattr__(self, "pos_body", _normalize_body(self.pos_body))
         object.__setattr__(self, "neg_body", _normalize_body(self.neg_body))
 
+    @classmethod
+    def from_normal(cls, head: tuple, pos_body: tuple, neg_body: tuple) -> "Rule":
+        """The rule of tuples already as __post_init__ leaves them, every
+        expectation-style aggregate in them at [1,1], kept as they are: the
+        translator and the grounder build their bodies so, and normalizing
+        them again would copy every body for nothing."""
+        if not (head or pos_body or neg_body):
+            raise ValueError("a rule needs a head or a body")
+        rule = object.__new__(cls)
+        object.__setattr__(rule, "head", head)
+        object.__setattr__(rule, "pos_body", pos_body)
+        object.__setattr__(rule, "neg_body", neg_body)
+        return rule
+
     def is_ground(self) -> bool:
         for atom, ann in self.head:
             if not atom.is_ground() or not isinstance(ann, ProbInterval):

@@ -39,7 +39,7 @@ while one of them is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .aggregates import EValue, Multiset, UNDEFINED, eval_aggregate
 from ._lattice import _Point
@@ -249,4 +249,4 @@ def reduct(gp: GroundProgram, report: SatisfactionReport) -> GroundProgram:
     """The reduct of gp by the interpretation that report judged: its fired
     rules, kept verbatim. Its source is gp's source, or gp, whose formula
     scope and value lattice it shares. No body is decided again."""
-    return replace(gp, rules=list(report.fired), source=gp.source or gp)
+    return GroundProgram(list(report.fired), gp.tau, gp.default_tau, gp.registry, gp.source or gp)

@@ -35,7 +35,10 @@ atom bits are the point's domains, so the candidate goes to the check as
 they give it (_Compiled.point), and a PInterpretation is built from that
 point only for a candidate the check accepts; check-model and
 is_answer_set number their interpretation once, on the same lattice, and
-judge and explain that point whatever the strategies (_explain).
+judge and explain that point whatever the strategies (_explain). A
+witness, and each answer set enumeration sorts by its text, is rendered
+as a point of the lattice, each atom's entry at a lattice value once per
+program (_Point.text).
 
 Minimality runs as a DFS for a p-model of the reduct strictly below the
 candidate. An atom's domain is a mask over its lattice ranks at or below
@@ -136,21 +139,16 @@ class _Compiled:
         self.lattice = lattice = gp.value_lattice()
         self.n = n = len(lattice.atoms)
         self.gp = gp
-        compounds = [f for f, k in zip(lattice.formulae, lattice.scope_positions) if k is None]
-        index = {f: k for k, f in enumerate(lattice.atoms + tuple(compounds))}
+        index = {f: k for k, f in enumerate(lattice.atoms + lattice.compounds)}
         self.compounds = [
             (index[f], f, lattice[f], gp.formula_strategy(f), tuple(lattice.position[a] for a in f.atoms))
-            for f in compounds
+            for f in lattice.compounds
         ]
         self.compounds_of: dict[int, list[int]] = {}
         for c, *_, atoms in self.compounds:
             for k in atoms:
                 self.compounds_of.setdefault(k, []).append(c)
         self._compositions: dict[tuple[int, tuple[int, ...]], int] = {}
-        # per formula of the scope, in order: formula, index, values
-        self.scope = [(f, index[f], lattice[f]) for f in lattice.formulae]
-        # the text of a scope entry at a value, keyed (scope position, bit)
-        self._texts: dict[tuple[int, int], str] = {}
 
         self.keys: list[GuessKey] = []
         number: dict[GuessKey, int] = {}
@@ -227,20 +225,6 @@ class _Compiled:
             component = [self.lattice.atom_values[k][b.bit_length() - 1] for k, b in zip(atoms, bits)]
             out = self._compositions[key] = 1 << row.index(compose_fold(strategy, component))
         return out
-
-    def text(self, values: tuple[int, ...]) -> str:
-        """str(self.point(values).interpretation()), each entry rendered
-        once."""
-        texts = self._texts
-        parts = []
-        for s, (f, i, row) in enumerate(self.scope):
-            bit = values[i]
-            if bit != 1:
-                part = texts.get((s, bit))
-                if part is None:
-                    part = texts[s, bit] = f"{f}:{row[bit.bit_length() - 1]}"
-                parts.append(part)
-        return "{" + ", ".join(parts) + "}"
 
     def point(self, values: tuple[int, ...]) -> _Point:
         """The interpretation of values in the lattice's numbering."""
@@ -622,14 +606,15 @@ def _explain(
     """The p-model report of h, numbered once on gp's value lattice, and
     the one-line text of why _judge rejects h as an answer set of gp, or
     None when it accepts it."""
-    point = gp.value_lattice().point(h)
+    lattice = gp.value_lattice()
+    point = lattice.point(h)
     report, witness, _ = _judge(gp, point, node_cap)
     reason = report.first_failure
     if reason is None and point.outside is not None:
         formula, value = point.outside
         reason = f"assigns {value} to {formula}, which the program never mentions"
     elif witness is not None:
-        reason = f"not minimal: the reduct has a smaller p-model {witness}"
+        reason = f"not minimal: the reduct has a smaller p-model {lattice.point(witness).text()}"
     return report, reason
 
 
@@ -698,8 +683,8 @@ def enumerate_answer_sets(
             truncated = True
             break
     if len(found) > 1:
-        # cp.text(values) is str(h), so this is the order of str(h)
-        found.sort(key=lambda entry: cp.text(entry[0]))
+        # the point's text is str(h), so this is the order of str(h)
+        found.sort(key=lambda entry: cp.point(entry[0]).text())
     return AnswerSetResult(
         interpretations=[h for _, h, _ in found],
         certificates=[c for _, _, c in found],

@@ -8,6 +8,7 @@ from dhpp import (
     AggregateAtom,
     Atom,
     ProbInterval,
+    Rule,
     UniverseOverflow,
     enumerate_answer_sets,
     ground_program,
@@ -157,6 +158,27 @@ def test_ground_output_has_no_variables(dice_solved, diet_solved):
     for gp in (dice_solved.ground, diet_solved.ground):
         for rule in gp.rules:
             assert rule.is_ground(), str(rule)
+
+
+def test_ground_and_translated_rules_are_normal_as_built(diet_solved):
+    # the grounder and translate_dlp build their rules as they are, not
+    # normalized again: each already is the rule Rule makes of its fields,
+    # every expectation-style aggregate at [1,1]
+    rng = random.Random(73)
+    programs = [diet_solved.ground, ground("a.\n:- 1 < 2.")]
+    programs += [random_aggregate_program(rng) for _ in range(60)]
+    programs += [random_recursive_aggregate_program(rng) for _ in range(60)]
+    programs += [ground_program(translate_dlp(random_classical_aggregate_program(rng))) for _ in range(30)]
+    translated = [translate_dlp(random_classical_aggregate_program(rng)) for _ in range(30)]
+    expectations = 0
+    for rules in [gp.rules for gp in programs] + [program.rules for program in translated]:
+        for rule in rules:
+            assert Rule(rule.head, rule.pos_body, rule.neg_body) == rule, str(rule)
+            assert all(type(side) is tuple for side in (rule.head, rule.pos_body, rule.neg_body))
+            expectations += sum(
+                isinstance(item, AggregateAtom) and item.is_e_family for item, _ in rule.pos_body + rule.neg_body
+            )
+    assert expectations > 60
 
 
 def test_constraint_on_comparisons_alone_keeps_them():

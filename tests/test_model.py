@@ -268,6 +268,19 @@ def test_p_aggregate_annotation_kept():
     assert rule.pos_body[0][1] == iv("0.4")
 
 
+def test_a_rule_from_normal_fields_keeps_them_and_needs_a_head_or_a_body():
+    agg = AggregateAtom("sumE", GroundSet(()), ">=", Num("1"), Num("1"))
+    head = ((Atom("a"), ONE),)
+    pos = ((agg, ONE),)
+    neg = ((HybridFormula.atomic(Atom("b")), iv("0.4")),)
+    rule = Rule.from_normal(head, pos, neg)
+    made = Rule(head, pos, neg)
+    assert rule == made and hash(rule) == hash(made) and str(rule) == str(made)
+    assert rule.head is head and rule.pos_body is pos and rule.neg_body is neg
+    with pytest.raises(ValueError, match="a head or a body"):
+        Rule.from_normal((), (), ())
+
+
 # ---------------------------------------------------------------------------
 # Interpretations
 

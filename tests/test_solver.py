@@ -625,6 +625,75 @@ def test_enumeration_renders_no_minimality_witness(monkeypatch):
     )
 
 
+def raised(gp, h, value=lambda v: ONE):
+    """h with its highest atom below [1,1] raised to value(its value), as
+    the benchmark raises the neighbours it checks; None when every atom is
+    at [1,1]."""
+    below = [f for f in gp.relevant_formulae if f.is_atomic and h.value(f) != ONE]
+    if not below:
+        return None
+    top = max(below, key=lambda f: (h.value(f).hi, h.value(f).lo))
+    rest = [(g, v) for g, v in h.entries if g != top]
+    return PInterpretation.from_pairs(rest + [(top, value(h.value(top)))])
+
+
+def test_a_witness_and_the_answer_sets_render_as_their_interpretations():
+    # a rejection names its witness, and enumeration sorts its answer sets,
+    # by the text the value lattice renders each atom's entry of once per
+    # program: the text str gives, on a fresh program and again on one whose
+    # enumeration has filled the memo, for models raised onto the lattice
+    # and off it, compounds included
+    rng = random.Random(29)
+    witnesses = off = compounds = several = 0
+    generators = (random_probability_program, random_aggregate_program, random_recursive_aggregate_program)
+    for make in generators:
+        for _ in range(100):
+            gp = make(rng)
+            fresh = GroundProgram(gp.rules, gp.tau, gp.default_tau, gp.registry)
+            found = enumerate_answer_sets(gp).interpretations
+            texts = [str(h) for h in found]
+            assert texts == sorted(texts), str(gp)
+            several += len(found) > 1
+            halfway = lambda v: ProbInterval((v.hi + 1) / 2, 1)
+            models = found + [m for h in found for m in (raised(gp, h), raised(gp, h, halfway)) if m]
+            for program in (fresh, gp):
+                lattice = program.value_lattice()
+                for m in models:
+                    assert lattice.point(m).text() == str(m)
+                    off += bool(lattice.point(m).extra)
+                    reason = is_answer_set(program, m)[1]
+                    if reason is None or not reason.startswith("not minimal"):
+                        continue
+                    red = reduct(program, satisfies_program(program, m))
+                    witness = find_smaller_model(red, m)[0]
+                    assert reason.endswith(" " + str(witness)), reason
+                    witnesses += 1
+                    compounds += any(not f.is_atomic for f in witness.support())
+    assert witnesses > 500 and off > 500 and compounds > 10 and several > 40
+
+
+def test_a_point_numbers_each_value_by_its_rank_or_keeps_it_apart():
+    # a value equal to a row's entry, though another object, takes that
+    # entry's rank; one off the row takes the bit above it, and keeps its
+    # value in extra; a formula outside the scope is the point's outside
+    gp = ground_program(parse_program("a : 0.5. a : 0.3 :- b. b : 0.5."))
+    lattice = gp.value_lattice()
+    a, b, zzz = (HybridFormula.atomic(Atom(name)) for name in ("a", "b", "zzz"))
+    k = lattice.position[Atom("a")]
+    row = lattice[a]
+    r = len(row) - 1
+    equal = ProbInterval(row[r].lo, row[r].hi)
+    assert equal == row[r] and equal is not row[r]
+    point = lattice.point(PInterpretation.from_pairs([(a, equal)]))
+    assert point.domains[k] == 1 << r and point.extra == {} and point.outside is None
+    off = ProbInterval("0.9", "0.9")
+    assert off not in row
+    stray = ProbInterval("0.5", "0.5")
+    point = lattice.point(PInterpretation.from_pairs([(a, off), (b, stray), (zzz, stray)]))
+    assert point.domains[k] == 1 << len(row) and point.extra == {k: off}
+    assert point.outside == (zzz, stray)
+
+
 def test_minimality_domains_are_the_values_at_or_below_the_candidate():
     # a domain is every lattice value at or below the candidate's value,
     # plus that value itself, sorted by (lo, hi); some values lie outside
@@ -818,15 +887,19 @@ def test_a_reduct_builds_no_lattice_of_its_own(diet_path, monkeypatch):
 
 
 def test_a_reduct_shares_the_tables_of_its_source():
-    # a reduct, and a reduct of a reduct, read the scope and the value
-    # lattice of the program they come from, and no caller hands the search
-    # a lattice
-    gp = ground_program(parse_program("a : 0.5. b :- a : 0.5. c :- not b."))
+    # a reduct, and a reduct of a reduct, keep the program they come from
+    # as their source, with its strategies, and read its scope and value
+    # lattice; no caller hands the search a lattice
+    gp = ground_program(parse_program("#default_tau(ind). #tau(b, pcd). a : 0.5. b :- a : 0.5. c :- not b."))
     one = ProbInterval(1, 1)
     h = PInterpretation.from_pairs((f, one) for f in gp.relevant_formulae)
     red = reduct(gp, satisfies_program(gp, h))
     again = reduct(red, satisfies_program(red, h))
+    assert again.rules == red.rules == list(satisfies_program(gp, h).fired)
     for program in (red, again):
+        assert type(program) is GroundProgram and program.source is gp
+        assert (program.tau, program.default_tau) == ({"b": "pcd"}, "ind")
+        assert program.registry is gp.registry
         assert program.value_lattice() is gp.value_lattice()
         assert program.relevant_formulae is gp.relevant_formulae
     assert find_smaller_model(again, h)[0] is not None
