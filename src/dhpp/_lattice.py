@@ -136,9 +136,12 @@ class _ValueLattice(Mapping):
             if total > LATTICE_CAP:
                 raise UniverseOverflow(f"value lattice exceeded {LATTICE_CAP} entries")
             self._values[formula] = _sorted_row(values)
-        # the offence reported is that of the atom the last rule heads first
-        heads = (atom for rule in reversed(program.rules) for atom, _ in rule.head)
-        self.non_expansive = next((offences[atom] for atom in heads if atom in offences), None)
+        # the offence reported is that of the atom the last rule heads first;
+        # without one, as is usual, no head is looked at
+        self.non_expansive = None
+        if offences:
+            heads = (atom for rule in reversed(program.rules) for atom, _ in rule.head)
+            self.non_expansive = next(offences[atom] for atom in heads if atom in offences)
         # the down-set mask of atom k's rank r is _downs[_offsets[k] + r],
         # and the text of its entry at that value _texts[_offsets[k] + r]
         self._offsets = array('l', itertools.accumulate(map(len, self.atom_values), initial=0))

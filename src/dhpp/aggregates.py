@@ -13,8 +13,13 @@ start from 0, multiplicative ones from 1, and the joint probability of no
 members is [1,1]. min and max have no neutral element and come out
 undefined, which is a value here, not an error.
 
-Sums and the joint probability run on integer numerators and denominators
-and are reduced to a Fraction once, so the arithmetic stays exact.
+The arithmetic runs on integer numerators and denominators and reduces
+each result endpoint to a Fraction once, so it stays exact. A member's
+parts are read once per value object: an interval keeps its endpoints'
+(model.interval_parts) and a number its own (model.number_parts) in a
+slot from the first evaluation that meets it on, so the members a ground
+set holds, evaluated again under every interpretation judged, are split
+into integers once.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .model import Num, ProbInterval, Term, ValueInterval
+from .model import interval_parts, Num, number_parts, ProbInterval, Term, ValueInterval
 
 
 class _Undefined:
@@ -72,81 +77,80 @@ def scalar_interval_product(c: Fraction, iv: ValueInterval) -> ValueInterval:
 
 
 def joint_probability(ms: Multiset) -> ProbInterval:
-    """Componentwise product of the member annotations; [1,1] when empty.
-
-    The numerators and the denominators are multiplied as integers and each
-    endpoint is reduced once; when the two products agree, as they do when
-    every member is a point, hi is lo."""
-    lo_num = lo_den = hi_num = hi_den = 1
-    for _, prob in ms:
-        lo_num *= prob.lo.numerator
-        lo_den *= prob.lo.denominator
-        hi_num *= prob.hi.numerator
-        hi_den *= prob.hi.denominator
-    lo = Fraction(lo_num, lo_den)
-    hi = lo if (hi_num, hi_den) == (lo_num, lo_den) else Fraction(hi_num, hi_den)
-    return ProbInterval(lo, hi)
-
-
-def _numeric_values(ms: Multiset) -> list[Fraction] | None:
-    values = []
-    for term, _ in ms:
-        if not isinstance(term, Num):
-            return None
-        values.append(term.value)
-    return values
-
-
-def _exact_sum(terms) -> Fraction:
-    """The sum of n/d over (n, d) integer pairs, on integers, reduced once.
-
-    den stays the lcm of the denominators seen, not their product, so the
-    integers stay about as small as a stepwise Fraction sum's."""
-    num, den = 0, 1
-    for n, d in terms:
-        if d == den:
-            num += n
-        else:
-            g = gcd(den, d)
-            num = num * (d // g) + n * (den // g)
-            den = den // g * d
-    return Fraction(num, den)
+    """Componentwise product of the member annotations; [1,1] when empty."""
+    return eval_aggregate("countP", ms).prob
 
 
 def eval_aggregate(func: str, ms: Multiset) -> AggregateResult:
-    """Apply one of the eleven aggregate functions to a selected multiset."""
-    if func == "countE":
-        return EValue(scalar_interval_product(Fraction(len(ms)), joint_probability(ms)))
-    if func == "countP":
-        return PValue(Fraction(len(ms)), joint_probability(ms))
+    """Apply one of the eleven aggregate functions to a selected multiset,
+    in one walk of it over its members' integer parts.
 
-    values = _numeric_values(ms)
-    if values is None:
-        return UNDEFINED  # non-numeric members fall outside the domain
-
-    if func == "valE":
-        # v * prob summed over the members; a negative v flips prob's ends
-        lows, highs = [], []
-        for v, (_, p) in zip(values, ms):
-            lo, hi = (p.lo, p.hi) if v.numerator >= 0 else (p.hi, p.lo)
-            lows.append((v.numerator * lo.numerator, v.denominator * lo.denominator))
-            highs.append((v.numerator * hi.numerator, v.denominator * hi.denominator))
-        return EValue(ValueInterval(_exact_sum(lows), _exact_sum(highs)))
-
-    if func in ("minE", "maxE", "minP", "maxP") and not ms:
+    The classical value is n/m, and the joint probability of the members
+    [lo_n/lo_d, hi_n/hi_d]; valE sums v * prob into [n/m, e/f] instead.
+    Sums keep m the lcm of the denominators seen, not their product, so the
+    integers stay about as small as a stepwise Fraction sum's; that step is
+    written out at each sum, as a call per member would cost more."""
+    kind = func[:-1]  # the name without the family suffix
+    if not ms and (kind == "min" or kind == "max"):
         return UNDEFINED
-
-    if func.startswith("sum"):
-        x = _exact_sum((v.numerator, v.denominator) for v in values)
-    elif func.startswith("times"):
-        x = Fraction(1)
-        for v in values:
-            x *= v
-    elif func.startswith("min"):
-        x = min(values)
-    else:
-        x = max(values)
-
-    if func.endswith("E"):
-        return EValue(scalar_interval_product(x, joint_probability(ms)))
-    return PValue(x, joint_probability(ms))
+    lo_n = lo_d = hi_n = hi_d = 1
+    n, m, e, f = (1 if kind == "times" else 0), 1, 0, 1
+    best = None
+    for term, prob in ms:
+        try:
+            a, b, c, d = prob._parts
+        except AttributeError:
+            a, b, c, d = interval_parts(prob)
+        if kind != "val":
+            lo_n *= a
+            lo_d *= b
+            hi_n *= c
+            hi_d *= d
+            if kind == "count":
+                continue
+        try:
+            p, q = term._parts
+        except AttributeError:
+            if not isinstance(term, Num):
+                return UNDEFINED  # non-numeric members fall outside the domain
+            p, q = number_parts(term)
+        if kind == "sum":
+            if q == m:
+                n += p
+            else:
+                g = gcd(m, q)
+                n = n * (q // g) + p * (m // g)
+                m = m // g * q
+        elif kind == "val":
+            # v * prob, whose ends a negative v swaps
+            if p < 0:
+                a, b, c, d = c, d, a, b
+            p, q, s, t = p * a, q * b, p * c, q * d
+            if q == m:
+                n += p
+            else:
+                g = gcd(m, q)
+                n = n * (q // g) + p * (m // g)
+                m = m // g * q
+            if t == f:
+                e += s
+            else:
+                g = gcd(f, t)
+                e = e * (t // g) + s * (f // g)
+                f = f // g * t
+        elif kind == "times":
+            n *= p
+            m *= q
+        elif best is None or (p * m < n * q if kind == "min" else p * m > n * q):
+            best, n, m = term, p, q
+    if kind == "val":
+        return EValue(ValueInterval.from_parts(n, m, e, f))
+    if kind == "count":
+        n = len(ms)
+    if func[-1] == "P":
+        value = best.value if best is not None else Fraction(n, m)
+        return PValue(value, ProbInterval.from_parts(lo_n, lo_d, hi_n, hi_d))
+    # n/m times the joint probability, whose ends a negative n/m swaps
+    if n < 0:
+        lo_n, lo_d, hi_n, hi_d = hi_n, hi_d, lo_n, lo_d
+    return EValue(ValueInterval.from_parts(n * lo_n, m * lo_d, n * hi_n, m * hi_d))

@@ -10,7 +10,9 @@ Fractions. All arithmetic is exact via fractions.Fraction; floats are
 rejected to keep golden values bit-for-bit reproducible. The truth order
 reads each interval's endpoints rounded to floats, kept in a slot like the
 hash, but only to settle comparisons those floats decide exactly (see
-truth_leq); an interval's text is kept the same way from its first str().
+truth_leq); an interval's text is kept the same way from its first str(),
+and the integer parts of its endpoints, like a number's, from the first
+aggregate evaluation that reads them (interval_parts, number_parts).
 """
 
 from __future__ import annotations
@@ -97,29 +99,40 @@ def _value_class(cls):
     return cls
 
 
-def _endpoint_float(q: Fraction) -> float:
-    """q correctly rounded to a float, or -inf/inf beyond the float range."""
+def _quotient_float(n: int, d: int) -> float:
+    """n/d, d > 0, correctly rounded to a float, or -inf/inf beyond the
+    float range. Integer true division rounds the exact quotient, so n/d
+    need not be reduced."""
     try:
-        return q.numerator / q.denominator
+        return n / d
     except OverflowError:
-        return inf if q > 0 else -inf
+        return inf if n > 0 else -inf
 
 
 class _Interval(_HashOnce):
     """Base of the interval classes.
 
     The _floats slot holds (lo, hi) rounded to floats from the first
-    truth_leq on, and _text the interval's str from the first str on. Like
-    _hash they are no dataclass fields, so equality, repr and pickling
-    ignore them, and a loaded value rounds and renders afresh.
+    truth_leq on, _text the interval's str from the first str on, and
+    _parts (lo numerator, lo denominator, hi numerator, hi denominator)
+    from the first interval_parts on. Like _hash they are no dataclass
+    fields, so equality, repr and pickling ignore them, and a loaded value
+    rounds, renders and splits afresh.
     """
 
-    __slots__ = ("_floats", "_text")
+    __slots__ = ("_floats", "_text", "_parts")
+
+
+# the kept slots are set through their descriptors, which a frozen class's
+# __setattr__ does not guard, and faster than object.__setattr__ finds them
+_keep_floats = _Interval._floats.__set__
+_keep_interval_parts = _Interval._parts.__set__
 
 
 def _endpoint_floats(x: "ValueInterval") -> tuple[float, float]:
-    floats = (_endpoint_float(x.lo), _endpoint_float(x.hi))
-    object.__setattr__(x, "_floats", floats)
+    lo, hi = x.lo, x.hi
+    floats = (_quotient_float(lo.numerator, lo.denominator), _quotient_float(hi.numerator, hi.denominator))
+    _keep_floats(x, floats)
     return floats
 
 
@@ -140,6 +153,25 @@ class ValueInterval(_Interval):
     def point(cls, value: Rational):
         v = as_fraction(value)
         return cls(v, v)
+
+    @classmethod
+    def from_parts(cls, lo_n: int, lo_d: int, hi_n: int, hi_d: int):
+        """[lo_n/lo_d, hi_n/hi_d] from integer parts, denominators positive,
+        known to make a valid cls (lo <= hi and, for a ProbInterval, both
+        within [0, 1]), as aggregate results are built, so not checked
+        again. Each endpoint is reduced to a Fraction once, hi is lo when
+        the parts agree, and the floats truth_leq reads are kept at once,
+        rounded from the parts."""
+        lo, lo_f = Fraction(lo_n, lo_d), _quotient_float(lo_n, lo_d)
+        if hi_n == lo_n and hi_d == lo_d:
+            hi, hi_f = lo, lo_f
+        else:
+            hi, hi_f = Fraction(hi_n, hi_d), _quotient_float(hi_n, hi_d)
+        x = object.__new__(cls)
+        _set_lo(x, lo)
+        _set_hi(x, hi)
+        _keep_floats(x, (lo_f, hi_f))
+        return x
 
     def __str__(self) -> str:
         try:
@@ -164,8 +196,19 @@ class ProbInterval(ValueInterval):
             raise InvalidInterval(f"probability interval outside [0,1]: [{self.lo}, {self.hi}]")
 
 
+# from_parts sets a new interval's fields as the kept slots are set
+_set_lo, _set_hi = ValueInterval.lo.__set__, ValueInterval.hi.__set__
+
 ZERO = ProbInterval(0, 0)
 ONE = ProbInterval(1, 1)
+
+
+def interval_parts(x: ValueInterval) -> tuple[int, int, int, int]:
+    """(lo numerator, lo denominator, hi numerator, hi denominator) of x,
+    kept in its _parts slot, where a reader finds them once they are set."""
+    parts = x.lo.as_integer_ratio() + x.hi.as_integer_ratio()
+    _keep_interval_parts(x, parts)
+    return parts
 
 
 def truth_leq(x: ValueInterval, y: ValueInterval) -> bool:
@@ -270,8 +313,19 @@ class Const(_HashOnce):
         return self.name
 
 
+class _Number(_HashOnce):
+    """Base of Num. The _parts slot holds (numerator, denominator) of the
+    value from the first number_parts on; like _hash it is no dataclass
+    field, so equality, repr and pickling ignore it."""
+
+    __slots__ = ("_parts",)
+
+
+_keep_number_parts = _Number._parts.__set__
+
+
 @_value_class
-class Num(_HashOnce):
+class Num(_Number):
     value: Fraction
 
     def __post_init__(self):
@@ -279,6 +333,14 @@ class Num(_HashOnce):
 
     def __str__(self) -> str:
         return format_rational(self.value)
+
+
+def number_parts(t: Num) -> tuple[int, int]:
+    """(numerator, denominator) of t's value, kept in its _parts slot as
+    interval_parts keeps an interval's."""
+    parts = t.value.as_integer_ratio()
+    _keep_number_parts(t, parts)
+    return parts
 
 
 @_value_class

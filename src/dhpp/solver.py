@@ -139,9 +139,12 @@ class _Compiled:
         self.lattice = lattice = gp.value_lattice()
         self.n = n = len(lattice.atoms)
         self.gp = gp
-        index = {f: k for k, f in enumerate(lattice.atoms + lattice.compounds)}
+        position = lattice.position
+        # a compound's index; an atom's is its lattice number
+        index = {f: n + j for j, f in enumerate(lattice.compounds)}
+        size = n + len(index)
         self.compounds = [
-            (index[f], f, lattice[f], gp.formula_strategy(f), tuple(lattice.position[a] for a in f.atoms))
+            (index[f], f, lattice[f], gp.formula_strategy(f), tuple(position[a] for a in f.atoms))
             for f in lattice.compounds
         ]
         self.compounds_of: dict[int, list[int]] = {}
@@ -153,27 +156,30 @@ class _Compiled:
         self.keys: list[GuessKey] = []
         number: dict[GuessKey, int] = {}
         self.naf: dict[int, tuple[int, int]] = {}
-        self.naf_on: list[list[tuple[int, int]]] = [[] for _ in index]
+        self.naf_on: list[list[tuple[int, int]]] = [[] for _ in range(size)]
 
         def literal(item: HybridFormula, ann: ProbInterval) -> tuple[int, int]:
+            """A compound's literal; an atom's is its rule form."""
             return index[item], sum(1 << r for r, v in enumerate(lattice[item]) if truth_leq(ann, v))
 
-        def guess(kind: str, item, ann: ProbInterval) -> int:
+        def guess(kind: str, item, ann: ProbInterval, form: tuple | None = None) -> int:
             key = (kind, item, ann)
             j = number.get(key)
             if j is None:
                 j = number[key] = len(self.keys)
                 self.keys.append(key)
                 if kind == "naf":
-                    k, mask = self.naf[j] = literal(item, ann)
+                    # form is the literal's body form, which for an atom
+                    # holds the complement of its mask
+                    k, mask = self.naf[j] = literal(item, ann) if form[0] is None else (form[0], ~form[1])
                     if k < n:
                         self.naf_on[k].append((j, mask))
             return j
 
         bodies, heads = lattice.rule_forms(gp.rules)
         self.rules = rules = []
-        self.readers = readers = [[] for _ in index]
-        self.on = on = [[] for _ in index]
+        self.readers = readers = [[] for _ in range(size)]
+        self.on = on = [[] for _ in range(size)]
         disjuncts = 0
         for rule, body, head in zip(gp.rules, bodies, heads):
             if not head:
@@ -195,11 +201,11 @@ class _Compiled:
                     else:
                         holds = holds and item.holds()
                 pos = tuple(pos)
-                for item, ann in rule.neg_body:
+                for (item, ann), form in zip(rule.neg_body, body[len(rule.pos_body):]):
                     if isinstance(item, AggregateAtom):
                         j = guess("agg", item, ann)
                     elif isinstance(item, HybridFormula):
-                        j = guess("naf", item, ann)
+                        j = guess("naf", item, ann, form)
                     else:
                         continue
                     holds = holds and not wanted.setdefault(j, 0)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -19,7 +20,7 @@ from dhpp import (
     eval_aggregate,
     truth_leq,
 )
-from dhpp.model import Const, Num
+from dhpp.model import AGG_FUNCS, Const, Num
 from dhpp.aggregates import joint_probability, scalar_interval_product
 from generators import check_selection
 
@@ -253,3 +254,72 @@ def test_sums_match_the_stepwise_fraction_sums(raw):
     joint = joint_probability(ms)
     assert eval_aggregate("sumP", ms) == PValue(total, joint)
     assert eval_aggregate("sumE", ms) == EValue(scalar_interval_product(total, joint))
+
+
+def stepwise(func: str, ms) -> object:
+    """func on ms with Fraction arithmetic, step by step: the joint
+    probability as a times fold, each classical value as a Fraction fold
+    over the members' values, valE as a sum of scalar products."""
+    kind = func[:-1]
+    lo = hi = Fraction(1)
+    for _, prob in ms:
+        lo, hi = lo * prob.lo, hi * prob.hi
+    joint = ProbInterval(lo, hi)
+    if kind == "count":
+        x = Fraction(len(ms))
+    elif not all(isinstance(v, Num) for v, _ in ms):
+        return UNDEFINED
+    elif kind == "val":
+        products = [scalar_interval_product(v.value, p) for v, p in ms]
+        lows, highs = (q.lo for q in products), (q.hi for q in products)
+        return EValue(ValueInterval(sum(lows, Fraction(0)), sum(highs, Fraction(0))))
+    elif kind in ("min", "max") and not ms:
+        return UNDEFINED
+    else:
+        values = [v.value for v, _ in ms]
+        if kind == "sum":
+            x = sum(values, Fraction(0))
+        elif kind == "times":
+            x = prod(values, start=Fraction(1))
+        else:
+            x = (min if kind == "min" else max)(values)
+    return EValue(scalar_interval_product(x, joint)) if func.endswith("E") else PValue(x, joint)
+
+
+def distinct_copy(ms) -> list:
+    """Members equal to ms's, none of them the same object, so none has
+    its parts kept."""
+    return [
+        (Num(Fraction(v.value.numerator, v.value.denominator)) if isinstance(v, Num) else Const(v.name),
+         ProbInterval(Fraction(p.lo.numerator, p.lo.denominator), Fraction(p.hi.numerator, p.hi.denominator)))
+        for v, p in ms
+    ]
+
+
+numbers = st.one_of(
+    st.integers(min_value=-6, max_value=9).map(Num),
+    st.fractions(min_value=-4, max_value=4, max_denominator=9).map(Num),
+)
+mixed_members = st.lists(
+    st.tuples(st.one_of(numbers, numbers, numbers, st.just(Const("c"))), annotations), max_size=7
+)
+
+
+@given(mixed_members)
+@example([])
+@example([(Const("c"), iv("0", "1"))])
+@example([(Num("-3/2"), iv("0", "1")), (Num("2/3"), iv("1/4", "1")), (Num("-1"), iv("0", "1/3"))])
+def test_every_function_equals_its_stepwise_fractions_on_kept_and_fresh_parts(members):
+    for func in AGG_FUNCS:
+        expected = stepwise(func, members)
+        # the first call keeps the members' parts, the second reads them,
+        # and equal members built apart split afresh
+        for ms in (members, members, distinct_copy(members)):
+            result = eval_aggregate(func, ms)
+            assert result == expected, func
+    # a walk stops at the first member that is no number
+    numeric = next((i for i, (v, _) in enumerate(members) if not isinstance(v, Num)), len(members))
+    for i, (v, p) in enumerate(members):
+        assert p._parts == (p.lo.numerator, p.lo.denominator, p.hi.numerator, p.hi.denominator)
+        if i < numeric:
+            assert v._parts == (v.value.numerator, v.value.denominator)

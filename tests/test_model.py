@@ -23,6 +23,7 @@ from dhpp import (
     ProbInterval,
     Rule,
     ValueInterval,
+    eval_aggregate,
     format_rational,
     interp_leq,
     interp_lt,
@@ -41,6 +42,8 @@ from dhpp.model import (
     as_fraction,
     COMPARATORS,
     interval_compare,
+    interval_parts,
+    number_parts,
     scalar_compare,
 )
 
@@ -398,23 +401,56 @@ def test_an_interval_renders_once_and_only_its_fields_compare_print_and_pickle(m
     assert len(calls) == 2  # lo and hi, on the first str only
     hash(x)
     truth_leq(x, y)
+    assert interval_parts(x) == x._parts == (1, 5, 1, 3)
     assert x == y and repr(x) == repr(y) == "ProbInterval(lo=Fraction(1, 5), hi=Fraction(1, 3))"
     loaded = pickle.loads(pickle.dumps(x))
-    assert not any(hasattr(loaded, slot) for slot in ("_text", "_floats", "_hash"))
+    assert not any(hasattr(loaded, slot) for slot in ("_text", "_floats", "_hash", "_parts"))
     assert loaded == x and str(loaded) == str(x)
+    # a loaded interval splits its endpoints again when an aggregate reads them
+    assert eval_aggregate("countP", [(Const("c"), loaded)]).prob == x
+    assert loaded._parts == x._parts
+
+
+def test_a_number_keeps_its_parts_and_only_its_value_compares_prints_and_pickles():
+    n, m = Num(Fraction(-3, 4)), Num(Fraction(-3, 4))
+    assert number_parts(n) == n._parts == (-3, 4)
+    assert not hasattr(m, "_parts")
+    assert n == m and hash(n) == hash(m) and repr(n) == repr(m) == "Num(value=Fraction(-3, 4))"
+    assert str(n) == "-0.75"
+    loaded = pickle.loads(pickle.dumps(n))
+    assert not any(hasattr(loaded, slot) for slot in ("_hash", "_parts"))
+    assert loaded == n
+    assert eval_aggregate("sumP", [(loaded, ONE)]).value == Fraction(-3, 4)
+    assert loaded._parts == (-3, 4)
+
+
+@given(interval_pairs(), st.one_of(st.integers(1, 12), st.just(int(HUGE))))
+def test_an_interval_from_parts_equals_its_fractions_and_keeps_their_floats(pair, k):
+    # unreduced parts, as an aggregate's products leave them
+    x, y = pair
+    made = type(x).from_parts(x.lo.numerator * k, x.lo.denominator * k, x.hi.numerator * k, x.hi.denominator * k)
+    assert type(made) is type(x) and made == x
+    fresh = type(x)(x.lo, x.hi)
+    truth_leq(fresh, y)  # rounds fresh's Fractions into its slot
+    assert made._floats == fresh._floats
+    assert truth_leq(made, y) == fraction_leq(x, y) and truth_leq(y, made) == fraction_leq(y, x)
 
 
 PICKLED = """
 import pickle, sys
 from fractions import Fraction
-from dhpp.model import Atom, Const, HybridFormula, ProbInterval
+from dhpp import eval_aggregate
+from dhpp.model import Atom, Const, HybridFormula, Num, ProbInterval
 values = [
     Atom("p", (Const("x"),)),
     HybridFormula((Atom("a"), Atom("b", (Const("y"),))), "and", "inc"),
     ProbInterval(Fraction(1, 3), Fraction(1, 2)),
+    Num(Fraction(-5, 2)),
 ]
 for v in values:
     hash(v)
+# the number and the interval split into their integer parts
+expected = eval_aggregate("valE", [(values[3], values[2])])
 """
 
 
@@ -435,25 +471,32 @@ def test_pickled_values_hash_afresh_under_another_hash_seed():
     found = run_under_seed(
         "2",
         PICKLED + "loaded = pickle.loads(sys.stdin.buffer.read())\n"
-        "print([v == w and v in set(values) for v, w in zip(loaded, values)])",
+        "print([v == w and v in set(values) for v, w in zip(loaded, values)])\n"
+        "print([hasattr(v, '_parts') for v in loaded[2:]])\n"
+        "print(eval_aggregate('valE', [(loaded[3], loaded[2])]) == expected)\n"
+        "print([v._parts == w._parts for v, w in zip(loaded[2:], values[2:])])",
         dumped,
     )
-    assert found.decode().strip() == "[True, True, True]"
+    assert found.decode().split() == ["[True,", "True,", "True,", "True]", "[False,", "False]", "True", "[True,", "True]"]
 
 
 def test_unpickled_intervals_order_as_their_fractions_under_another_hash_seed():
     pairs = tie_pairs()
     for x, y in pairs:
-        truth_leq(x, y)  # fills the float slots, which pickling leaves behind
+        # fill the float and part slots, which pickling leaves behind
+        truth_leq(x, y)
+        interval_parts(x), interval_parts(y)
     found = run_under_seed(
         "2",
         "import pickle, sys\n"
-        "from dhpp.model import truth_leq\n"
+        "from dhpp.model import interval_parts, truth_leq\n"
         "pairs = pickle.loads(sys.stdin.buffer.read())\n"
-        "print(any(hasattr(v, '_floats') for pair in pairs for v in pair))\n"
-        "print([(truth_leq(x, y), truth_leq(y, x)) for x, y in pairs])",
+        "print(any(hasattr(v, s) for pair in pairs for v in pair for s in ('_floats', '_parts')))\n"
+        "print([(truth_leq(x, y), truth_leq(y, x)) for x, y in pairs])\n"
+        "print([tuple(map(interval_parts, pair)) for pair in pairs])",
         pickle.dumps(pairs),
     )
-    cached, orders = found.decode().splitlines()
+    cached, orders, parts = found.decode().splitlines()
     assert cached == "False"
     assert orders == str([(fraction_leq(x, y), fraction_leq(y, x)) for x, y in pairs])
+    assert parts == str([(x._parts, y._parts) for x, y in pairs])
