@@ -4,7 +4,9 @@ fold tables, rule forms and the minimality search's branching order. This
 module builds them all from the program, _ValueLattice(program) being the
 one way to make a lattice, and a reduct reads its source program's. The
 closure, the p-model check and the minimality search all read them, so a
-program is compiled once. An interpretation in the lattice's numbering is
+program is compiled once. An atom's row, which depends on its strategy's
+composition and head annotations alone, is kept across programs in the
+process-wide table _ROWS. An interpretation in the lattice's numbering is
 a _Point.
 """
 
@@ -12,7 +14,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from array import array
+from collections import OrderedDict
 from functools import reduce
 from operator import getitem
 from typing import TYPE_CHECKING, Mapping
@@ -23,6 +27,7 @@ from .model import (
     Atom,
     GroundPair,
     HybridFormula,
+    interval_parts,
     lo_hi_key,
     PInterpretation,
     ProbInterval,
@@ -56,21 +61,27 @@ class _ValueLattice(Mapping):
     the scope's other formulae, in the same order. A set of its
     values is an int mask, bit r standing for rank r: satisfying(k, ann) is
     the mask of the values at or above ann in the truth order, below(k, r)
-    that of the values at or below rank r, kept once computed, like the
-    text of atom k's entry at rank r that _Point.text renders. folds[k] is
-    atom k's fold table, (rank, annotation rank) -> rank, when it has two
-    or more head occurrences, and non_expansive the first composition in
-    them below one of its inputs, as (strategy name, formula, value,
-    annotation, composition), or None. The forms of the program's rules
-    (rule_forms), the index of the rules that read each atom (readers)
-    and the branching order are built on first use. The
-    tables hold no reference to the program, so they die with it, and a
-    reduct's scope and rules are its source's, so they serve it too.
+    that of the values at or below rank r. folds[k] is atom k's fold table,
+    (rank, annotation rank) -> rank, when it has two or more head
+    occurrences, and non_expansive the first composition in them below one
+    of its inputs, as (strategy name, formula, value, annotation,
+    composition), or None.
+
+    Atom k's values, fold table, offence and masks are rows[k], a _Row of
+    the process-wide table _ROWS, shared with every program that folds the
+    same head annotations under the same composition and built again only
+    once the table has evicted it; the lattice attaches the offence's
+    strategy name and formula. The text of atom k's entry at rank r, which
+    _Point.text renders, the forms of the program's rules (rule_forms), the
+    index of the rules that read each atom (readers) and the branching
+    order are the program's own, built on first use. None of these tables
+    holds a reference to the program, so the program's own die with it, and
+    a reduct's scope and rules are its source's, so they serve it too.
     """
 
     __slots__ = (
         "_values", "formulae", "_rules", "atoms", "position", "scope_positions",
-        "compounds", "atom_values", "folds", "non_expansive", "_offsets", "_downs",
+        "compounds", "rows", "atom_values", "folds", "non_expansive", "_offsets",
         "_texts", "_forms", "_readers", "_order",
     )
 
@@ -86,44 +97,34 @@ class _ValueLattice(Mapping):
         # the compound formulae of the scope, in scope order
         self.compounds = tuple(f for f, k in zip(self.formulae, self.scope_positions) if k is None)
         self._values: dict[HybridFormula, tuple[ProbInterval, ...]] = {}
-        self.atom_values: list[tuple[ProbInterval, ...]] = []
-        self.folds: list[dict[tuple[int, int], int] | None] = []
+        self.rows: list[_Row] = []
         # the annotation of every head occurrence, one entry per occurrence
         occurrences: dict[Atom, list[ProbInterval]] = {}
         for rule in program.rules:
             for atom, ann in rule.head:
                 occurrences.setdefault(atom, []).append(ann)
         offences: dict[Atom, tuple] = {}
-        # the rules hold every annotation object while this runs, so an id
-        # names one: atoms whose occurrences are the same objects in the
-        # same order under one strategy share their values and fold table;
-        # equal fold tables are one, and each strategy composes a (value,
-        # annotation) pair once per build
-        shared: dict[tuple, tuple] = {}
-        tables: dict[tuple, dict[tuple[int, int], int]] = {}
+        # each strategy composes a (value, annotation) pair once per build
         compositions: dict[str, dict] = {}
         total = 0
         for formula in self.atoms:
             atom = formula.atoms[0]
             strat = program.strategy_for(atom.predicate)
             anns = occurrences.get(atom, ())
-            key = (strat.name, *map(id, anns))
-            entry = shared.get(key)
-            if entry is None:
+            key = (strat.compose, *map(interval_parts, anns))
+            row = _ROWS.get(key)
+            if row is None:
                 memo = compositions.setdefault(strat.name, {})
-                values, table, offence = _atom_lattice(atom, strat, anns, memo)
-                if table is not None:
-                    table = tables.setdefault(tuple(table.items()), table)
-                entry = shared[key] = values, table, offence
-            values, table, offence = entry
-            self._values[formula] = values
-            self.atom_values.append(values)
-            self.folds.append(table)
-            total += len(values)
+                row = _ROWS.put(key, _Row(*_atom_lattice(atom, strat, anns, memo)))
+            self._values[formula] = row.values
+            self.rows.append(row)
+            total += len(row.values)
             if total > LATTICE_CAP:
                 raise UniverseOverflow(f"value lattice exceeded {LATTICE_CAP} entries")
-            if offence is not None:
-                offences[atom] = (strat.name, formula, *offence)
+            if row.offence is not None:
+                offences[atom] = (strat.name, formula, *row.offence)
+        self.atom_values = [row.values for row in self.rows]
+        self.folds = [row.folds for row in self.rows]
         for formula in self.compounds:
             strat = program.formula_strategy(formula)
             component = [self.atom_values[self.position[a]] for a in formula.atoms]
@@ -142,10 +143,9 @@ class _ValueLattice(Mapping):
         if offences:
             heads = (atom for rule in reversed(program.rules) for atom, _ in rule.head)
             self.non_expansive = next(offences[atom] for atom in heads if atom in offences)
-        # the down-set mask of atom k's rank r is _downs[_offsets[k] + r],
-        # and the text of its entry at that value _texts[_offsets[k] + r]
+        # the text of atom k's entry at its value of rank r is
+        # _texts[_offsets[k] + r]
         self._offsets = array('l', itertools.accumulate(map(len, self.atom_values), initial=0))
-        self._downs: list[int | None] = [None] * self._offsets[-1]
         self._texts: list[str | None] = [None] * self._offsets[-1]
         self._forms: Forms | None = None
         self._readers: tuple[array, array] | None = None
@@ -165,31 +165,11 @@ class _ValueLattice(Mapping):
 
     def satisfying(self, k: int, ann: ProbInterval) -> int:
         """The mask of atom k's values at or above ann."""
-        mask = 0
-        for r, v in enumerate(self.atom_values[k]):
-            if truth_leq(ann, v):
-                mask |= 1 << r
-        return mask
-
-    def rank(self, k: int, value: ProbInterval) -> int | None:
-        """The rank of value among atom k's values, or None."""
-        row = self.atom_values[k]
-        for r, v in enumerate(row):
-            if v is value:
-                return r
-        try:
-            return row.index(value)
-        except ValueError:
-            return None
+        return self.rows[k].reading(ann)[0]
 
     def below(self, k: int, r: int) -> int:
         """The mask of atom k's values at or below its value of rank r."""
-        i = self._offsets[k] + r
-        mask = self._downs[i]
-        if mask is None:
-            row = self.atom_values[k]
-            mask = self._downs[i] = _below_mask(row, row[r])
-        return mask
+        return self.rows[k].below(r)
 
     def point(self, h: PInterpretation) -> _Point:
         """h in this lattice's numbering, one walk of h.entries. An atom h
@@ -204,7 +184,7 @@ class _ValueLattice(Mapping):
             if formula.is_atomic:
                 k = position.get(formula.atoms[0])
                 if k is not None:
-                    # rank as rank(k, value) gives it, inline
+                    # value's rank in the row, found by identity first
                     row = rows[k]
                     for r, v in enumerate(row):
                         if v is value:
@@ -237,7 +217,7 @@ class _ValueLattice(Mapping):
             key = (k, id(ann), positive)
             pair = shared.get(key)
             if pair is None:
-                mask = self.satisfying(k, ann)
+                mask = rows[k].reading(ann)[0]
                 pair = (k, mask if positive else ~mask)
                 pair = shared[key] = shared.setdefault(pair, pair)
             return pair
@@ -246,7 +226,7 @@ class _ValueLattice(Mapping):
             key = (k, id(ann), None)
             d = shared.get(key)
             if d is None:
-                d = shared[key] = (k, self.satisfying(k, ann), self.rank(k, ann), ann)
+                d = shared[key] = (k, *rows[k].reading(ann), ann)
             return d
 
         def condition(pair: GroundPair) -> tuple:
@@ -256,7 +236,7 @@ class _ValueLattice(Mapping):
             )
             return literals[0] if len(literals) == 1 and literals[0][0] is not None else (None, literals)
 
-        position = self.position
+        position, rows = self.position, self.rows
         bodies, heads = [], []
         for rule in self._rules:
             literals = []
@@ -517,6 +497,80 @@ def _replaced(form: tuple, path: tuple[int, ...], entry) -> tuple:
     return (*form[:i], inner, *form[i + 1:])
 
 
+class _Row:
+    """An atom's lattice row: values, ZERO and the folds of its head
+    annotations sorted by (lo, hi), with folds and offence as _atom_lattice
+    gives them, and the masks that read them, each computed on first use:
+    reading(ann) and below(r). It holds values and masks alone, so programs
+    that fold the same annotations under the same composition share one,
+    and it keeps at most as many masks of each kind as it has values."""
+
+    __slots__ = ("values", "folds", "offence", "_readings", "_below")
+
+    def __init__(self, values: tuple[ProbInterval, ...], folds: dict | None, offence: tuple | None):
+        self.values = values
+        self.folds = folds
+        self.offence = offence
+        self._readings: dict[tuple[int, ...], tuple[int, int | None]] = {}
+        self._below: list[int | None] = [None] * len(values)
+
+    def reading(self, ann: ProbInterval) -> tuple[int, int | None]:
+        """The mask of the values at or above ann, and ann's rank among
+        them or None. Kept per annotation, keyed on its integer parts, so
+        an equal annotation of another program finds it without comparing
+        Fractions."""
+        key = interval_parts(ann)
+        reading = self._readings.get(key)
+        if reading is None:
+            mask, rank = 0, None
+            for r, v in enumerate(self.values):
+                if truth_leq(ann, v):
+                    mask |= 1 << r
+                    if rank is None and truth_leq(v, ann):
+                        rank = r
+            reading = mask, rank
+            if len(self._readings) < len(self.values):
+                self._readings[key] = reading
+        return reading
+
+    def below(self, r: int) -> int:
+        """The mask of the values at or below the value of rank r."""
+        mask = self._below[r]
+        if mask is None:
+            mask = self._below[r] = _below_mask(self.values, self.values[r])
+        return mask
+
+
+class _RowTable(OrderedDict):
+    """The atom rows built in this process, oldest first, keyed by
+    (strategy's compose function, integer parts of each head annotation in
+    program order): the row depends on nothing else, as a composition must
+    be a pure function of its operands. The rows hold held values, at most
+    ROWS_CAP; putting one evicts the oldest until it fits. A row whose
+    build raises is never put, and a row put under a key already held
+    (built by two threads at once) is not kept twice."""
+
+    def __init__(self):
+        super().__init__()
+        self.held = 0
+        self._lock = threading.Lock()
+
+    def put(self, key: tuple, row: _Row) -> _Row:
+        size = len(row.values)
+        with self._lock:
+            if size <= ROWS_CAP and key not in self:
+                while self.held + size > ROWS_CAP:
+                    self.held -= len(self.popitem(last=False)[1].values)
+                self[key] = row
+                self.held += size
+        return row
+
+
+# most values the rows of _ROWS hold together, room for one row at the cap
+ROWS_CAP = LATTICE_CAP
+_ROWS = _RowTable()
+
+
 def _atom_lattice(atom: Atom, strategy: PStrategy, anns: list[ProbInterval], memo: dict) -> tuple:
     """ZERO and the folds of the non-empty sub-multisets of anns, an atom's
     head annotations, sorted by (lo, hi); with two or more, also the atom's
@@ -527,7 +581,9 @@ def _atom_lattice(atom: Atom, strategy: PStrategy, anns: list[ProbInterval], mem
     taken in ascending order of the value's rank, and for one value in
     ascending order of the annotation's rank. memo maps a (value,
     annotation) pair to strategy's composition of it, for every atom of
-    the build under strategy."""
+    the build under strategy. The result depends on strategy.compose and
+    anns alone, so _ValueLattice keeps it in _ROWS, where programs share
+    it; atom only names the row in an overflow."""
 
     def compose(v: ProbInterval, ann: ProbInterval) -> ProbInterval:
         out = memo.get((v, ann))

@@ -205,10 +205,13 @@ ONE = ProbInterval(1, 1)
 
 def interval_parts(x: ValueInterval) -> tuple[int, int, int, int]:
     """(lo numerator, lo denominator, hi numerator, hi denominator) of x,
-    kept in its _parts slot, where a reader finds them once they are set."""
-    parts = x.lo.as_integer_ratio() + x.hi.as_integer_ratio()
-    _keep_interval_parts(x, parts)
-    return parts
+    kept in its _parts slot by the first call, and read from it after."""
+    try:
+        return x._parts
+    except AttributeError:
+        parts = x.lo.as_integer_ratio() + x.hi.as_integer_ratio()
+        _keep_interval_parts(x, parts)
+        return parts
 
 
 def truth_leq(x: ValueInterval, y: ValueInterval) -> bool:

@@ -461,8 +461,8 @@ class _MinimalitySearch:
     and whose compounds compose to h's values is h itself, and is no
     witness, unless h also assigns a formula outside the scope
     (point.outside). Any other leaf is judged by satisfies_program over the
-    same lattice, its domains being the leaf's point, and a PInterpretation
-    is built only for a leaf that passes, the witness. point is h in the
+    same lattice, its domains being the leaf's point, and the first leaf
+    that passes is the witness, kept as that point. point is h in the
     numbering of the value lattice red shares with its source program.
     """
 
@@ -483,7 +483,7 @@ class _MinimalitySearch:
         ]
         self.bodies, self.heads = point.forms(red.rules)
 
-    def run(self) -> PInterpretation | None:
+    def run(self) -> _Point | None:
         return self._search(self.domains, 0)
 
     def _spend(self) -> None:
@@ -526,7 +526,7 @@ class _MinimalitySearch:
                     changed = True
         return True
 
-    def _search(self, domains: list[int], start: int) -> PInterpretation | None:
+    def _search(self, domains: list[int], start: int) -> _Point | None:
         """Search the branch domains, which this call owns; the atoms before
         start in the branching order are decided already."""
         self._spend()
@@ -551,7 +551,7 @@ class _MinimalitySearch:
             d ^= low
         return None
 
-    def _leaf(self) -> PInterpretation | None:
+    def _leaf(self) -> _Point | None:
         domains, point = self.domains, self.point
         # a leaf with h's ranks on the scope is h unless h has more
         same = point.outside is None and domains == point.domains
@@ -567,42 +567,53 @@ class _MinimalitySearch:
         forms = self.red.rules, (self.bodies, self.heads)
         leaf = _Point(self.lattice, domains, compounds, point.extra, forms=forms)
         if satisfies_program(self.red, leaf).satisfied:
-            return leaf.interpretation()
+            return leaf
         return None
 
 
 def find_smaller_model(
-    red: GroundProgram, h: PInterpretation | _Point, *, node_cap: int = 500_000
+    red: GroundProgram,
+    h: PInterpretation | _Point,
+    *,
+    node_cap: int = 500_000,
+    points: list[_Point] | None = None,
 ) -> tuple[PInterpretation | None, int]:
     """A p-model of red strictly below h, or None; plus nodes searched.
     The search reads the tables of red's value lattice, its source
     program's for a reduct: h is a _Point of that lattice, or an
     interpretation the lattice numbers. A leaf equal to h is decided on
     ranks, and only the witness is built as a PInterpretation
-    (_MinimalitySearch)."""
+    (_MinimalitySearch); points, when given, also receives it as the point
+    of the lattice it was found as, which renders without being numbered
+    again."""
     point = h if isinstance(h, _Point) else red.value_lattice().point(h)
     search = _MinimalitySearch(red, point, node_cap)
     witness = search.run()
-    return witness, search.nodes
+    if witness is None:
+        return None, search.nodes
+    if points is not None:
+        points.append(witness)
+    return witness.interpretation(), search.nodes
 
 
 def _judge(
     gp: GroundProgram, point: _Point, node_cap: int = 500_000
-) -> tuple[SatisfactionReport, PInterpretation | None, Certificate | None]:
+) -> tuple[SatisfactionReport, _Point | None, Certificate | None]:
     """The p-model report of the interpretation point numbers in gp's
-    value lattice, a smaller p-model of its reduct or None, and the
-    certificate that it is an answer set of gp or None. In order: the
-    p-model check, whose failure is left in the report, the point's entry
-    outside the program's scope, and minimality against the reduct.
-    _explain renders the first that rejects. Everything is decided on the
-    point; the one PInterpretation built is a witness."""
+    value lattice, a smaller p-model of its reduct as a point of the same
+    lattice or None, and the certificate that it is an answer set of gp or
+    None. In order: the p-model check, whose failure is left in the report,
+    the point's entry outside the program's scope, and minimality against
+    the reduct. _explain renders the first that rejects. Everything is
+    decided on the point; the one PInterpretation built is a witness's."""
     report = satisfies_program(gp, point)
     if not report.satisfied or point.outside is not None:
         return report, None, None
     red = reduct(gp, report)
-    witness, nodes = find_smaller_model(red, point, node_cap=node_cap)
+    points: list[_Point] = []
+    witness, nodes = find_smaller_model(red, point, node_cap=node_cap, points=points)
     if witness is not None:
-        return report, witness, None
+        return report, points[0], None
     return report, None, Certificate(len(red.rules), nodes)
 
 
@@ -612,15 +623,14 @@ def _explain(
     """The p-model report of h, numbered once on gp's value lattice, and
     the one-line text of why _judge rejects h as an answer set of gp, or
     None when it accepts it."""
-    lattice = gp.value_lattice()
-    point = lattice.point(h)
+    point = gp.value_lattice().point(h)
     report, witness, _ = _judge(gp, point, node_cap)
     reason = report.first_failure
     if reason is None and point.outside is not None:
         formula, value = point.outside
         reason = f"assigns {value} to {formula}, which the program never mentions"
     elif witness is not None:
-        reason = f"not minimal: the reduct has a smaller p-model {lattice.point(witness).text()}"
+        reason = f"not minimal: the reduct has a smaller p-model {witness.text()}"
     return report, reason
 
 

@@ -814,7 +814,7 @@ def reference_point_forms(point, rules: list[Rule]) -> tuple[list, list]:
                     literals.append((None, (item, ann, positive)))
         bodies.append(tuple(literals))
         heads.append(tuple(
-            (*literal(position[atom], ann, True), lattice.rank(position[atom], ann), ann)
+            (*literal(position[atom], ann, True), lattice.atom_values[position[atom]].index(ann), ann)
             for atom, ann in rule.head
         ))
     return bodies, heads

@@ -1,12 +1,14 @@
 import itertools
 import random
 import re
+import threading
 import tracemalloc
 from fractions import Fraction
 from math import prod
 
 import pytest
 
+import dhpp._lattice
 import dhpp.semantics
 import dhpp.solver
 from dhpp import (
@@ -20,6 +22,7 @@ from dhpp import (
     Program,
     Rule,
     SearchSpaceOverflow,
+    UniverseOverflow,
     builtin_registry,
     enumerate_answer_sets,
     ground_program,
@@ -34,7 +37,7 @@ from dhpp import (
     truth_leq,
     ZERO,
 )
-from dhpp._lattice import _Point, _sorted_row
+from dhpp._lattice import _Point, _Row, _RowTable, _sorted_row
 from dhpp.grounder import GroundProgram
 from dhpp.model import AGG_FUNCS, AggregateAtom
 from dhpp.solver import (
@@ -424,6 +427,153 @@ def test_a_row_is_sorted_by_lo_then_hi_whatever_order_its_set_gives():
                 firsts.add(next(iter(row)) is ZERO)
             assert _sorted_row(row) == tuple(sorted(row, key=lambda v: (v.lo, v.hi)))
     assert firsts == {True, False}
+
+
+# -- the process-wide row table ------------------------------------------------------
+
+
+@pytest.fixture()
+def rows(monkeypatch) -> _RowTable:
+    """An empty row table in place of the process's, for this test only."""
+    table = _RowTable()
+    monkeypatch.setattr(dhpp._lattice, "_ROWS", table)
+    return table
+
+
+def corpus(seed: int, count: int) -> list[GroundProgram]:
+    """Programs of the generators in turn: probability, aggregate,
+    recursive aggregate and translated classical ones."""
+    rng = random.Random(seed)
+    makers = [
+        random_probability_program,
+        random_aggregate_program,
+        random_recursive_aggregate_program,
+        lambda rng: ground_program(translate_dlp(random_classical_program(rng))),
+    ]
+    return [makers[n % len(makers)](rng) for n in range(count)]
+
+
+def solved(gp: GroundProgram) -> tuple[list[str], list]:
+    result = enumerate_answer_sets(gp)
+    return interp_strings(result), result.certificates
+
+
+def test_strategies_of_one_name_with_other_compositions_share_no_row(rows):
+    # the table keys a row on the composition, not on the strategy's name:
+    # each registry's `s` gives the answer sets it gives alone
+    text = "#default_tau(s). a : 0.5. a : 0.4. b :- a : 0.6."
+    alone, registries = [], []
+    for compose in (
+        lambda x, y: ProbInterval(max(x.lo, y.lo), max(x.hi, y.hi)),
+        lambda x, y: ProbInterval(x.lo + y.lo - x.lo * y.lo, x.hi + y.hi - x.hi * y.hi),
+    ):
+        registry = builtin_registry()
+        registry.register("s", DISJUNCTIVE, compose)
+        registries.append(registry)
+        dhpp._lattice._ROWS = _RowTable()
+        alone.append(solved(ground_program(parse_program(text, registry=registry))))
+    assert alone[0][0] == ["{a:[0.5,0.5]}"]
+    assert alone[1][0] == ["{a:[0.7,0.7], b:[1,1]}"]
+    dhpp._lattice._ROWS = rows
+    for registry, expected in [*zip(registries, alone), *zip(registries, alone)]:
+        assert solved(ground_program(parse_program(text, registry=registry))) == expected
+
+
+def test_the_row_table_holds_no_more_values_than_its_bound(rows, monkeypatch):
+    # each program folds other annotations, so its rows are new; the table
+    # evicts the oldest rows and never holds more values than ROWS_CAP
+    monkeypatch.setattr(dhpp._lattice, "ROWS_CAP", 12)
+    texts = [f"#default_tau(ind). a : 0.{n}. a : 0.5. b :- a : 0.{n}." for n in range(1, 10)]
+    alone = []
+    for text in texts:
+        dhpp._lattice._ROWS = _RowTable()
+        alone.append(solved(ground_program(parse_program(text))))
+    dhpp._lattice._ROWS = rows
+    built = 0
+    for text, expected in zip(texts, alone):
+        gp = ground_program(parse_program(text))
+        assert solved(gp) == expected
+        built += sum(map(len, gp.value_lattice().atom_values))
+        assert rows.held == sum(len(row.values) for row in rows.values()) <= 12
+    assert built > 12 and rows
+
+
+@pytest.mark.parametrize("bound", [6, 100])
+def test_rows_put_at_once_under_one_key_are_counted_once(monkeypatch, bound):
+    # programs solved in threads can build one row at once and each put
+    # it; the table keeps one and counts its values once, whether it then
+    # evicts (a bound of 6 values, three rows) or not
+    monkeypatch.setattr(dhpp._lattice, "ROWS_CAP", bound)
+    table = _RowTable()
+    made = [_Row((ZERO, ProbInterval(Fraction(n, 10), 1)), None, None) for n in range(1, 10)]
+    putting = threading.Barrier(4, timeout=60)
+
+    def work() -> None:
+        for n, row in enumerate(made):
+            putting.wait()
+            table.put(("key", n), row)
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert table.held == sum(len(row.values) for row in table.values()) <= bound
+    assert list(table) == [("key", n) for n in range(9 - min(bound // 2, 9), 9)]
+
+
+def test_a_row_whose_build_overflows_is_not_stored(rows, monkeypatch):
+    text = "#default_tau(ind). a : 0.1. a : 0.2. a : 0.3."
+    cap = dhpp._lattice.LATTICE_CAP
+    monkeypatch.setattr(dhpp._lattice, "LATTICE_CAP", 5)
+    with pytest.raises(UniverseOverflow, match="value lattice for a exceeded 5"):
+        enumerate_answer_sets(ground_program(parse_program(text)))
+    assert not rows and rows.held == 0
+    monkeypatch.setattr(dhpp._lattice, "LATTICE_CAP", cap)
+    gp = ground_program(parse_program(text))
+    assert len(gp.value_lattice().atom_values[0]) == 8
+    assert rows.held == 8
+
+
+def test_the_corpora_solve_alike_in_either_order_in_one_process(rows):
+    # a program meets the rows that the programs before it left, in another
+    # order the second time; its answer sets and certificates do not change
+    programs = corpus(43, 160)
+    forward = [solved(gp) for gp in programs]
+    assert rows
+    again = corpus(43, 160)
+    backward = [solved(gp) for gp in reversed(again)]
+    assert backward[::-1] == forward
+    assert sum(len(found) for found, _ in forward) > 100
+
+
+def test_masks_on_rows_another_program_built_match_the_truth_order(rows):
+    # every program after the first reads rows that earlier programs built
+    # and read; its masks are those a fresh truth_leq walk of the row gives
+    programs = corpus(47, 160)
+    grid = [ProbInterval(lo, hi) for lo, hi in itertools.combinations_with_replacement(
+        [Fraction(0), Fraction(3, 10), Fraction(1, 2), Fraction(7, 10), Fraction(1)], 2
+    )]
+    seen: set[int] = set()
+    reused = 0
+    for gp in programs:
+        lattice = gp.value_lattice()
+        annotations = {ann for rule in gp.rules for _, ann in rule.head + rule.pos_body + rule.neg_body}
+        for k, row in enumerate(lattice.atom_values):
+            reused += id(lattice.rows[k]) in seen
+            for ann in [*annotations, *grid]:
+                expected = sum(1 << r for r, v in enumerate(row) if truth_leq(ann, v))
+                assert lattice.satisfying(k, ann) == expected, (str(gp), ann)
+            for r, top in enumerate(row):
+                expected = sum(1 << s for s, v in enumerate(row) if truth_leq(v, top))
+                assert lattice.below(k, r) == expected, str(gp)
+        # the forms' disjuncts rank each head annotation as the row does
+        for head in lattice.rule_forms(gp.rules)[1]:
+            for k, mask, rank, ann in head:
+                assert rank == lattice.atom_values[k].index(ann)
+        seen.update(map(id, lattice.rows))
+    assert reused > 200
 
 
 def test_the_non_expansive_atom_reported_is_the_one_the_last_rule_heads_first():
